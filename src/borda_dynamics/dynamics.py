@@ -24,7 +24,7 @@ from typing import IO, Iterable, Sequence
 
 from .errors import BudgetExceededError, ScheduleError
 from .influence import InfluenceNetwork
-from .move_graph import MoveGraph, StepPolicy, build_cover_graph
+from .move_graph import MoveGraph, StepPolicy
 from .move_graph import step as graph_step
 from .weak_orders import (
     WeakOrder,
@@ -112,10 +112,6 @@ class Schedule:
     def uniform(cls, seed: int) -> "Schedule":
         return cls("uniform", seed=seed)
 
-    @property
-    def deterministic(self) -> bool:
-        return self.kind in ("synchronous", "sequence")
-
 
 @dataclass
 class OrbitReport:
@@ -168,8 +164,7 @@ def step_sync(
 ) -> Profile:
     """One synchronous step: every free node moves toward its target, targets
     taken from the pre-update profile; pinned nodes unchanged."""
-    _, nxt = _sync_update(net, graph, policy, persistent.free_nodes(net.n), profile)
-    return nxt
+    return _update(net, graph, policy, persistent.free_nodes(net.n), profile, True)[1]
 
 
 def step_async(
@@ -183,28 +178,23 @@ def step_async(
     """One asynchronous step: only node i moves."""
     if i in persistent.pins:
         raise ScheduleError(f"node {i} is pinned and cannot be scheduled")
-    tau = target(net, profile, i)
-    updated = list(profile)
-    updated[i] = graph_step(policy, graph, profile[i], tau)
-    return tuple(updated)
+    return _update(net, graph, policy, (i,), profile, True)[1]
 
 
-def _sync_update(net, graph, policy, free, profile):
-    log = tuple((i, target(net, profile, i)) for i in free)
-    nxt = list(profile)
-    for i, tau in log:
-        nxt[i] = graph_step(policy, graph, profile[i], tau)
-    return log, tuple(nxt)
+def _update(net, graph, policy, nodes, profile, synchronous):
+    """Move each of `nodes` in turn one step toward its target.
 
-
-def _sequence_update(net, graph, policy, nodes, profile):
+    A synchronous step reads every target from `profile`; a sequence step
+    reads the profile as the earlier nodes left it.  Returns the target log
+    and the new profile.
+    """
     log = []
-    current = list(profile)
+    nxt = list(profile)
     for i in nodes:
-        tau = target(net, tuple(current), i)
+        tau = target(net, profile if synchronous else tuple(nxt), i)
         log.append((i, tau))
-        current[i] = graph_step(policy, graph, current[i], tau)
-    return tuple(log), tuple(current)
+        nxt[i] = graph_step(policy, graph, nxt[i], tau)
+    return tuple(log), tuple(nxt)
 
 
 def _ids(profile: Profile) -> tuple[int, ...]:
@@ -250,15 +240,12 @@ def run_until_cycle(
         return _run_uniform(net, graph, policy, persistent, initial, schedule, max_steps, free)
 
     if schedule.kind == "synchronous":
-        def update(state):
-            return _sync_update(net, graph, policy, free, state)
+        nodes, synchronous = free, True
     elif schedule.kind == "sequence":
         bad = [i for i in schedule.nodes if i not in free]
         if bad:
             raise ScheduleError(f"scheduled nodes {bad} are pinned or unknown")
-
-        def update(state):
-            return _sequence_update(net, graph, policy, schedule.nodes, state)
+        nodes, synchronous = schedule.nodes, False
     else:
         raise ScheduleError(f"unknown schedule kind {schedule.kind!r}")
 
@@ -282,7 +269,7 @@ def run_until_cycle(
             )
         seen[key] = t
         prefix.append(state)
-        log, state = update(state)
+        log, state = _update(net, graph, policy, nodes, state, synchronous)
         logs.append(log)
     raise BudgetExceededError(f"no cycle within {max_steps} steps")
 
@@ -307,35 +294,16 @@ def _run_uniform(net, graph, policy, persistent, initial, schedule, max_steps, f
         if t == max_steps:
             break
         i = free[rng.randrange(len(free))]
-        tau = target(net, state, i)
-        logs.append(((i, tau),))
-        updated = list(state)
-        updated[i] = graph_step(policy, graph, state[i], tau)
-        state = tuple(updated)
+        log, state = _update(net, graph, policy, (i,), state, True)
+        logs.append(log)
         prefix.append(state)
     raise BudgetExceededError(f"no fixed point within {max_steps} asynchronous updates")
 
 
-def is_fixed_point(
-    net: InfluenceNetwork,
-    persistent: PersistentConfig,
-    profile: Profile,
-    graph: MoveGraph | None = None,
-    policy: StepPolicy | None = None,
-) -> bool:
-    """True iff every free node already sits at its target.
-
-    When that holds, the synchronous one-step map is additionally applied and
-    asserted to fix the profile (the two characterizations must agree).
-    """
+def is_fixed_point(net: InfluenceNetwork, persistent: PersistentConfig, profile: Profile) -> bool:
+    """True iff every free node already sits at its target."""
     persistent.check_profile(profile)
-    free = persistent.free_nodes(net.n)
-    at_target = all(target(net, profile, i) == profile[i] for i in free)
-    if at_target:
-        graph = graph or build_cover_graph(profile[0].m)
-        policy = policy or StepPolicy()
-        assert step_sync(net, graph, policy, persistent, profile) == profile
-    return at_target
+    return all(target(net, profile, i) == profile[i] for i in persistent.free_nodes(net.n))
 
 
 def enumerate_fixed_points(

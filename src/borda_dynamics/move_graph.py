@@ -15,8 +15,6 @@ from functools import lru_cache
 
 from .weak_orders import WeakOrder, enumerate_weak_orders, format_order
 
-_STEP_MODES = ("min-canonical-id",)
-
 
 @dataclass(frozen=True)
 class StepPolicy:
@@ -27,12 +25,7 @@ class StepPolicy:
     distance-decreasing neighbor of smallest canonical id.
     """
 
-    mode: str = "min-canonical-id"
     allow_no_move_on_ambiguity: bool = False
-
-    def __post_init__(self):
-        if self.mode not in _STEP_MODES:
-            raise ValueError(f"unknown step mode {self.mode!r}")
 
 
 class MoveGraph:

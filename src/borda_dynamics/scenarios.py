@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .dynamics import (
+    DEFAULT_MAX_STEPS,
     Camps,
     OrbitReport,
     PersistentConfig,
@@ -27,8 +28,6 @@ from .errors import ScenarioBuildError, ScenarioFormatError
 from .influence import InfluenceNetwork, influence_network, normalize_random_walk
 from .move_graph import StepPolicy, build_cover_graph, distance
 from .weak_orders import WeakOrder, alternative_names, antipode, parse_order
-
-DEFAULT_MAX_STEPS = 10_000
 
 _WEIGHT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -281,6 +280,8 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
     pins: dict[int, WeakOrder] = {}
     camps = None
     pdoc = doc.get("persistent", {})
+    if not isinstance(pdoc, dict):
+        raise ScenarioFormatError("persistent", "expected an object")
     for k, pin in enumerate(pdoc.get("pins", [])):
         ppath = f"persistent.pins[{k}]"
         node = _require(pin, "node", ppath)
@@ -299,7 +300,12 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
         flipped = antipode(base)
         plus, minus = [], []
         for side, key, order in ((plus, "plus", base), (minus, "minus", flipped)):
-            for name in _require(cdoc, key, "persistent.camps"):
+            names = _require(cdoc, key, "persistent.camps")
+            if not isinstance(names, list):
+                raise ScenarioFormatError(
+                    f"persistent.camps.{key}", "expected a list of node names"
+                )
+            for name in names:
                 try:
                     idx = net.index_of(name)
                 except ValueError as exc:
@@ -318,6 +324,8 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
         raise ScenarioFormatError("persistent", str(exc)) from None
 
     idoc = _require(doc, "initial", "")
+    if not isinstance(idoc, dict):
+        raise ScenarioFormatError("initial", "expected an object mapping node names to orders")
     states: list[WeakOrder | None] = [None] * net.n
     for name, text in idoc.items():
         ipath = f"initial.{name}"
@@ -340,13 +348,15 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
 
     policy = StepPolicy()
     if "policy" in doc:
+        if not isinstance(doc["policy"], dict):
+            raise ScenarioFormatError("policy", "expected an object")
         flag = doc["policy"].get("no_move_on_ambiguity", False)
         if not isinstance(flag, bool):
             raise ScenarioFormatError("policy.no_move_on_ambiguity", "expected a boolean")
         policy = StepPolicy(allow_no_move_on_ambiguity=flag)
 
     max_steps = doc.get("max_steps", DEFAULT_MAX_STEPS)
-    if not isinstance(max_steps, int) or max_steps < 1:
+    if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 1:
         raise ScenarioFormatError("max_steps", f"expected a positive integer, got {max_steps!r}")
 
     return ScenarioConfig(

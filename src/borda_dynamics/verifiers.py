@@ -10,23 +10,30 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .dynamics import (
+    DEFAULT_ENUM_BUDGET,
     OrbitReport,
     Profile,
     enumerate_fixed_points,
     margin_text,
-    run_until_cycle,
 )
 from .errors import ScenarioFormatError
 from .influence import class_structure, perturb_weights, reach
 from .move_graph import build_cover_graph, find_cycle
-from .scenarios import ScenarioConfig, build_gadget, build_traveling_wave, load_scenario, with_pins
+from .scenarios import (
+    ScenarioConfig,
+    _require,
+    build_gadget,
+    build_traveling_wave,
+    load_scenario,
+    with_pins,
+)
 from .weak_orders import (
     WeakOrder,
     alternative_names,
@@ -34,8 +41,6 @@ from .weak_orders import (
     format_order,
     parse_order,
 )
-
-DEFAULT_ENUM_BUDGET = 10**6
 
 
 @dataclass
@@ -171,16 +176,15 @@ def verify_forced_even_period(
         )
     cls = period2[0]
 
-    graph = build_cover_graph(sc.m)
     space = enumerate_weak_orders(sc.m)
     fixed_points: list[Profile] | None = None
     if len(space) ** len(free) <= budget:
-        fixed_points = enumerate_fixed_points(sc.network, graph, sc.policy, pc, budget)
+        fixed_points = enumerate_fixed_points(
+            sc.network, build_cover_graph(sc.m), sc.policy, pc, budget
+        )
 
     def attempt(initial: Profile) -> tuple[bool, OrbitReport]:
-        report = run_until_cycle(
-            sc.network, graph, sc.policy, pc, initial, sc.schedule, sc.max_steps
-        )
+        report = replace(sc, initial=initial).run()
         good = report.period > 1 and report.period % 2 == 0 and report.min_margin > 0
         return good, report
 
@@ -288,10 +292,7 @@ def verify_even_period_lifting(sc: ScenarioConfig) -> VerificationOutcome:
     k_b = even_time_period(side_b)
 
     # replay from the witness: a state on the orbit must close in exactly p steps
-    graph = build_cover_graph(sc.m)
-    replay = run_until_cycle(
-        sc.network, graph, sc.policy, sc.persistent, orbit[0], sc.schedule, sc.max_steps
-    )
+    replay = replace(sc, initial=orbit[0]).run()
     witness_closed = replay.mu == 0 and replay.period == p
 
     passed = witness_closed and p > 1 and (p == 2 * k_a or p == 2 * k_b)
@@ -336,13 +337,9 @@ def verify_robustness(sc: ScenarioConfig, trials: int, seed: int) -> Verificatio
     eps_star = Fraction(delta) / (2 * (sc.m - 1) * sc.network.n)
     eps = eps_star / 2
 
-    graph = build_cover_graph(sc.m)
     divergence = None
     for t in range(trials):
-        perturbed = perturb_weights(sc.network, eps, seed + t)
-        rep = run_until_cycle(
-            perturbed, graph, sc.policy, sc.persistent, sc.initial, sc.schedule, sc.max_steps
-        )
+        rep = replace(sc, network=perturb_weights(sc.network, eps, seed + t)).run()
         if (rep.mu, rep.period) != (base.mu, base.period) or rep.prefix != base.prefix:
             first_bad = next(
                 (
@@ -510,46 +507,28 @@ class StrictRestriction:
 
 
 def restrict_to_strict(sc: ScenarioConfig) -> StrictRestriction:
-    """Restrict the dynamics to strict orders if their induced subgraph is connected.
+    """Restrict the dynamics to strict orders; always infeasible on the cover graph.
 
-    On the cover graph strict orders are pairwise non-adjacent (every cover
-    move passes through a merge), so the restriction is degenerate and an
-    infeasibility report is returned instead of a scenario.
+    Every cover edge splits or merges one class, so it joins an order to one
+    with a tied class.  The m! >= 2 strict orders therefore form an independent
+    set, never a connected subgraph, and an infeasibility report is returned
+    instead of a scenario.
     """
     for i, w in enumerate(sc.initial):
         if not w.is_strict:
             raise ValueError(f"initial state of node {sc.network.names[i]} is not strict")
     graph = build_cover_graph(sc.m)
-    strict_ids = [w.canonical_id for w in graph.orders if w.is_strict]
-    strict_set = set(strict_ids)
-    induced_edges = [
-        (i, j) for i, j in graph.edges() if i in strict_set and j in strict_set
-    ]
-    adjacency: dict[int, set[int]] = {i: set() for i in strict_ids}
-    for i, j in induced_edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    seen = set()
-    stack = [strict_ids[0]]
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        stack.extend(adjacency[u] - seen)
-    connected = len(seen) == len(strict_ids)
+    strict = {w.canonical_id for w in graph.orders if w.is_strict}
     evidence = {
-        "strict_order_count": len(strict_ids),
-        "induced_edge_count": len(induced_edges),
-        "connected": connected,
-    }
-    if not connected:
-        evidence["reason"] = (
+        "strict_order_count": len(strict),
+        "induced_edge_count": sum(1 for i, j in graph.edges() if i in strict and j in strict),
+        "connected": False,
+        "reason": (
             "strict orders form an independent set in the cover graph; "
             "a one-step move always passes through an order with a tie"
-        )
-        return StrictRestriction(False, None, evidence)
-    return StrictRestriction(True, sc, evidence)
+        ),
+    }
+    return StrictRestriction(False, None, evidence)
 
 
 # --- suite manifests ----------------------------------------------------------
@@ -569,10 +548,11 @@ def _build_from_spec(doc: dict, path: str) -> ScenarioConfig:
     if kind == "traveling_wave":
         m = doc.get("m", 3)
         graph = build_cover_graph(m)
-        cycle = find_cycle(graph, doc["cycle_length"])
+        length = _require(doc, "cycle_length", path)
+        cycle = find_cycle(graph, length)
         if cycle is None:
-            raise ScenarioFormatError(path, f"no cycle of length {doc['cycle_length']} in the move graph")
-        return build_traveling_wave(doc["ell"], cycle)
+            raise ScenarioFormatError(path, f"no cycle of length {length} in the move graph")
+        return build_traveling_wave(_require(doc, "ell", path), cycle)
     if kind == "gadget":
         m = doc.get("m", 3)
         rho = parse_order(doc.get("rho", "x>y>z"), m)

@@ -206,16 +206,14 @@ def margin_from_ties(scores: Sequence[Score]) -> Fraction | float:
     order = project(scores)
     if order.is_total_tie:
         return math.inf
-    best: Fraction | None = None
     m = len(scores)
-    for a in range(m):
-        for b in range(a + 1, m):
-            if order.class_index(a) != order.class_index(b):
-                gap = abs(Fraction(scores[a]) - Fraction(scores[b]))
-                if best is None or gap < best:
-                    best = gap
-    assert best is not None
-    return best
+    # not all-tied, so at least one pair is separated and min() has an argument
+    return min(
+        abs(Fraction(scores[a]) - Fraction(scores[b]))
+        for a in range(m)
+        for b in range(a + 1, m)
+        if order.class_index(a) != order.class_index(b)
+    )
 
 
 def _pair_relation(order: WeakOrder, a: int, b: int) -> int:

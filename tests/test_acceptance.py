@@ -98,7 +98,9 @@ def test_criterion_04_consensus_fixed_points():
         n = 3 + seed % 6  # sizes 3..8
         net = seeded_random_network(n, seed)
         for w in enumerate_weak_orders(3):
-            ok = ok and is_fixed_point(net, FREE, (w,) * n, graph=G3, policy=POLICY)
+            profile = (w,) * n
+            ok = ok and is_fixed_point(net, FREE, profile)
+            ok = ok and step_sync(net, G3, POLICY, FREE, profile) == profile
     verdict(4, ok, "all 13 consensus profiles are fixed on 10 seeded networks (n <= 8)")
 
 

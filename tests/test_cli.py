@@ -166,6 +166,38 @@ def test_verify_missing_scenario_exits_two(tmp_path):
     assert "ghost_scenario.json" in proc.stderr
 
 
+MALFORMED = [
+    ("simulate", {"initial": ["x>y>z", "z>y>x"]}, "initial"),
+    ("simulate", {"policy": [{"no_move_on_ambiguity": True}]}, "policy"),
+    ("simulate", {"persistent": [{"node": "p", "order": "x>y>z"}]}, "persistent"),
+    ("simulate", {"max_steps": True}, "max_steps"),
+    (
+        "simulate",
+        {"persistent": {"camps": {"plus": "p", "minus": ["q"], "rho": "x>y>z"}}},
+        "persistent.camps.plus",
+    ),
+    ("verify", {"builder": "traveling_wave", "m": 3, "ell": 4}, "entries[0].scenario.cycle_length"),
+    ("verify", {"builder": "traveling_wave", "m": 3, "cycle_length": 4}, "entries[0].scenario.ell"),
+]
+
+
+@pytest.mark.parametrize("command, patch, field", MALFORMED, ids=[case[2] for case in MALFORMED])
+def test_malformed_field_exits_two_with_its_path(scenario_dir, tmp_path, command, patch, field):
+    # simulate patches the gadget scenario; verify uses the patch as a builder spec
+    if command == "simulate":
+        doc = {**json.loads((scenario_dir / "gadget.json").read_text()), **patch}
+    else:
+        entry = {"label": "wave", "verifier": "traveling_wave", "scenario": patch,
+                 "args": {"expected_k": 4}}
+        doc = {"entries": [entry]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(command, str(path))
+    assert proc.returncode == 2
+    assert f"input error: {field}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_unknown_verifier_exits_two(tmp_path):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps({"entries": [{"label": "x", "verifier": "nope", "scenario": {}}]}))

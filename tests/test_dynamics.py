@@ -179,6 +179,21 @@ def test_sequence_schedule_runs_as_super_steps():
     assert all(len(log) == 3 for log in report.target_log)
 
 
+def test_sequence_schedule_reads_interleaved_state():
+    # two mutual copiers: node 1 copies node 0 as node 0's update in the same
+    # super-step left it, not as the step began
+    net = influence_network([["0", "1"], ["1", "0"]])
+    profile = (o("x>y>z"), o("z>y>x"))
+    report = run_until_cycle(
+        net, G3, POLICY, FREE, profile, Schedule.sequence([0, 1]), max_steps=100
+    )
+    moved = graph_step(POLICY, G3, profile[0], profile[1])
+    assert moved != profile[0]
+    assert report.target_log[0] == ((0, profile[1]), (1, moved))
+    for t, log in enumerate(report.target_log):
+        assert log[1] == (1, report.state_at(t + 1)[0])
+
+
 def test_sequence_schedule_rejects_pinned_nodes():
     net = uniform_net(2)
     pc = PersistentConfig(pins={1: o("(xyz)")})
@@ -314,7 +329,7 @@ def test_is_fixed_point_on_consensus():
     net = seeded_random_network(4, 21)
     profile = (o("(xy)>z"),) * 4
     assert is_fixed_point(net, FREE, profile)
-    assert is_fixed_point(net, FREE, profile, graph=G3, policy=POLICY)
+    assert step_sync(net, G3, POLICY, FREE, profile) == profile
 
 
 def test_is_fixed_point_false_when_any_target_differs():

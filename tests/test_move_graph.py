@@ -50,6 +50,14 @@ def test_adjacency_examples():
     assert c not in G3.adjacency[b]  # two strict orders are never adjacent
 
 
+def test_no_cover_edge_joins_two_strict_orders():
+    # a cover move splits or merges one class, so one end of every edge has a tie
+    for m in range(2, 7):
+        graph = build_cover_graph(m)
+        strict = [w.is_strict for w in graph.orders]
+        assert not any(strict[i] and strict[j] for i, j in graph.edges())
+
+
 def _is_cover_pair(coarse, fine):
     # independent oracle: fine arises from coarse by splitting one class
     if len(fine.classes) != len(coarse.classes) + 1:
@@ -166,11 +174,6 @@ def test_no_move_on_ambiguity_flag():
     src, dst = o("x>y>z"), o("z>y>x")
     assert step(lazy, G3, src, dst) == src  # two candidates, stays put
     assert step(lazy, G3, o("(xy)>z"), o("x>y>z")) == o("x>y>z")  # unique, moves
-
-
-def test_unknown_step_mode_rejected():
-    with pytest.raises(ValueError):
-        StepPolicy(mode="coin-flip")
 
 
 # --- geodesics ---------------------------------------------------------------------------
