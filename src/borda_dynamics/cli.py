@@ -1,8 +1,10 @@
 """Command line interface: enumerate, simulate, verify, export-dot.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 step budget
-exceeded.  All output is deterministic byte-for-byte given the same inputs
-and seeds.
+Exit codes: 0 success, 1 verification failure, 2 input error (a missing file,
+a bad argument, or a `ScenarioFormatError`, `ScenarioBuildError` or
+`ScheduleError`), 3 step budget exceeded.  Any other exception is a bug and
+shows as a traceback.  All output is deterministic byte-for-byte given the
+same inputs and seeds.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ import sys
 from pathlib import Path
 
 from .dynamics import report_to_json_dict, write_trajectory_csv
-from .errors import BudgetExceededError, ScenarioFormatError
+from .errors import BudgetExceededError, ScenarioBuildError, ScenarioFormatError, ScheduleError
 from .influence import network_to_dot
 from .move_graph import build_cover_graph, move_graph_to_dot
 from .scenarios import load_scenario
 from .verifiers import load_suite, run_suite
-from .weak_orders import antipode, borda_scores, format_order
+from .weak_orders import MAX_ALTERNATIVES, antipode, borda_scores, format_order
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -91,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate", help="list all weak orders with scores and degrees")
-    p_enum.add_argument("m", type=int, help="number of alternatives (2..6)")
+    p_enum.add_argument("m", type=int, choices=range(2, MAX_ALTERNATIVES + 1), metavar="m",
+                        help="number of alternatives (2..6)")
     p_enum.add_argument("--dot", action="store_true", help="emit the move graph in DOT form")
     p_enum.add_argument("--out", default=None, help="output path (default stdout)")
     p_enum.set_defaults(func=cmd_enumerate)
@@ -109,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dot = sub.add_parser("export-dot", help="export a move graph or a scenario network")
     group = p_dot.add_mutually_exclusive_group(required=True)
-    group.add_argument("--move-graph", type=int, default=None, metavar="M",
-                       help="export the move graph for M alternatives")
+    group.add_argument("--move-graph", type=int, choices=range(2, MAX_ALTERNATIVES + 1),
+                       default=None, metavar="M", help="export the move graph for M alternatives")
     group.add_argument("--scenario", default=None, help="export a scenario's influence network")
     p_dot.add_argument("--out", default=None, help="output path (default stdout)")
     p_dot.set_defaults(func=cmd_export_dot)
@@ -123,14 +126,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioFormatError as exc:
+    except (ScenarioFormatError, ScenarioBuildError, ScheduleError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except FileNotFoundError as exc:
         print(f"input error: missing file {exc.filename}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (ValueError, KeyError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -17,7 +17,8 @@ class ScenarioFormatError(ValueError):
 
 
 class ScenarioBuildError(ValueError):
-    """A scenario builder was given inconsistent parameters."""
+    """A scenario builder was given inconsistent parameters, or a verifier was
+    given arguments its scenario does not meet (e.g. re-pinning a free node)."""
 
 
 class ScheduleError(ValueError):

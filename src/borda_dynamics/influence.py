@@ -47,12 +47,6 @@ class InfluenceNetwork:
     def n(self) -> int:
         return len(self.weights)
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ValueError(f"unknown node name {name!r}") from None
-
     def in_neighbors(self, i: int) -> tuple[int, ...]:
         """Nodes j whose state enters node i's aggregate."""
         return tuple(j for j, w in enumerate(self.weights[i]) if w > 0)

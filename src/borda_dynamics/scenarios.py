@@ -3,7 +3,9 @@
 A scenario bundles one experiment end to end: alternative count, network,
 pinned nodes, initial profile, schedule, step policy, and a step budget.
 Scenario files are JSON documents; weights must be exact "p/q" strings
-(decimals are rejected), and every parse error is addressed by field path.
+(decimals are rejected).  Every field of a scenario or suite document is read
+through `_field`, which checks its JSON type, so every parse error is a
+`ScenarioFormatError` addressed by field path.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .dynamics import (
 from .errors import ScenarioBuildError, ScenarioFormatError
 from .influence import InfluenceNetwork, influence_network, normalize_random_walk
 from .move_graph import StepPolicy, build_cover_graph, distance
-from .weak_orders import WeakOrder, alternative_names, antipode, parse_order
+from .weak_orders import MAX_ALTERNATIVES, WeakOrder, alternative_names, antipode, parse_order
 
 _WEIGHT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -150,11 +152,42 @@ def build_gadget(
 
 # --- scenario JSON ---------------------------------------------------------
 
+_KIND_NAMES = {dict: "object", list: "list", str: "string", int: "integer", bool: "boolean"}
 
-def _require(doc: dict, key: str, path: str):
+
+def _field(doc, key: str, path: str, kind, default=...):
+    """Read `doc[key]`, a value of type `kind` (`object`: any, for a parser to
+    check), or `default` when the key is missing (`...`: required).  A JSON
+    boolean is never an integer."""
+    if not isinstance(doc, dict):
+        raise ScenarioFormatError(path or "document", f"expected an object, got {doc!r}")
+    where = f"{path}.{key}" if path else key
     if key not in doc:
-        raise ScenarioFormatError(f"{path}.{key}" if path else key, "missing required field")
-    return doc[key]
+        if default is ...:
+            raise ScenarioFormatError(where, "missing required field")
+        return default
+    value = doc[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        expected = " or ".join(_KIND_NAMES[k] for k in kinds)
+        raise ScenarioFormatError(where, f"expected {expected}, got {value!r}")
+    return value
+
+
+def _node(names: tuple[str, ...], name, path: str) -> int:
+    """Index of a node or alternative name; any other JSON value is an input error."""
+    try:
+        return names.index(name)
+    except ValueError:
+        raise ScenarioFormatError(path, f"unknown name {name!r}") from None
+
+
+def _alternative_count(doc, path: str, default=...) -> int:
+    m = _field(doc, "m", path, int, default)
+    if not 2 <= m <= MAX_ALTERNATIVES:
+        where = f"{path}.m" if path else "m"
+        raise ScenarioFormatError(where, f"expected an integer in 2..{MAX_ALTERNATIVES}, got {m}")
+    return m
 
 
 def _parse_weight(raw, path: str) -> Fraction:
@@ -174,24 +207,28 @@ def _parse_order_at(text, m: int, names, path: str) -> WeakOrder:
         raise ScenarioFormatError(path, str(exc)) from None
 
 
-def _parse_schedule(doc, net: InfluenceNetwork, path: str) -> Schedule:
-    kind = _require(doc, "kind", path)
+def _read_json(path: Path):
+    """Load a JSON file; an unreadable or invalid file is an input error naming it."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:  # ValueError: invalid JSON or text, a NUL in the path
+        raise ScenarioFormatError(str(path), f"cannot read JSON: {exc}") from None
+
+
+def _parse_schedule(doc, names: tuple[str, ...], path: str) -> Schedule:
+    kind = _field(doc, "kind", path, str)
     if kind == "S":
         return Schedule.synchronous()
     if kind != "A":
         raise ScenarioFormatError(f"{path}.kind", f"variant must be \"S\" or \"A\", got {kind!r}")
-    spec = _require(doc, "schedule", path)
-    if not isinstance(spec, str):
-        raise ScenarioFormatError(f"{path}.schedule", "expected a schedule string")
+    spec = _field(doc, "schedule", path, str)
     if spec.startswith("seq:"):
         body = spec[len("seq:") :].strip().strip("[]")
-        names = [s.strip() for s in body.split(",") if s.strip()]
-        if not names:
+        nodes = [s.strip() for s in body.split(",") if s.strip()]
+        if not nodes:
             raise ScenarioFormatError(f"{path}.schedule", "empty update sequence")
-        try:
-            return Schedule.sequence(net.index_of(name) for name in names)
-        except ValueError as exc:
-            raise ScenarioFormatError(f"{path}.schedule", str(exc)) from None
+        return Schedule.sequence(_node(names, name, f"{path}.schedule") for name in nodes)
     if spec.startswith("uniform:"):
         seed_text = spec[len("uniform:") :]
         try:
@@ -206,37 +243,29 @@ def _parse_schedule(doc, net: InfluenceNetwork, path: str) -> Schedule:
 
 
 def _parse_network(doc, path: str) -> InfluenceNetwork:
-    nodes = _require(doc, "nodes", path)
-    if not isinstance(nodes, list) or not all(isinstance(s, str) for s in nodes):
+    names = tuple(_field(doc, "nodes", path, list))
+    if not all(isinstance(s, str) for s in names):
         raise ScenarioFormatError(f"{path}.nodes", "expected a list of node names")
-    if len(set(nodes)) != len(nodes):
+    if len(set(names)) != len(names):
         raise ScenarioFormatError(f"{path}.nodes", "node names must be distinct")
-    index = {name: i for i, name in enumerate(nodes)}
-    n = len(nodes)
-    edges = _require(doc, "edges", path)
-    if not isinstance(edges, list):
-        raise ScenarioFormatError(f"{path}.edges", "expected a list of edges")
-    normalize = doc.get("normalize", False)
+    n = len(names)
+    edges = _field(doc, "edges", path, list)
+    normalize = _field(doc, "normalize", path, bool, False)
 
-    def node_at(raw, epath):
-        if raw not in index:
-            raise ScenarioFormatError(epath, f"unknown node {raw!r}")
-        return index[raw]
+    def end(edge, epath: str, key: str) -> int:
+        return _node(names, _field(edge, key, epath, object), f"{epath}.{key}")
 
     if normalize:
         pairs = []
         for k, edge in enumerate(edges):
             epath = f"{path}.edges[{k}]"
+            pairs.append((end(edge, epath, "from"), end(edge, epath, "to")))
             if "weight" in edge:
                 raise ScenarioFormatError(
                     f"{epath}.weight", "explicit weights are not allowed with normalize"
                 )
-            pairs.append(
-                (node_at(_require(edge, "from", epath), f"{epath}.from"),
-                 node_at(_require(edge, "to", epath), f"{epath}.to"))
-            )
         try:
-            return normalize_random_walk(n, pairs, nodes)
+            return normalize_random_walk(n, pairs, names)
         except ValueError as exc:
             raise ScenarioFormatError(path, str(exc)) from None
 
@@ -244,75 +273,58 @@ def _parse_network(doc, path: str) -> InfluenceNetwork:
     seen_pairs = set()
     for k, edge in enumerate(edges):
         epath = f"{path}.edges[{k}]"
-        src = node_at(_require(edge, "from", epath), f"{epath}.from")
-        dst = node_at(_require(edge, "to", epath), f"{epath}.to")
-        weight = _parse_weight(_require(edge, "weight", epath), f"{epath}.weight")
+        src, dst = end(edge, epath, "from"), end(edge, epath, "to")
+        weight = _parse_weight(_field(edge, "weight", epath, object), f"{epath}.weight")
         if (src, dst) in seen_pairs:
-            raise ScenarioFormatError(epath, f"duplicate edge {edges[k]['from']}->{edges[k]['to']}")
+            raise ScenarioFormatError(epath, f"duplicate edge {names[src]}->{names[dst]}")
         seen_pairs.add((src, dst))
         rows[dst][src] = weight
     for i in range(n):
         if sum(rows[i]) != 1:
             raise ScenarioFormatError(
                 f"{path}.edges",
-                f"incoming weights of node {nodes[i]!r} sum to {sum(rows[i])}, expected 1",
+                f"incoming weights of node {names[i]!r} sum to {sum(rows[i])}, expected 1",
             )
     try:
-        return influence_network(rows, nodes)
+        return influence_network(rows, names)
     except ValueError as exc:
         raise ScenarioFormatError(path, str(exc)) from None
 
 
 def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
     """Validate a scenario document and build the corresponding config."""
-    m = _require(doc, "m", "")
-    if not isinstance(m, int) or m < 2:
-        raise ScenarioFormatError("m", f"expected an integer >= 2, got {m!r}")
-    alt_names = None
-    if "alternatives" in doc:
+    m = _alternative_count(doc, "")
+    alt_names = _field(doc, "alternatives", "", (list, str), None)
+    if alt_names is not None:
         try:
-            alt_names = alternative_names(m, doc["alternatives"])
+            alt_names = alternative_names(m, alt_names)
         except ValueError as exc:
             raise ScenarioFormatError("alternatives", str(exc)) from None
 
-    net = _parse_network(_require(doc, "network", ""), "network")
+    net = _parse_network(_field(doc, "network", "", dict), "network")
 
     pins: dict[int, WeakOrder] = {}
     camps = None
-    pdoc = doc.get("persistent", {})
-    if not isinstance(pdoc, dict):
-        raise ScenarioFormatError("persistent", "expected an object")
-    for k, pin in enumerate(pdoc.get("pins", [])):
+    pdoc = _field(doc, "persistent", "", dict, {})
+    for k, pin in enumerate(_field(pdoc, "pins", "persistent", list, [])):
         ppath = f"persistent.pins[{k}]"
-        node = _require(pin, "node", ppath)
-        try:
-            idx = net.index_of(node)
-        except ValueError as exc:
-            raise ScenarioFormatError(f"{ppath}.node", str(exc)) from None
-        order = _parse_order_at(_require(pin, "order", ppath), m, alt_names, f"{ppath}.order")
+        idx = _node(net.names, _field(pin, "node", ppath, object), f"{ppath}.node")
+        order = _parse_order_at(_field(pin, "order", ppath, object), m, alt_names, f"{ppath}.order")
         if idx in pins and pins[idx] != order:
-            raise ScenarioFormatError(f"{ppath}.node", f"conflicting pins for node {node!r}")
+            raise ScenarioFormatError(f"{ppath}.node", f"conflicting pins for node {net.names[idx]!r}")
         pins[idx] = order
-    if "camps" in pdoc:
-        cdoc = pdoc["camps"]
-        base = _parse_order_at(_require(cdoc, "rho", "persistent.camps"), m, alt_names,
-                               "persistent.camps.rho")
+    cdoc = _field(pdoc, "camps", "persistent", dict, None)
+    if cdoc is not None:
+        cpath = "persistent.camps"
+        base = _parse_order_at(_field(cdoc, "rho", cpath, object), m, alt_names, f"{cpath}.rho")
         flipped = antipode(base)
         plus, minus = [], []
         for side, key, order in ((plus, "plus", base), (minus, "minus", flipped)):
-            names = _require(cdoc, key, "persistent.camps")
-            if not isinstance(names, list):
-                raise ScenarioFormatError(
-                    f"persistent.camps.{key}", "expected a list of node names"
-                )
-            for name in names:
-                try:
-                    idx = net.index_of(name)
-                except ValueError as exc:
-                    raise ScenarioFormatError(f"persistent.camps.{key}", str(exc)) from None
+            for name in _field(cdoc, key, cpath, list):
+                idx = _node(net.names, name, f"{cpath}.{key}")
                 if idx in pins and pins[idx] != order:
                     raise ScenarioFormatError(
-                        f"persistent.camps.{key}",
+                        f"{cpath}.{key}",
                         f"node {name!r} pinned to a different order than its camp",
                     )
                 pins[idx] = order
@@ -323,16 +335,10 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
     except ValueError as exc:
         raise ScenarioFormatError("persistent", str(exc)) from None
 
-    idoc = _require(doc, "initial", "")
-    if not isinstance(idoc, dict):
-        raise ScenarioFormatError("initial", "expected an object mapping node names to orders")
     states: list[WeakOrder | None] = [None] * net.n
-    for name, text in idoc.items():
+    for name, text in _field(doc, "initial", "", dict).items():
         ipath = f"initial.{name}"
-        try:
-            idx = net.index_of(name)
-        except ValueError as exc:
-            raise ScenarioFormatError(ipath, str(exc)) from None
+        idx = _node(net.names, name, ipath)
         order = _parse_order_at(text, m, alt_names, ipath)
         if idx in pins and order != pins[idx]:
             raise ScenarioFormatError(ipath, f"initial state of pinned node {name!r} must equal its pin")
@@ -344,20 +350,15 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
     if missing:
         raise ScenarioFormatError("initial", f"missing initial states for nodes {missing}")
 
-    schedule = _parse_schedule(_require(doc, "variant", ""), net, "variant")
+    schedule = _parse_schedule(_field(doc, "variant", "", dict), net.names, "variant")
 
-    policy = StepPolicy()
-    if "policy" in doc:
-        if not isinstance(doc["policy"], dict):
-            raise ScenarioFormatError("policy", "expected an object")
-        flag = doc["policy"].get("no_move_on_ambiguity", False)
-        if not isinstance(flag, bool):
-            raise ScenarioFormatError("policy.no_move_on_ambiguity", "expected a boolean")
-        policy = StepPolicy(allow_no_move_on_ambiguity=flag)
+    policy_doc = _field(doc, "policy", "", dict, {})
+    flag = _field(policy_doc, "no_move_on_ambiguity", "policy", bool, False)
+    policy = StepPolicy(allow_no_move_on_ambiguity=flag)
 
-    max_steps = doc.get("max_steps", DEFAULT_MAX_STEPS)
-    if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 1:
-        raise ScenarioFormatError("max_steps", f"expected a positive integer, got {max_steps!r}")
+    max_steps = _field(doc, "max_steps", "", int, DEFAULT_MAX_STEPS)
+    if max_steps < 1:
+        raise ScenarioFormatError("max_steps", f"expected a positive integer, got {max_steps}")
 
     return ScenarioConfig(
         m=m,
@@ -366,7 +367,7 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
         initial=tuple(states),  # type: ignore[arg-type]
         schedule=schedule,
         policy=policy,
-        label=doc.get("label", label),
+        label=_field(doc, "label", "", str, label),
         max_steps=max_steps,
         alt_names=alt_names,
     )
@@ -375,12 +376,7 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Read and parse a scenario JSON file; the label defaults to the file stem."""
     path = Path(path)
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ScenarioFormatError(str(path), f"invalid JSON: {exc}") from None
-    return parse_scenario(doc, label=path.stem)
+    return parse_scenario(_read_json(path), label=path.stem)
 
 
 def with_pins(sc: ScenarioConfig, new_pins: dict[int, WeakOrder]) -> ScenarioConfig:

@@ -8,7 +8,7 @@ margins, and the first offending step where applicable.
 
 from __future__ import annotations
 
-import json
+import inspect
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -23,12 +23,17 @@ from .dynamics import (
     enumerate_fixed_points,
     margin_text,
 )
-from .errors import ScenarioFormatError
+from .errors import ScenarioBuildError, ScenarioFormatError
 from .influence import class_structure, perturb_weights, reach
 from .move_graph import build_cover_graph, find_cycle
 from .scenarios import (
     ScenarioConfig,
-    _require,
+    _alternative_count,
+    _field,
+    _node,
+    _parse_order_at,
+    _parse_weight,
+    _read_json,
     build_gadget,
     build_traveling_wave,
     load_scenario,
@@ -39,7 +44,6 @@ from .weak_orders import (
     alternative_names,
     enumerate_weak_orders,
     format_order,
-    parse_order,
 )
 
 
@@ -380,15 +384,12 @@ def verify_unreachable_persistence(
     """Re-pinning persistent nodes leaves every node outside their reach untouched."""
     claim = f"{sc.label}: nodes outside the reach of the pinned set ignore re-pinning"
     pc = sc.persistent
-    bad = [i for i in alt_pins if i not in pc.pins]
-    if bad:
-        raise ValueError(f"alternative pins address non-pinned nodes {bad}")
+    twin = with_pins(sc, alt_pins)  # ScenarioBuildError unless every alt_pins node is pinned
     reached = reach(sc.network, pc.pins)
     outside = [i for i in pc.free_nodes(sc.network.n) if i not in reached]
     if not outside:
         return _hypothesis_not_met(claim, "every free node is reachable from the pinned set")
 
-    twin = with_pins(sc, alt_pins)
     base_report = sc.run()
     twin_report = twin.run()
     horizon = max(
@@ -458,7 +459,7 @@ def verify_single_peaked_invariance(
     axis = tuple(axis)
     for i, w in enumerate(sc.initial):
         if not is_single_peaked(w, axis):
-            raise ValueError(f"initial state of node {sc.network.names[i]} is not single-peaked")
+            raise ScenarioBuildError(f"initial state of node {sc.network.names[i]} is not single-peaked")
     report = sc.run()
 
     target_violation = None
@@ -544,44 +545,60 @@ class SuiteEntry:
 
 
 def _build_from_spec(doc: dict, path: str) -> ScenarioConfig:
-    kind = doc.get("builder")
-    if kind == "traveling_wave":
-        m = doc.get("m", 3)
-        graph = build_cover_graph(m)
-        length = _require(doc, "cycle_length", path)
-        cycle = find_cycle(graph, length)
-        if cycle is None:
-            raise ScenarioFormatError(path, f"no cycle of length {length} in the move graph")
-        return build_traveling_wave(_require(doc, "ell", path), cycle)
-    if kind == "gadget":
-        m = doc.get("m", 3)
-        rho = parse_order(doc.get("rho", "x>y>z"), m)
-        eps = Fraction(doc.get("eps", "1/10"))
-        initial = None
-        if "initial" in doc:
-            orders = [parse_order(t, m) for t in doc["initial"]]
-            initial = (orders[0], orders[1])
-        return build_gadget(m, rho, eps, initial_free=initial)
-    raise ScenarioFormatError(path, f"unknown builder {kind!r}")
+    kind = _field(doc, "builder", path, str)
+    m = _alternative_count(doc, path, 3)
+    try:
+        if kind == "traveling_wave":
+            length = _field(doc, "cycle_length", path, int)
+            cycle = find_cycle(build_cover_graph(m), length) if length >= 3 else None
+            if cycle is None:
+                raise ScenarioFormatError(path, f"no cycle of length {length} in the move graph")
+            return build_traveling_wave(_field(doc, "ell", path, int), cycle)
+        if kind == "gadget":
+            rho = _parse_order_at(_field(doc, "rho", path, object, "x>y>z"), m, None, f"{path}.rho")
+            eps = _parse_weight(_field(doc, "eps", path, object, "1/10"), f"{path}.eps")
+            initial = _field(doc, "initial", path, list, None)
+            if initial is not None:
+                if len(initial) != 2:
+                    raise ScenarioFormatError(f"{path}.initial", "expected the two free nodes' orders")
+                initial = tuple(
+                    _parse_order_at(t, m, None, f"{path}.initial[{k}]") for k, t in enumerate(initial)
+                )
+            return build_gadget(m, rho, eps, initial_free=initial)
+    except ScenarioBuildError as exc:
+        raise ScenarioFormatError(path, str(exc)) from None
+    raise ScenarioFormatError(f"{path}.builder", f"unknown builder {kind!r}")
 
 
-def _verifier_args(entry_args: dict, sc: ScenarioConfig) -> dict:
-    args = dict(entry_args)
-    if "alt_pins" in args:
-        pins = {}
-        for name, text in args["alt_pins"].items():
-            idx = sc.network.index_of(name)
-            pins[idx] = parse_order(text, sc.m, sc.alt_names)
-        args["alt_pins"] = pins
-    if "axis" in args:
-        axis = args["axis"]
-        if isinstance(axis, str):
-            names = alternative_names(sc.m, sc.alt_names)
-            args["axis"] = tuple(names.index(c) for c in axis)
+def _verifier_args(doc: dict, path: str, verifier: Callable, sc: ScenarioConfig) -> dict:
+    """Convert a suite entry's args (type-checking those annotated `int` or
+    `bool`) and bind them to the verifier's signature."""
+    signature = inspect.signature(verifier, eval_str=True)
+    args = {}
+    for key, value in doc.items():
+        param = signature.parameters.get(key)
+        if key == "alt_pins":
+            args[key] = {}
+            for name, text in _field(doc, key, path, dict).items():
+                where = f"{path}.alt_pins.{name}"
+                node = _node(sc.network.names, name, where)
+                args[key][node] = _parse_order_at(text, sc.m, sc.alt_names, where)
+        elif key == "axis":
+            # a string of alternative names or a list of alternative indices
+            axis = raw = _field(doc, key, path, (str, list))
+            if isinstance(raw, str):
+                axis = [_node(alternative_names(sc.m, sc.alt_names), c, f"{path}.axis") for c in raw]
+            if any(type(a) is not int for a in axis) or sorted(axis) != list(range(sc.m)):
+                raise ScenarioFormatError(f"{path}.axis", f"expected all {sc.m} alternatives, got {raw!r}")
+            args[key] = tuple(axis)
+        elif param is not None and param.annotation in (int, bool):
+            args[key] = _field(doc, key, path, param.annotation)
         else:
-            args["axis"] = tuple(axis)
-    if "eps" in args:
-        args["eps"] = Fraction(args["eps"])
+            args[key] = value
+    try:
+        signature.bind(sc, **args)
+    except TypeError as exc:
+        raise ScenarioFormatError(path, str(exc)) from None
     return args
 
 
@@ -598,38 +615,33 @@ VERIFIERS: dict[str, Callable[..., VerificationOutcome]] = {
 def load_suite(path: str | Path) -> list[SuiteEntry]:
     """Read a suite manifest: labeled scenario/verifier pairs with expectations."""
     path = Path(path)
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ScenarioFormatError(str(path), f"invalid JSON: {exc}") from None
+    doc = _read_json(path)
     entries = []
     labels = set()
-    for k, entry in enumerate(doc.get("entries", [])):
+    for k, entry in enumerate(_field(doc, "entries", "", list, [])):
         epath = f"entries[{k}]"
-        label = entry.get("label", f"entry_{k}")
+        label = _field(entry, "label", epath, str, f"entry_{k}")
         if label in labels:
             raise ScenarioFormatError(f"{epath}.label", f"duplicate label {label!r}")
         labels.add(label)
-        verifier = entry.get("verifier")
+        verifier = _field(entry, "verifier", epath, str)
         if verifier not in VERIFIERS:
             raise ScenarioFormatError(f"{epath}.verifier", f"unknown verifier {verifier!r}")
-        spec = entry.get("scenario")
+        spec = _field(entry, "scenario", epath, (str, dict))
         if isinstance(spec, str):
             scenario = load_scenario(path.parent / spec)
-        elif isinstance(spec, dict):
-            scenario = _build_from_spec(spec, f"{epath}.scenario")
         else:
-            raise ScenarioFormatError(f"{epath}.scenario", "expected a path or a builder object")
-        expect = entry.get("expect", "pass")
+            scenario = _build_from_spec(spec, f"{epath}.scenario")
+        expect = _field(entry, "expect", epath, str, "pass")
         if expect not in ("pass", "fail"):
             raise ScenarioFormatError(f"{epath}.expect", f"expected \"pass\" or \"fail\", got {expect!r}")
+        args = _field(entry, "args", epath, dict, {})
         entries.append(
             SuiteEntry(
                 label=label,
                 verifier=verifier,
                 scenario=scenario,
-                args=entry.get("args", {}),
+                args=_verifier_args(args, f"{epath}.args", VERIFIERS[verifier], scenario),
                 expect_pass=expect == "pass",
             )
         )
@@ -640,10 +652,11 @@ def run_suite(entries: Iterable[SuiteEntry]) -> tuple[list[dict], bool]:
     """Run every entry; overall success means each outcome matched expectation."""
     results = []
     all_matched = True
-    for entry in entries:
-        outcome = VERIFIERS[entry.verifier](
-            entry.scenario, **_verifier_args(entry.args, entry.scenario)
-        )
+    for k, entry in enumerate(entries):
+        try:
+            outcome = VERIFIERS[entry.verifier](entry.scenario, **entry.args)
+        except ScenarioBuildError as exc:  # a verifier precondition on the entry's args
+            raise ScenarioFormatError(f"entries[{k}]", str(exc)) from None
         matched = outcome.passed == entry.expect_pass
         all_matched = all_matched and matched
         results.append(

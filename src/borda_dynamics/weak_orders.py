@@ -33,7 +33,7 @@ def alternative_names(m: int, names: Sequence[str] | None = None) -> tuple[str, 
         names = tuple(names)
         if len(names) != m:
             raise ValueError(f"expected {m} alternative names, got {len(names)}")
-        if any(len(s) != 1 for s in names) or len(set(names)) != m:
+        if any(not isinstance(s, str) or len(s) != 1 for s in names) or len(set(names)) != m:
             raise ValueError("alternative names must be distinct single characters")
         return names
     if m <= len(_LETTERS):
@@ -198,22 +198,17 @@ def antipode(order: WeakOrder) -> WeakOrder:
 def margin_from_ties(scores: Sequence[Score]) -> Fraction | float:
     """Smallest score gap between alternatives separated in the projected order.
 
-    Ties already realized in the projection lie on a tie hyperplane by
-    construction and are not counted.  When the projection is the all-tied
-    order there is no separating hyperplane at all and the sentinel
-    ``math.inf`` is returned.
+    That is the smallest gap between consecutive distinct scores: ties already
+    realized in the projection lie on a tie hyperplane by construction and are
+    not counted.  When all scores tie there is no separating hyperplane at all
+    and the sentinel ``math.inf`` is returned.  Scores must be exact.
     """
-    order = project(scores)
-    if order.is_total_tie:
+    if any(isinstance(s, float) for s in scores):
+        raise TypeError("margins require exact scores (int or Fraction)")
+    distinct = sorted(set(scores))
+    if len(distinct) < 2:
         return math.inf
-    m = len(scores)
-    # not all-tied, so at least one pair is separated and min() has an argument
-    return min(
-        abs(Fraction(scores[a]) - Fraction(scores[b]))
-        for a in range(m)
-        for b in range(a + 1, m)
-        if order.class_index(a) != order.class_index(b)
-    )
+    return min(Fraction(high) - low for low, high in zip(distinct, distinct[1:]))
 
 
 def _pair_relation(order: WeakOrder, a: int, b: int) -> int:

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,32 +168,72 @@ def test_verify_missing_scenario_exits_two(tmp_path):
     assert "ghost_scenario.json" in proc.stderr
 
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+WAVE = {"builder": "traveling_wave", "m": 3, "ell": 4, "cycle_length": 4}
+
+
+def scenario(**fields):
+    """The gadget scenario with some top-level fields replaced."""
+    return {**json.loads((SCENARIOS / "gadget.json").read_text()), **fields}
+
+
+def suite(**fields):
+    """A one-entry traveling-wave suite with some entry fields replaced."""
+    entry = {"label": "wave", "verifier": "traveling_wave", "scenario": WAVE,
+             "args": {"expected_k": 4}}
+    return {"entries": [{**entry, **fields}]}
+
+
+def case(command, document, field, name=None):
+    return pytest.param(command, document, field, id=name or field)
+
+
 MALFORMED = [
-    ("simulate", {"initial": ["x>y>z", "z>y>x"]}, "initial"),
-    ("simulate", {"policy": [{"no_move_on_ambiguity": True}]}, "policy"),
-    ("simulate", {"persistent": [{"node": "p", "order": "x>y>z"}]}, "persistent"),
-    ("simulate", {"max_steps": True}, "max_steps"),
-    (
+    case("simulate", scenario(initial=["x>y>z", "z>y>x"]), "initial"),
+    case("simulate", scenario(policy=[{"no_move_on_ambiguity": True}]), "policy"),
+    case("simulate", scenario(persistent=[{"node": "p", "order": "x>y>z"}]), "persistent"),
+    case("simulate", scenario(max_steps=True), "max_steps"),
+    case(
         "simulate",
-        {"persistent": {"camps": {"plus": "p", "minus": ["q"], "rho": "x>y>z"}}},
+        scenario(persistent={"camps": {"plus": "p", "minus": ["q"], "rho": "x>y>z"}}),
         "persistent.camps.plus",
     ),
-    ("verify", {"builder": "traveling_wave", "m": 3, "ell": 4}, "entries[0].scenario.cycle_length"),
-    ("verify", {"builder": "traveling_wave", "m": 3, "cycle_length": 4}, "entries[0].scenario.ell"),
+    case("verify", suite(scenario={"builder": "traveling_wave", "m": 3, "ell": 4}),
+         "entries[0].scenario.cycle_length"),
+    case("verify", suite(scenario={"builder": "traveling_wave", "m": 3, "cycle_length": 4}),
+         "entries[0].scenario.ell"),
+    case("verify", suite(scenario={**WAVE, "cycle_length": "4"}), "entries[0].scenario.cycle_length",
+         "cycle_length-string"),
+    case("verify", suite(scenario={**WAVE, "ell": "4"}), "entries[0].scenario.ell", "ell-string"),
+    case("verify", suite(scenario={**WAVE, "m": "3"}), "entries[0].scenario.m", "builder-m-string"),
+    case("verify", suite(scenario={"builder": "gadget", "initial": ["x>y>z"]}),
+         "entries[0].scenario.initial", "gadget-one-initial-order"),
+    case("verify", suite(args={"expected_k": 4, "eps": "1/10"}), "entries[0].args", "unknown-arg"),
+    case("verify", suite(args={}), "entries[0].args", "missing-arg"),
+    case("verify", suite(args=[]), "entries[0].args", "args-list"),
+    case("verify", {"entries": ["wave"]}, "entries[0]", "entry-string"),
+    case("verify", suite(label=["wave"]), "entries[0].label", "label-list"),
+    case("verify", suite(verifier="robustness", args={"trials": "20", "seed": 7}),
+         "entries[0].args.trials", "trials-string"),
+    case("verify", suite()["entries"], "document", "suite-list"),
+    case("simulate", scenario(alternatives=3), "alternatives", "alternatives-int"),
+    case("simulate", scenario(network={"nodes": ["i", "j"], "edges": [
+        {"from": ["j"], "to": "i", "weight": "1"}]}), "network.edges[0].from", "edge-from-list"),
+    case("simulate", scenario(persistent={"pins": ["p"]}), "persistent.pins[0]", "pin-string"),
+    case("simulate", scenario(m=7), "m", "m-7"),
+    case("verify", suite(verifier="unreachable_persistence",
+                         scenario=str(SCENARIOS / "unreachable_pins.json"),
+                         args={"alt_pins": {"a": "(xyz)"}}), "entries[0]", "alt-pins-free-node"),
+    case("verify", suite(verifier="single_peaked_invariance",
+                         scenario=str(SCENARIOS / "consensus_triangle.json"), args={"axis": [0, 1]}),
+         "entries[0].args.axis", "axis-partial"),
 ]
 
 
-@pytest.mark.parametrize("command, patch, field", MALFORMED, ids=[case[2] for case in MALFORMED])
-def test_malformed_field_exits_two_with_its_path(scenario_dir, tmp_path, command, patch, field):
-    # simulate patches the gadget scenario; verify uses the patch as a builder spec
-    if command == "simulate":
-        doc = {**json.loads((scenario_dir / "gadget.json").read_text()), **patch}
-    else:
-        entry = {"label": "wave", "verifier": "traveling_wave", "scenario": patch,
-                 "args": {"expected_k": 4}}
-        doc = {"entries": [entry]}
+@pytest.mark.parametrize("command, document, field", MALFORMED)
+def test_malformed_field_exits_two_with_its_path(tmp_path, command, document, field):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(document))
     proc = run_cli(command, str(path))
     assert proc.returncode == 2
     assert f"input error: {field}: " in proc.stderr
@@ -213,6 +255,12 @@ def test_export_dot_network(scenario_dir):
     assert proc.returncode == 0
     assert proc.stdout.startswith("digraph influence {")
     assert '[label="9/10"]' in proc.stdout
+
+
+def test_export_dot_rejects_out_of_range():
+    proc = run_cli("export-dot", "--move-graph", "9")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 def test_export_dot_move_graph(tmp_path):
@@ -239,3 +287,14 @@ def test_verify_output_is_byte_identical(scenario_dir):
     second = run_cli("verify", str(scenario_dir / "suite_default.json"))
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
+
+
+# criterion 14: verify output stays byte-identical while the behaviour is kept
+@pytest.mark.parametrize("name, digest", [
+    ("suite_default.json", "9c6e24b111691c49c737064625ec3ab1f84f0ce3c454706a21dde58cdecad24a"),
+    ("suite_controls.json", "07e95870aa396c96e0f2adf7950ccdacf4f297ca06b318c62396e62a81f9bd37"),
+])
+def test_verify_stdout_digest_is_frozen(scenario_dir, name, digest):
+    proc = subprocess.run(CLI + ["verify", str(scenario_dir / name)], capture_output=True)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest

@@ -1,16 +1,21 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borda_dynamics.errors import ScenarioBuildError, ScenarioFormatError
 from borda_dynamics.move_graph import build_cover_graph, find_cycle
 from borda_dynamics.scenarios import (
+    ScenarioConfig,
     build_gadget,
     build_traveling_wave,
     load_scenario,
     parse_scenario,
     with_pins,
 )
+from borda_dynamics.verifiers import load_suite
 from borda_dynamics.weak_orders import antipode, parse_order
 
 G3 = build_cover_graph(3)
@@ -282,3 +287,74 @@ def test_with_pins_replaces_only_pinned_nodes():
     assert twin.initial[2] == o("(xyz)")
     with pytest.raises(ScenarioBuildError):
         with_pins(sc, {0: o("(xyz)")})
+
+
+
+# --- malformed documents ------------------------------------------------------------------
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+# Integers stay small because some fields set sizes: `ell` a dense ell-by-ell
+# weight matrix, `cycle_length` the depth of a cycle search.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-64, 64) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def shipped(name):
+    """A shipped document; a suite's scenario file names are made absolute."""
+    doc = json.loads((SCENARIO_DIR / name).read_text())
+    for entry in doc.get("entries", []):
+        if isinstance(entry["scenario"], str):
+            entry["scenario"] = str(SCENARIO_DIR / entry["scenario"])
+    return doc
+
+
+SCENARIO_DOCS = [shipped(p.name) for p in sorted(SCENARIO_DIR.glob("*.json")) if "suite" not in p.name]
+SUITE_DOCS = [shipped("suite_default.json"), shipped("suite_controls.json")]
+
+
+def field_paths(doc, prefix=()):
+    """Every key or index path in a JSON document, the root `()` included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from field_paths(value, prefix + (key,))
+
+
+def with_one_field_replaced(data, docs):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(docs))))
+    path = data.draw(st.sampled_from(list(field_paths(doc))))
+    value = data.draw(JSON_VALUES)
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scenario_with_a_field_replaced_parses_or_names_the_field(data):
+    doc = with_one_field_replaced(data, SCENARIO_DOCS)
+    try:
+        sc = parse_scenario(doc)
+    except ScenarioFormatError:
+        return
+    assert len(sc.initial) == sc.network.n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_suite_with_a_field_replaced_loads_or_names_the_field(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "suite.json"
+    path.write_text(json.dumps(with_one_field_replaced(data, SUITE_DOCS)))
+    try:
+        entries = load_suite(path)
+    except ScenarioFormatError:
+        return
+    assert all(isinstance(entry.scenario, ScenarioConfig) for entry in entries)

@@ -132,10 +132,33 @@ def test_antipode_involution_and_score_identity(m):
 
 # --- margins ---------------------------------------------------------------------
 
+def pairwise_margin(scores):
+    """Brute force: smallest gap over pairs split by the projection."""
+    order = project(scores)
+    gaps = [
+        abs(Fraction(scores[a]) - Fraction(scores[b]))
+        for a in range(len(scores))
+        for b in range(a + 1, len(scores))
+        if order.class_index(a) != order.class_index(b)
+    ]
+    return min(gaps, default=math.inf)
+
+
 def test_margin_examples():
     assert margin_from_ties((2, 1, 0)) == 1
     assert margin_from_ties((Fraction(3, 2), Fraction(3, 2), 0)) == Fraction(3, 2)
     assert margin_from_ties((1, 1, 1)) == math.inf
+    examples = [(2, 1, 0), (Fraction(3, 2), Fraction(3, 2), 0), (1, 1, 1), (5, Fraction(1, 3), 0, 5)]
+    examples += [borda_scores(w) for w in enumerate_weak_orders(4)]
+    for scores in examples:
+        margin = margin_from_ties(scores)
+        assert margin == pairwise_margin(scores)
+        assert type(margin) is type(pairwise_margin(scores))
+
+
+def test_margin_rejects_float_scores():
+    with pytest.raises(TypeError):
+        margin_from_ties((1.0, 0))
 
 
 def test_margin_is_always_positive_on_borda_images():
