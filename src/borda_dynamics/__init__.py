@@ -51,7 +51,6 @@ from .verifiers import (
     VerificationOutcome,
     enumerate_single_peaked,
     is_single_peaked,
-    restrict_to_strict,
     verify_even_period_lifting,
     verify_forced_even_period,
     verify_robustness,
@@ -66,7 +65,6 @@ from .weak_orders import (
     enumerate_weak_orders,
     format_order,
     fubini,
-    kemeny_distance,
     margin_from_ties,
     parse_order,
     project,

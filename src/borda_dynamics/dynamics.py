@@ -19,7 +19,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import IO, Iterable, Sequence
 
 from .errors import BudgetExceededError, ScheduleError
@@ -227,8 +226,10 @@ def run_until_cycle(
 
     Deterministic schedules use full state hashing, so mu is minimal and the
     period exact; a fixed node sequence counts as one super-step.  Uniform
-    schedules stop at the first fixed point and raise BudgetExceededError if
-    none is reached within max_steps single-node updates.
+    schedules stop at the first profile that no free node's step would move
+    (an equilibrium, or a stall under no-move-on-ambiguity) and raise
+    BudgetExceededError if none is reached within max_steps single-node
+    updates.
     """
     persistent.check_profile(initial)
     free = persistent.free_nodes(net.n)
@@ -282,7 +283,7 @@ def _run_uniform(net, graph, policy, persistent, initial, schedule, max_steps, f
     prefix = [state]
     logs: list[TargetLog] = []
     for t in range(max_steps + 1):
-        if all(target(net, state, i) == state[i] for i in free):
+        if all(_stays(net, graph, policy, state, i) for i in free):
             return OrbitReport(
                 mu=t,
                 period=1,
@@ -301,9 +302,17 @@ def _run_uniform(net, graph, policy, persistent, initial, schedule, max_steps, f
 
 
 def is_fixed_point(net: InfluenceNetwork, persistent: PersistentConfig, profile: Profile) -> bool:
-    """True iff every free node already sits at its target."""
+    """True iff every free node sits at its target (an equilibrium)."""
     persistent.check_profile(profile)
     return all(target(net, profile, i) == profile[i] for i in persistent.free_nodes(net.n))
+
+
+def _stays(
+    net: InfluenceNetwork, graph: MoveGraph, policy: StepPolicy, profile: Sequence[WeakOrder], i: int
+) -> bool:
+    """True iff node i's step leaves it where it is: at its target, or
+    stalled there under no-move-on-ambiguity."""
+    return graph_step(policy, graph, profile[i], target(net, profile, i)) == profile[i]
 
 
 def enumerate_fixed_points(
@@ -313,24 +322,47 @@ def enumerate_fixed_points(
     persistent: PersistentConfig,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> list[Profile]:
-    """All fixed points of the synchronous one-step map, by exhaustive search
-    over every assignment of free-node states."""
+    """All profiles the synchronous step map fixes: the equilibria, plus the
+    stalls under no-move-on-ambiguity, in the lexicographic order of the free
+    nodes' canonical ids.
+
+    Free nodes are assigned in index order.  Node i is checked as soon as it
+    and its free in-neighbours all have states, which fixes its target, and a
+    failed check prunes every completion.  Raises BudgetExceededError once
+    more than `budget` partial profiles have been tried.
+    """
     free = persistent.free_nodes(net.n)
-    space = enumerate_weak_orders(graph.m)
-    total = len(space) ** len(free)
-    if total > budget:
-        raise BudgetExceededError(f"{total} profiles exceed the budget of {budget}")
-    template: list[WeakOrder | None] = [None] * net.n
+    profile: list[WeakOrder | None] = [None] * net.n
     for node, order in persistent.pins.items():
-        template[node] = order
+        profile[node] = order
+    if not free:
+        return [tuple(profile)]  # type: ignore[arg-type]
+    level = {node: k for k, node in enumerate(free)}
+    checks: list[list[int]] = [[] for _ in free]
+    for i in free:
+        checks[max(level.get(j, -1) for j in (i, *net.in_neighbors(i)))].append(i)
+    space = enumerate_weak_orders(graph.m)
     found = []
-    for combo in product(space, repeat=len(free)):
-        profile = list(template)
-        for node, order in zip(free, combo):
-            profile[node] = order
-        candidate = tuple(profile)  # type: ignore[arg-type]
-        if step_sync(net, graph, policy, persistent, candidate) == candidate:
-            found.append(candidate)
+    tried = 0
+    # one iterator over the orders per assigned level; no recursion, so
+    # thousands of free nodes cannot exhaust the call stack
+    pending = [iter(space)]
+    while pending:
+        k = len(pending) - 1
+        order = next(pending[-1], None)
+        if order is None:
+            pending.pop()
+            continue
+        tried += 1
+        if tried > budget:
+            raise BudgetExceededError(f"more than {budget} partial profiles tried")
+        profile[free[k]] = order
+        if not all(_stays(net, graph, policy, profile, i) for i in checks[k]):
+            continue
+        if k + 1 < len(free):
+            pending.append(iter(space))
+        else:
+            found.append(tuple(profile))
     return found
 
 

@@ -216,7 +216,7 @@ def _read_json(path: Path):
         raise ScenarioFormatError(str(path), f"cannot read JSON: {exc}") from None
 
 
-def _parse_schedule(doc, names: tuple[str, ...], path: str) -> Schedule:
+def _parse_schedule(doc, names: tuple[str, ...], pins: dict[int, WeakOrder], path: str) -> Schedule:
     kind = _field(doc, "kind", path, str)
     if kind == "S":
         return Schedule.synchronous()
@@ -228,7 +228,11 @@ def _parse_schedule(doc, names: tuple[str, ...], path: str) -> Schedule:
         nodes = [s.strip() for s in body.split(",") if s.strip()]
         if not nodes:
             raise ScenarioFormatError(f"{path}.schedule", "empty update sequence")
-        return Schedule.sequence(_node(names, name, f"{path}.schedule") for name in nodes)
+        indices = [_node(names, name, f"{path}.schedule") for name in nodes]
+        pinned = [names[i] for i in indices if i in pins]
+        if pinned:
+            raise ScenarioFormatError(f"{path}.schedule", f"scheduled nodes {pinned} are pinned")
+        return Schedule.sequence(indices)
     if spec.startswith("uniform:"):
         seed_text = spec[len("uniform:") :]
         try:
@@ -350,7 +354,7 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
     if missing:
         raise ScenarioFormatError("initial", f"missing initial states for nodes {missing}")
 
-    schedule = _parse_schedule(_field(doc, "variant", "", dict), net.names, "variant")
+    schedule = _parse_schedule(_field(doc, "variant", "", dict), net.names, pins, "variant")
 
     policy_doc = _field(doc, "policy", "", dict, {})
     flag = _field(policy_doc, "no_move_on_ambiguity", "policy", bool, False)

@@ -17,13 +17,12 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .dynamics import (
-    DEFAULT_ENUM_BUDGET,
     OrbitReport,
     Profile,
     enumerate_fixed_points,
     margin_text,
 )
-from .errors import ScenarioBuildError, ScenarioFormatError
+from .errors import BudgetExceededError, ScenarioBuildError, ScenarioFormatError
 from .influence import class_structure, perturb_weights, reach
 from .move_graph import build_cover_graph, find_cycle
 from .scenarios import (
@@ -149,21 +148,21 @@ def verify_traveling_wave(sc: ScenarioConfig, expected_k: int) -> VerificationOu
 # --- forced even-period oscillations under contrarian camps ------------------
 
 
-def verify_forced_even_period(
-    sc: ScenarioConfig, sweep: bool = True, budget: int = DEFAULT_ENUM_BUDGET
-) -> VerificationOutcome:
+def verify_forced_even_period(sc: ScenarioConfig, sweep: bool = True) -> VerificationOutcome:
     """Contrarian camps on a period-2 closed free class force an even period.
 
     Simulates the configured initial profile first and, if needed, sweeps all
-    initial assignments on the closed class (within budget).  Passes when some
-    run has an even period greater than 1 with positive orbit margin.
+    initial assignments on the closed class.  Passes when some run has an
+    even period greater than 1 with positive orbit margin.
 
     The claim is about an orbit, not about every start: contrarian camps never
     remove every equilibrium.  With B(rho) = c + v, B(all-tied) = c and
     B(antipode) = c - v, free profiles in {rho, all-tied, antipode}, coded
     1, 0, -1, map to targets in the same set by the sign of the weighted sum
     of each node's in-neighbour codes, an order-preserving map whose
-    iteration from all-rho stops at a fixed point.  `fixed_point_count` is therefore evidence only and is never zero.
+    iteration from all-rho stops at a fixed point.  `fixed_point_count` is
+    therefore evidence only and is never zero; it is null only when the
+    fixed-point search exceeds its budget.
     """
     claim = f"{sc.label}: contrarian camps force an even period > 1"
     pc = sc.persistent
@@ -180,12 +179,10 @@ def verify_forced_even_period(
         )
     cls = period2[0]
 
-    space = enumerate_weak_orders(sc.m)
-    fixed_points: list[Profile] | None = None
-    if len(space) ** len(free) <= budget:
-        fixed_points = enumerate_fixed_points(
-            sc.network, build_cover_graph(sc.m), sc.policy, pc, budget
-        )
+    try:
+        fixed_points = enumerate_fixed_points(sc.network, build_cover_graph(sc.m), sc.policy, pc)
+    except BudgetExceededError:
+        fixed_points = None
 
     def attempt(initial: Profile) -> tuple[bool, OrbitReport]:
         report = replace(sc, initial=initial).run()
@@ -196,7 +193,7 @@ def verify_forced_even_period(
     found, report = attempt(sc.initial)
     witness = sc.initial
     if not found and sweep:
-        for combo in product(space, repeat=len(cls)):
+        for combo in product(enumerate_weak_orders(sc.m), repeat=len(cls)):
             candidate = list(sc.initial)
             for node, order in zip(cls, combo):
                 candidate[node] = order
@@ -495,43 +492,6 @@ def verify_single_peaked_invariance(
     )
 
 
-# --- restriction to strict orders --------------------------------------------
-
-
-@dataclass
-class StrictRestriction:
-    """Result of restricting the move graph to strict orders."""
-
-    feasible: bool
-    scenario: ScenarioConfig | None
-    evidence: dict
-
-
-def restrict_to_strict(sc: ScenarioConfig) -> StrictRestriction:
-    """Restrict the dynamics to strict orders; always infeasible on the cover graph.
-
-    Every cover edge splits or merges one class, so it joins an order to one
-    with a tied class.  The m! >= 2 strict orders therefore form an independent
-    set, never a connected subgraph, and an infeasibility report is returned
-    instead of a scenario.
-    """
-    for i, w in enumerate(sc.initial):
-        if not w.is_strict:
-            raise ValueError(f"initial state of node {sc.network.names[i]} is not strict")
-    graph = build_cover_graph(sc.m)
-    strict = {w.canonical_id for w in graph.orders if w.is_strict}
-    evidence = {
-        "strict_order_count": len(strict),
-        "induced_edge_count": sum(1 for i, j in graph.edges() if i in strict and j in strict),
-        "connected": False,
-        "reason": (
-            "strict orders form an independent set in the cover graph; "
-            "a one-step move always passes through an order with a tie"
-        ),
-    }
-    return StrictRestriction(False, None, evidence)
-
-
 # --- suite manifests ----------------------------------------------------------
 
 
@@ -629,7 +589,10 @@ def load_suite(path: str | Path) -> list[SuiteEntry]:
             raise ScenarioFormatError(f"{epath}.verifier", f"unknown verifier {verifier!r}")
         spec = _field(entry, "scenario", epath, (str, dict))
         if isinstance(spec, str):
-            scenario = load_scenario(path.parent / spec)
+            try:
+                scenario = load_scenario(path.parent / spec)
+            except ScenarioFormatError as exc:
+                raise ScenarioFormatError(f"{epath}.scenario", f"{spec}: {exc}") from None
         else:
             scenario = _build_from_spec(spec, f"{epath}.scenario")
         expect = _field(entry, "expect", epath, str, "pass")

@@ -3,8 +3,8 @@
 A weak order is an ordered partition of the alternatives {0, ..., m-1} into
 indifference classes, most preferred class first.  This module provides the
 canonical enumeration of all weak orders, averaged Borda scores, the exact
-projection from score vectors back to orders, antipodes, tie margins, the
-Kemeny distance, and a compact text format ("x>(yz)", "(xyz)", ...).
+projection from score vectors back to orders, antipodes, tie margins, and a
+compact text format ("x>(yz)", "(xyz)", ...).
 
 All score arithmetic is exact (`fractions.Fraction`); score ties are decided
 by equality, never by tolerance.
@@ -209,25 +209,6 @@ def margin_from_ties(scores: Sequence[Score]) -> Fraction | float:
     if len(distinct) < 2:
         return math.inf
     return min(Fraction(high) - low for low, high in zip(distinct, distinct[1:]))
-
-
-def _pair_relation(order: WeakOrder, a: int, b: int) -> int:
-    """+1 if a above b, -1 if below, 0 if tied."""
-    ka, kb = order.class_index(a), order.class_index(b)
-    return (ka < kb) - (ka > kb)
-
-
-def kemeny_distance(order1: WeakOrder, order2: WeakOrder) -> int:
-    """Kemeny-Snell distance: per unordered pair, 0 if both orders agree,
-    2 if they give opposed strict comparisons, 1 if exactly one ties the pair."""
-    m = order1.m
-    if order2.m != m:
-        raise ValueError("orders over different alternative sets")
-    total = 0
-    for a in range(m):
-        for b in range(a + 1, m):
-            total += abs(_pair_relation(order1, a, b) - _pair_relation(order2, a, b))
-    return total
 
 
 def format_order(order: WeakOrder, names: Sequence[str] | None = None) -> str:

@@ -221,6 +221,8 @@ MALFORMED = [
         {"from": ["j"], "to": "i", "weight": "1"}]}), "network.edges[0].from", "edge-from-list"),
     case("simulate", scenario(persistent={"pins": ["p"]}), "persistent.pins[0]", "pin-string"),
     case("simulate", scenario(m=7), "m", "m-7"),
+    case("simulate", scenario(variant={"kind": "A", "schedule": "seq:[i,p]"}), "variant.schedule",
+         "seq-pinned-node"),
     case("verify", suite(verifier="unreachable_persistence",
                          scenario=str(SCENARIOS / "unreachable_pins.json"),
                          args={"alt_pins": {"a": "(xyz)"}}), "entries[0]", "alt-pins-free-node"),
@@ -237,6 +239,18 @@ def test_malformed_field_exits_two_with_its_path(tmp_path, command, document, fi
     proc = run_cli(command, str(path))
     assert proc.returncode == 2
     assert f"input error: {field}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_names_the_entry_and_file_of_a_bad_scenario(tmp_path):
+    bad = scenario()
+    bad["network"]["edges"][0]["weight"] = "0.9"
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite(verifier="forced_even_period", scenario="bad.json", args={})))
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2
+    assert "input error: entries[0].scenario: bad.json: network.edges[0].weight: " in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -296,5 +310,21 @@ def test_verify_output_is_byte_identical(scenario_dir):
 ])
 def test_verify_stdout_digest_is_frozen(scenario_dir, name, digest):
     proc = subprocess.run(CLI + ["verify", str(scenario_dir / name)], capture_output=True)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("consensus_triangle.json", "af1cf801c0eaf1c21140a68421177f08e5bbed70ae57fbf81bdce3cdeaeea23e"),
+    ("gadget.json", "18b2ac4c885fb50a7ef4dd0478c7a39392b817369ab7c279c566b0ef2756e697"),
+    ("gadget_single_camp.json", "7ebbd8fb2560fefd63fe0929af6555b47dfac792522b79095e137249698a085f"),
+    ("star_frozen.json", "a48939759d0e79af2e9b4330a4ab5eed2e78d803ef7fcc099b276dcc09cb498e"),
+    ("traveling_wave_4.json", "9d1d93cb9a6d17ddbb307e5475c7b0b31d9e27ecbd4241e1717840465745a624"),
+    ("traveling_wave_8.json", "2be09c17db44f66e2c14285b562ffac4e1dffe3f7ff4c765c8e8cea63c7e1840"),
+    ("unreachable_pins.json", "bb126e01318cdfb22e522a3e5975e751d4ca80d8722c3ce38bfad8051c7784e6"),
+    ("wave_corrupted.json", "d425da1355adcf23c5f75c3041e898327273c66134e3ee06d28eabb36237d22c"),
+])
+def test_simulate_stdout_digest_is_frozen(scenario_dir, name, digest):
+    proc = subprocess.run(CLI + ["simulate", str(scenario_dir / name), "--csv", "-"], capture_output=True)
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == digest

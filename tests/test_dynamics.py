@@ -1,8 +1,10 @@
 import random
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from borda_dynamics.dynamics import (
     Camps,
@@ -18,14 +20,16 @@ from borda_dynamics.dynamics import (
 )
 from borda_dynamics.errors import BudgetExceededError, ScheduleError
 from borda_dynamics.influence import influence_network, seeded_random_network
-from borda_dynamics.move_graph import StepPolicy, build_cover_graph, distance, geodesic_unique
+from borda_dynamics.move_graph import StepPolicy, build_cover_graph, distance, find_cycle, geodesic_unique
 from borda_dynamics.move_graph import step as graph_step
+from borda_dynamics.scenarios import build_gadget, build_traveling_wave
 from borda_dynamics.weak_orders import antipode, enumerate_weak_orders, parse_order
 
 G3 = build_cover_graph(3)
 POLICY = StepPolicy()
 FREE = PersistentConfig.none()
 SPACE3 = enumerate_weak_orders(3)
+CYCLE4 = find_cycle(G3, 4)
 
 
 def o(text, m=3):
@@ -357,6 +361,105 @@ def test_enumerate_fixed_points_budget():
     net = seeded_random_network(3, 2)
     with pytest.raises(BudgetExceededError):
         enumerate_fixed_points(net, G3, POLICY, FREE, budget=100)
+
+
+def brute_force_fixed_points(net, graph, policy, pc):
+    """Reference: every assignment of the free nodes, in itertools.product
+    order, kept when one synchronous step leaves it unchanged."""
+    free = pc.free_nodes(net.n)
+    found = []
+    for combo in product(enumerate_weak_orders(graph.m), repeat=len(free)):
+        profile = [pc.pins.get(i) for i in range(net.n)]
+        for node, order in zip(free, combo):
+            profile[node] = order
+        candidate = tuple(profile)
+        if step_sync(net, graph, policy, pc, candidate) == candidate:
+            found.append(candidate)
+    return found
+
+
+#: most free nodes per alternative count that keeps the reference at <= 243 profiles
+MAX_FREE = {2: 5, 3: 2, 4: 1}
+
+
+@st.composite
+def fixed_point_cases(draw):
+    m = draw(st.integers(2, 4))
+    n_free = draw(st.integers(0, MAX_FREE[m]))
+    n = draw(st.integers(max(n_free, 1), 5))
+    rows = []
+    for i in range(n):
+        raw = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        if not any(raw):
+            raw[i] = 1
+        rows.append([Fraction(w, sum(raw)) for w in raw])
+    free = draw(st.permutations(range(n)))[:n_free]
+    space = enumerate_weak_orders(m)
+    pins = {i: draw(st.sampled_from(space)) for i in range(n) if i not in free}
+    policy = StepPolicy(allow_no_move_on_ambiguity=draw(st.booleans()))
+    return influence_network(rows), m, PersistentConfig(pins=pins), policy
+
+
+GADGET = build_gadget(3, o("x>y>z"), Fraction(1, 10))
+#: the m = 3 gadget under no-move-on-ambiguity, whose fixed profiles include stalls
+GADGET_STALL_CASE = (GADGET.network, 3, GADGET.persistent, StepPolicy(allow_no_move_on_ambiguity=True))
+
+
+@given(fixed_point_cases())
+@example(GADGET_STALL_CASE)
+@settings(deadline=None, max_examples=150)
+def test_fixed_point_search_matches_brute_force(case):
+    net, m, pc, policy = case
+    graph = build_cover_graph(m)
+    fixed = enumerate_fixed_points(net, graph, policy, pc)
+    assert fixed == brute_force_fixed_points(net, graph, policy, pc)
+    # a uniform run started at a fixed profile stops there at once
+    if pc.free_nodes(net.n):
+        for profile in fixed:
+            report = run_until_cycle(net, graph, policy, pc, profile, Schedule.uniform(0), max_steps=1)
+            assert (report.mu, report.period) == (0, 1)
+
+
+@pytest.mark.parametrize("ell", [8, 12])
+def test_copier_ring_fixed_points_are_the_consensus_profiles(ell):
+    net = build_traveling_wave(ell, CYCLE4).network
+    assert enumerate_fixed_points(net, G3, POLICY, FREE) == [(w,) * ell for w in SPACE3]
+
+
+def test_m4_gadget_fixed_points_are_the_strict_consensus_pairs():
+    rho = parse_order("x>y>z>u", 4)
+    sc = build_gadget(4, rho, Fraction(1, 10))
+    fixed = enumerate_fixed_points(sc.network, build_cover_graph(4), sc.policy, sc.persistent)
+    strict = [w for w in enumerate_weak_orders(4) if w.is_strict]
+    assert fixed == [(w, w, rho, antipode(rho)) for w in strict]
+    assert len(fixed) == 24
+
+
+def test_uniform_run_stops_at_a_stall():
+    # under no-move-on-ambiguity neither free node's step moves this profile,
+    # though neither sits at its target
+    sc = build_gadget(3, o("x>y>z"), Fraction(1, 10), initial_free=(o("x>y>z"), o("(xyz)")))
+    policy = StepPolicy(allow_no_move_on_ambiguity=True)
+    assert not is_fixed_point(sc.network, sc.persistent, sc.initial)
+    for schedule in (Schedule.synchronous(), Schedule.uniform(0)):
+        report = run_until_cycle(
+            sc.network, G3, policy, sc.persistent, sc.initial, schedule, sc.max_steps
+        )
+        assert (report.mu, report.period) == (0, 1)
+
+
+def test_fixed_point_search_needs_no_call_stack_per_free_node():
+    net = build_traveling_wave(80, CYCLE4).network
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        fixed = enumerate_fixed_points(net, G3, POLICY, FREE)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert fixed == [(w,) * 80 for w in SPACE3]
 
 
 @pytest.mark.parametrize("m, n_free, seed", [(3, 1, 0), (3, 2, 1), (3, 2, 2), (4, 1, 3), (4, 1, 4)])

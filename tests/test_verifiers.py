@@ -14,7 +14,6 @@ from borda_dynamics.verifiers import (
     enumerate_single_peaked,
     is_single_peaked,
     load_suite,
-    restrict_to_strict,
     run_suite,
     verify_even_period_lifting,
     verify_forced_even_period,
@@ -351,54 +350,6 @@ def test_single_peaked_seeded_trials_tally():
             assert outcome.evidence["first_state_violation"] is not None
     assert sum(tally.values()) == 50
     assert tally["pass"] > 0
-
-
-# --- strict restriction -----------------------------------------------------------------------
-
-def test_restrict_to_strict_is_infeasible_on_cover_graph():
-    net = influence_network([["0", "1"], ["1", "0"]])
-    sc = ScenarioConfig(
-        m=3,
-        network=net,
-        persistent=PersistentConfig.none(),
-        initial=(RHO, o("z>y>x")),
-        schedule=Schedule.synchronous(),
-        label="strict_pair",
-    )
-    result = restrict_to_strict(sc)
-    assert not result.feasible
-    assert result.scenario is None
-    assert result.evidence["strict_order_count"] == 6
-    assert result.evidence["induced_edge_count"] == 0
-
-
-def test_restrict_to_strict_m2():
-    net = influence_network([["0", "1"], ["1", "0"]])
-    sc = ScenarioConfig(
-        m=2,
-        network=net,
-        persistent=PersistentConfig.none(),
-        initial=(parse_order("x>y", 2), parse_order("y>x", 2)),
-        schedule=Schedule.synchronous(),
-        label="strict_m2",
-    )
-    result = restrict_to_strict(sc)
-    assert not result.feasible
-    assert result.evidence["strict_order_count"] == 2
-
-
-def test_restrict_to_strict_rejects_tied_initial():
-    net = influence_network([["0", "1"], ["1", "0"]])
-    sc = ScenarioConfig(
-        m=3,
-        network=net,
-        persistent=PersistentConfig.none(),
-        initial=(RHO, o("(xyz)")),
-        schedule=Schedule.synchronous(),
-        label="tied_start",
-    )
-    with pytest.raises(ValueError):
-        restrict_to_strict(sc)
 
 
 # --- suites ---------------------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from borda_dynamics.weak_orders import (
     enumerate_weak_orders,
     format_order,
     fubini,
-    kemeny_distance,
     margin_from_ties,
     parse_order,
     project,
@@ -166,33 +165,6 @@ def test_margin_is_always_positive_on_borda_images():
     for w in enumerate_weak_orders(4):
         margin = margin_from_ties(borda_scores(w))
         assert margin == math.inf or margin > 0
-
-
-# --- Kemeny distance ----------------------------------------------------------------
-
-def test_kemeny_examples():
-    assert kemeny_distance(o("(xyz)"), o("x>y>z")) == 3
-    assert kemeny_distance(o("x>y>z"), o("x>y>z")) == 0
-    assert kemeny_distance(o("x>y>z"), o("z>y>x")) == 6
-
-
-def test_kemeny_rejects_mismatched_sizes():
-    with pytest.raises(ValueError):
-        kemeny_distance(o("x>y>z"), parse_order("x>y", 2))
-
-
-def test_kemeny_is_a_metric_on_three_alternatives():
-    space = enumerate_weak_orders(3)
-    for a in space:
-        for b in space:
-            d = kemeny_distance(a, b)
-            assert d == kemeny_distance(b, a)
-            assert (d == 0) == (a == b)
-    for a in space:
-        for b in space:
-            dab = kemeny_distance(a, b)
-            for c in space:
-                assert dab <= kemeny_distance(a, c) + kemeny_distance(c, b)
 
 
 # --- text format -----------------------------------------------------------------------
