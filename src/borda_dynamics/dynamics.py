@@ -10,6 +10,19 @@ Deterministic schedules (synchronous, or a fixed node sequence applied as one
 super-step) always terminate with a cycle.  Seeded uniform-random schedules
 are stochastic, so they report convergence to a fixed point or raise a budget
 error; no period is claimed for them.
+
+Runs and the fixed-point search execute on an integer kernel compiled per
+run.  A state is the tuple of its orders' canonical ids.  Row i is scaled by
+the least common denominator D_i of its weights to integers W_ij (they sum
+to D_i), and each order's Borda scores are doubled to integers B2, so node
+i's aggregate sum_j W_ij * B2[state_j] is exactly 2*D_i times the Fraction
+aggregate: ties and order are decided by integer equality, with no float and
+no tolerance.  The target is read from the dense ranks of that aggregate,
+a tie margin is the smallest gap between its distinct values over 2*D_i,
+and each (current, target) step is asked of `move_graph.step` once per run.
+WeakOrders appear again only in the returned OrbitReport.
+`aggregate_scores`, `target`, `is_fixed_point`, `step_sync` and `step_async`
+keep the Fraction arithmetic as the reference path.
 """
 
 from __future__ import annotations
@@ -19,6 +32,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul, sub
 from typing import IO, Iterable, Sequence
 
 from .errors import BudgetExceededError, ScheduleError
@@ -31,7 +46,6 @@ from .weak_orders import (
     borda_scores,
     enumerate_weak_orders,
     format_order,
-    margin_from_ties,
     project,
 )
 
@@ -138,7 +152,10 @@ class OrbitReport:
 
 
 def aggregate_scores(net: InfluenceNetwork, profile: Profile, i: int) -> tuple[Fraction, ...]:
-    """Weighted average of the in-neighbors' Borda score vectors, exact."""
+    """Weighted average of the in-neighbors' Borda score vectors, exact.
+
+    Fraction reference path; runs use the integer kernel.
+    """
     m = profile[i].m
     totals = [Fraction(0)] * m
     for j, w in enumerate(net.weights[i]):
@@ -150,7 +167,10 @@ def aggregate_scores(net: InfluenceNetwork, profile: Profile, i: int) -> tuple[F
 
 
 def target(net: InfluenceNetwork, profile: Profile, i: int) -> WeakOrder:
-    """Node i's target order: projection of its aggregated score vector."""
+    """Node i's target order: projection of its aggregated score vector.
+
+    Fraction reference path; runs use the integer kernel.
+    """
     return project(aggregate_scores(net, profile, i))
 
 
@@ -162,7 +182,11 @@ def step_sync(
     profile: Profile,
 ) -> Profile:
     """One synchronous step: every free node moves toward its target, targets
-    taken from the pre-update profile; pinned nodes unchanged."""
+    taken from the pre-update profile; pinned nodes unchanged.
+
+    Fraction reference path; runs use the integer kernel.
+    """
+    _check_alternatives(graph, enumerate(profile))
     return _update(net, graph, policy, persistent.free_nodes(net.n), profile, True)[1]
 
 
@@ -174,14 +198,18 @@ def step_async(
     profile: Profile,
     i: int,
 ) -> Profile:
-    """One asynchronous step: only node i moves."""
+    """One asynchronous step: only node i moves.
+
+    Fraction reference path; runs use the integer kernel.
+    """
     if i in persistent.pins:
         raise ScheduleError(f"node {i} is pinned and cannot be scheduled")
+    _check_alternatives(graph, enumerate(profile))
     return _update(net, graph, policy, (i,), profile, True)[1]
 
 
 def _update(net, graph, policy, nodes, profile, synchronous):
-    """Move each of `nodes` in turn one step toward its target.
+    """Move each of `nodes` in turn one step toward its target (Fraction path).
 
     A synchronous step reads every target from `profile`; a sequence step
     reads the profile as the earlier nodes left it.  Returns the target log
@@ -196,21 +224,124 @@ def _update(net, graph, policy, nodes, profile, synchronous):
     return tuple(log), tuple(nxt)
 
 
-def _ids(profile: Profile) -> tuple[int, ...]:
-    return tuple(w.canonical_id for w in profile)
+def _check_alternatives(graph: MoveGraph, orders: Iterable[tuple[int, WeakOrder]]) -> None:
+    """Reject the first (node, order) whose order is not on the graph's m alternatives."""
+    for node, order in orders:
+        if order.m != graph.m:
+            raise ValueError(
+                f"node {node} has an order on {order.m} alternatives, "
+                f"but the move graph is on {graph.m}"
+            )
 
 
-def min_margin_over(
-    net: InfluenceNetwork, free: Sequence[int], states: Iterable[Profile]
-) -> Fraction | float:
-    """Smallest tie margin of any free node's aggregate over the given states."""
-    best: Fraction | float = math.inf
-    for state in states:
-        for i in free:
-            margin = margin_from_ties(aggregate_scores(net, state, i))
-            if margin < best:
-                best = margin
-    return best
+@lru_cache(maxsize=None)
+def _id_tables(m: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+    """Doubled Borda scores by canonical id, and dense-rank tuple -> canonical id.
+
+    Doubled Borda scores are integers: a class scores the average of
+    consecutive integer ranks, a multiple of 1/2.  The dense rank of an
+    alternative is the index of its class, so an aggregate projects to the
+    order whose class indices are its dense ranks.
+    """
+    scores, rank_ids = [], {}
+    for k, order in enumerate(enumerate_weak_orders(m)):
+        scores.append(tuple(int(2 * s) for s in borda_scores(order)))
+        rank_ids[tuple(order.class_index(a) for a in range(m))] = k
+    return tuple(scores), rank_ids
+
+
+class _Kernel:
+    """One run compiled to integers over canonical ids (see the module docstring).
+
+    Built per run and dropped with it: `rows[i]` is (in-neighbours, integer
+    weights W_ij, 2*D_i) for each compiled node, and `moves` memoizes the
+    next id of each (current, target) pair met so far.
+    """
+
+    def __init__(self, net: InfluenceNetwork, graph: MoveGraph, policy: StepPolicy, nodes: Iterable[int]):
+        self.scores, self.rank_ids = _id_tables(graph.m)
+        self.graph = graph
+        self.policy = policy
+        self.rows: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+        for i in nodes:
+            support = net.rows[i]
+            d = math.lcm(*(w.denominator for _, w in support))
+            self.rows[i] = (
+                tuple(j for j, _ in support),
+                tuple(w.numerator * (d // w.denominator) for _, w in support),
+                2 * d,
+            )
+        self.moves: dict[tuple[int, int], int] = {}
+
+    def aggregate(self, state: Sequence[int], i: int) -> list[int]:
+        """Node i's aggregate times 2*D_i, one integer per alternative."""
+        ins, weights, _ = self.rows[i]
+        scores = self.scores
+        return [sum(map(mul, weights, column)) for column in zip(*[scores[state[j]] for j in ins])]
+
+    def target(self, state: Sequence[int], i: int) -> int:
+        total = self.aggregate(state, i)
+        distinct = sorted(set(total), reverse=True)
+        return self.rank_ids[tuple(map(distinct.index, total))]
+
+    def step(self, current: int, tau: int) -> int:
+        """Id one bounded step from `current` toward `tau`, by `move_graph.step`."""
+        if current == tau:
+            return current
+        nxt = self.moves.get((current, tau))
+        if nxt is None:
+            orders = self.graph.orders
+            nxt = graph_step(self.policy, self.graph, orders[current], orders[tau]).canonical_id
+            self.moves[(current, tau)] = nxt
+        return nxt
+
+    def stays(self, state: Sequence[int], i: int) -> bool:
+        """True iff node i's step leaves it where it is: at its target, or
+        stalled there under no-move-on-ambiguity."""
+        return self.step(state[i], self.target(state, i)) == state[i]
+
+    def update(self, nodes: Sequence[int], state: tuple[int, ...], synchronous: bool):
+        """Move each of `nodes` in turn one step toward its target.
+
+        A synchronous step reads every target from `state`; a sequence step
+        reads the state as the earlier nodes left it.  Returns the target log
+        and the new state.
+        """
+        log = []
+        nxt = list(state)
+        view = state if synchronous else nxt
+        for i in nodes:
+            tau = self.target(view, i)
+            log.append((i, tau))
+            nxt[i] = self.step(nxt[i], tau)
+        return tuple(log), tuple(nxt)
+
+    def min_margin(self, states: Iterable[Sequence[int]], free: Sequence[int]) -> Fraction | float:
+        """Smallest tie margin of any free node's aggregate over `states`:
+        the smallest gap between distinct aggregate values over 2*D_i."""
+        best: tuple[int, int] | None = None  # (gap, 2*D_i)
+        for state in states:
+            for i in free:
+                distinct = sorted(set(self.aggregate(state, i)))
+                if len(distinct) < 2:
+                    continue
+                gap, scale = min(map(sub, distinct[1:], distinct)), self.rows[i][2]
+                if best is None or gap * best[1] < best[0] * scale:
+                    best = (gap, scale)
+        return math.inf if best is None else Fraction(*best)
+
+    def report(self, states: Sequence[tuple[int, ...]], mu: int, logs, free) -> OrbitReport:
+        """The OrbitReport of visited `states` whose orbit starts at `mu`."""
+        orders = self.graph.orders
+        prefix = tuple(tuple(map(orders.__getitem__, state)) for state in states)
+        return OrbitReport(
+            mu=mu,
+            period=len(states) - mu,
+            orbit=prefix[mu:],
+            min_margin=self.min_margin(states[mu:], free),
+            target_log=tuple(tuple((i, orders[tau]) for i, tau in log) for log in logs),
+            prefix=prefix,
+        )
 
 
 def run_until_cycle(
@@ -229,16 +360,16 @@ def run_until_cycle(
     schedules stop at the first profile that no free node's step would move
     (an equilibrium, or a stall under no-move-on-ambiguity) and raise
     BudgetExceededError if none is reached within max_steps single-node
-    updates.
+    updates.  Every order of `initial` must be on the graph's alternatives.
     """
     persistent.check_profile(initial)
+    _check_alternatives(graph, enumerate(initial))
     free = persistent.free_nodes(net.n)
-    for node, order in persistent.pins.items():
-        if order.m != initial[0].m:
-            raise ValueError(f"pin at node {node} has mismatched alternative count")
+    state = tuple(w.canonical_id for w in initial)
+    kernel = _Kernel(net, graph, policy, free)
 
     if schedule.kind == "uniform":
-        return _run_uniform(net, graph, policy, persistent, initial, schedule, max_steps, free)
+        return _run_uniform(kernel, free, state, schedule, max_steps)
 
     if schedule.kind == "synchronous":
         nodes, synchronous = free, True
@@ -250,69 +381,43 @@ def run_until_cycle(
     else:
         raise ScheduleError(f"unknown schedule kind {schedule.kind!r}")
 
-    seen: dict[tuple[int, ...], int] = {}
-    prefix: list[Profile] = []
-    logs: list[TargetLog] = []
-    state = initial
+    seen: dict[tuple[int, ...], int] = {}  # state -> time of first visit, in visit order
+    logs = []
     for t in range(max_steps + 1):
-        key = _ids(state)
-        first = seen.get(key)
+        first = seen.get(state)
         if first is not None:
-            mu, period = first, t - first
-            orbit = tuple(prefix[mu:t])
-            return OrbitReport(
-                mu=mu,
-                period=period,
-                orbit=orbit,
-                min_margin=min_margin_over(net, free, orbit),
-                target_log=tuple(logs),
-                prefix=tuple(prefix),
-            )
-        seen[key] = t
-        prefix.append(state)
-        log, state = _update(net, graph, policy, nodes, state, synchronous)
+            return kernel.report(list(seen), first, logs, free)
+        seen[state] = t
+        log, state = kernel.update(nodes, state, synchronous)
         logs.append(log)
     raise BudgetExceededError(f"no cycle within {max_steps} steps")
 
 
-def _run_uniform(net, graph, policy, persistent, initial, schedule, max_steps, free):
+def _run_uniform(kernel: _Kernel, free, state, schedule, max_steps):
     if not free:
         raise ScheduleError("uniform schedule needs at least one free node")
     rng = random.Random(schedule.seed)
-    state = initial
-    prefix = [state]
-    logs: list[TargetLog] = []
+    states = [state]
+    logs = []
     for t in range(max_steps + 1):
-        if all(_stays(net, graph, policy, state, i) for i in free):
-            return OrbitReport(
-                mu=t,
-                period=1,
-                orbit=(state,),
-                min_margin=min_margin_over(net, free, (state,)),
-                target_log=tuple(logs),
-                prefix=tuple(prefix),
-            )
+        if all(kernel.stays(state, i) for i in free):
+            return kernel.report(states, t, logs, free)
         if t == max_steps:
             break
         i = free[rng.randrange(len(free))]
-        log, state = _update(net, graph, policy, (i,), state, True)
+        log, state = kernel.update((i,), state, True)
         logs.append(log)
-        prefix.append(state)
+        states.append(state)
     raise BudgetExceededError(f"no fixed point within {max_steps} asynchronous updates")
 
 
 def is_fixed_point(net: InfluenceNetwork, persistent: PersistentConfig, profile: Profile) -> bool:
-    """True iff every free node sits at its target (an equilibrium)."""
+    """True iff every free node sits at its target (an equilibrium).
+
+    Fraction reference path.
+    """
     persistent.check_profile(profile)
     return all(target(net, profile, i) == profile[i] for i in persistent.free_nodes(net.n))
-
-
-def _stays(
-    net: InfluenceNetwork, graph: MoveGraph, policy: StepPolicy, profile: Sequence[WeakOrder], i: int
-) -> bool:
-    """True iff node i's step leaves it where it is: at its target, or
-    stalled there under no-move-on-ambiguity."""
-    return graph_step(policy, graph, profile[i], target(net, profile, i)) == profile[i]
 
 
 def enumerate_fixed_points(
@@ -331,20 +436,23 @@ def enumerate_fixed_points(
     failed check prunes every completion.  Raises BudgetExceededError once
     more than `budget` partial profiles have been tried.
     """
+    _check_alternatives(graph, persistent.pins.items())
     free = persistent.free_nodes(net.n)
-    profile: list[WeakOrder | None] = [None] * net.n
+    orders = graph.orders
+    state: list[int | None] = [None] * net.n
     for node, order in persistent.pins.items():
-        profile[node] = order
+        state[node] = order.canonical_id
     if not free:
-        return [tuple(profile)]  # type: ignore[arg-type]
+        return [tuple(orders[k] for k in state)]  # type: ignore[index]
+    kernel = _Kernel(net, graph, policy, free)
     level = {node: k for k, node in enumerate(free)}
     checks: list[list[int]] = [[] for _ in free]
     for i in free:
         checks[max(level.get(j, -1) for j in (i, *net.in_neighbors(i)))].append(i)
-    space = enumerate_weak_orders(graph.m)
+    space = range(graph.order_count)
     found = []
     tried = 0
-    # one iterator over the orders per assigned level; no recursion, so
+    # one iterator over the order ids per assigned level; no recursion, so
     # thousands of free nodes cannot exhaust the call stack
     pending = [iter(space)]
     while pending:
@@ -356,14 +464,14 @@ def enumerate_fixed_points(
         tried += 1
         if tried > budget:
             raise BudgetExceededError(f"more than {budget} partial profiles tried")
-        profile[free[k]] = order
-        if not all(_stays(net, graph, policy, profile, i) for i in checks[k]):
+        state[free[k]] = order
+        if not all(kernel.stays(state, i) for i in checks[k]):
             continue
         if k + 1 < len(free):
             pending.append(iter(space))
         else:
-            found.append(tuple(profile))
-    return found
+            found.append(tuple(state))
+    return [tuple(map(orders.__getitem__, profile)) for profile in found]
 
 
 def write_trajectory_csv(

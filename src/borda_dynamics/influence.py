@@ -6,6 +6,12 @@ exactly 1.  The support digraph therefore carries an arc j -> i whenever
 `w[i][j] > 0`: influence flows along arcs into i, and reachability is always
 stated in this forward-influence orientation.
 
+The dense matrix `weights` is the constructor's contract.  Each network also
+derives `rows`, its support: for every node i the `(j, w)` pairs with
+`w != 0`, in increasing j.  Validation sums only the support, and
+`in_neighbors` and the integer kernel in `dynamics` read only `rows`, so
+their cost follows the number of arcs rather than n².
+
 Besides construction and normalization the module computes the structural
 facts the oscillation checks rely on: reachability, strongly connected
 classes of the free part, class periods with their bipartitions, the exact
@@ -16,7 +22,7 @@ that keep the support and the exact row sums.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -28,6 +34,10 @@ class InfluenceNetwork:
 
     weights: tuple[tuple[Fraction, ...], ...]
     names: tuple[str, ...]
+    #: per node i, the (j, w) pairs of row i with w != 0
+    rows: tuple[tuple[tuple[int, Fraction], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         n = len(self.weights)
@@ -35,13 +45,18 @@ class InfluenceNetwork:
             raise ValueError(f"{len(self.names)} names for {n} nodes")
         if len(set(self.names)) != n:
             raise ValueError("node names must be distinct")
+        rows = []
         for i, row in enumerate(self.weights):
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-            if any(w < 0 for w in row):
+            support = tuple((j, w) for j, w in enumerate(row) if w)
+            if any(w < 0 for _, w in support):
                 raise ValueError(f"negative weight in row {i}")
-            if sum(row) != 1:
-                raise ValueError(f"row {i} sums to {sum(row)}, expected exactly 1")
+            total = sum(w for _, w in support)
+            if total != 1:
+                raise ValueError(f"row {i} sums to {total}, expected exactly 1")
+            rows.append(support)
+        object.__setattr__(self, "rows", tuple(rows))
 
     @property
     def n(self) -> int:
@@ -49,7 +64,7 @@ class InfluenceNetwork:
 
     def in_neighbors(self, i: int) -> tuple[int, ...]:
         """Nodes j whose state enters node i's aggregate."""
-        return tuple(j for j, w in enumerate(self.weights[i]) if w > 0)
+        return tuple(j for j, _ in self.rows[i])
 
     def out_influence(self, j: int) -> tuple[int, ...]:
         """Nodes i that listen to j (targets of support arcs j -> i)."""
@@ -62,11 +77,22 @@ class InfluenceNetwork:
         )
 
 
+_ZERO = Fraction(0)
+
+
 def influence_network(
     rows: Sequence[Sequence[Fraction | int | str]], names: Sequence[str] | None = None
 ) -> InfluenceNetwork:
-    """Build a network from any row data coercible to Fractions."""
-    weights = tuple(tuple(Fraction(w) for w in row) for row in rows)
+    """Build a network from any row data coercible to Fractions.
+
+    Fraction entries are kept as given (they are immutable) and every other
+    zero becomes one shared Fraction(0), so the zeros of a sparse matrix
+    allocate nothing.
+    """
+    weights = tuple(
+        tuple(w if type(w) is Fraction else _ZERO if w == 0 else Fraction(w) for w in row)
+        for row in rows
+    )
     if names is None:
         names = tuple(str(i) for i in range(len(weights)))
     return InfluenceNetwork(weights, tuple(names))

@@ -13,7 +13,11 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import BudgetExceededError
 from .weak_orders import WeakOrder, enumerate_weak_orders, format_order
+
+#: most path extensions one `find_cycle` call may make (about a second)
+FIND_CYCLE_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -166,37 +170,46 @@ def find_cycle(graph: MoveGraph, length: int) -> tuple[WeakOrder, ...] | None:
 
     The search fixes the smallest vertex of the cycle as the start and visits
     neighbors in increasing id; returns None when no such cycle exists.
+    Every edge changes the number of classes by one, so the graph is
+    bipartite and an odd length has no cycle.  Raises BudgetExceededError
+    once the search has extended its path FIND_CYCLE_BUDGET times.
     """
     if length < 3:
         raise ValueError("cycle length must be at least 3")
-    n = graph.order_count
+    if length % 2:
+        return None
     adjacency = graph.adjacency
-
-    for start in range(n):
+    extensions = 0
+    for start in range(graph.order_count):
         back = graph.distance_row(start)
         path = [start]
         on_path = {start}
-
-        def dfs() -> bool:
-            last = path[-1]
-            remaining = length - len(path)
-            if remaining == 0:
-                return start in adjacency[last]
-            for v in adjacency[last]:
-                # only cycles whose minimum vertex is `start`; prune vertices
-                # too far from start to close the cycle in time
-                if v <= start or v in on_path or back[v] > remaining:
-                    continue
-                path.append(v)
-                on_path.add(v)
-                if dfs():
-                    return True
-                on_path.discard(v)
+        # one neighbour iterator per path vertex; no recursion, so a long
+        # cycle cannot exhaust the call stack
+        pending = [iter(adjacency[start])]
+        while pending:
+            v = next(pending[-1], None)
+            if v is None:
+                pending.pop()
+                on_path.discard(path.pop())
+                continue
+            # only cycles whose minimum vertex is `start`; prune vertices
+            # too far from start to close the cycle in time
+            if v <= start or v in on_path or back[v] > length - len(path):
+                continue
+            extensions += 1
+            if extensions > FIND_CYCLE_BUDGET:
+                raise BudgetExceededError(
+                    f"no {length}-cycle found within {FIND_CYCLE_BUDGET} search steps"
+                )
+            path.append(v)
+            if len(path) == length:
+                if start in adjacency[v]:
+                    return tuple(graph.orders[i] for i in path)
                 path.pop()
-            return False
-
-        if dfs():
-            return tuple(graph.orders[i] for i in path)
+                continue
+            on_path.add(v)
+            pending.append(iter(adjacency[v]))
     return None
 
 

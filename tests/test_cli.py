@@ -206,6 +206,9 @@ MALFORMED = [
          "cycle_length-string"),
     case("verify", suite(scenario={**WAVE, "ell": "4"}), "entries[0].scenario.ell", "ell-string"),
     case("verify", suite(scenario={**WAVE, "m": "3"}), "entries[0].scenario.m", "builder-m-string"),
+    case("verify", suite(scenario={**WAVE, "cycle_length": 14}), "entries[0].scenario.cycle_length",
+         "cycle_length-above-order-count"),
+    case("verify", suite(scenario={**WAVE, "ell": 1028}), "entries[0].scenario.ell", "ell-above-1024"),
     case("verify", suite(scenario={"builder": "gadget", "initial": ["x>y>z"]}),
          "entries[0].scenario.initial", "gadget-one-initial-order"),
     case("verify", suite(args={"expected_k": 4, "eps": "1/10"}), "entries[0].args", "unknown-arg"),
@@ -239,6 +242,17 @@ def test_malformed_field_exits_two_with_its_path(tmp_path, command, document, fi
     proc = run_cli(command, str(path))
     assert proc.returncode == 2
     assert f"input error: {field}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_exits_three_when_the_cycle_search_runs_out(tmp_path):
+    # 64 <= 75 orders, so the length passes the load-time bound, but the
+    # search for a 64-cycle in the m = 4 graph is stopped by its budget
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite(scenario={**WAVE, "m": 4, "ell": 64, "cycle_length": 64})))
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 3
+    assert "budget exceeded: " in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

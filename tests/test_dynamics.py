@@ -1,7 +1,9 @@
+import math
 import random
 import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,12 +20,19 @@ from borda_dynamics.dynamics import (
     step_sync,
     target,
 )
+from borda_dynamics import dynamics, weak_orders
 from borda_dynamics.errors import BudgetExceededError, ScheduleError
-from borda_dynamics.influence import influence_network, seeded_random_network
+from borda_dynamics.influence import influence_network, perturb_weights, seeded_random_network
 from borda_dynamics.move_graph import StepPolicy, build_cover_graph, distance, find_cycle, geodesic_unique
 from borda_dynamics.move_graph import step as graph_step
-from borda_dynamics.scenarios import build_gadget, build_traveling_wave
-from borda_dynamics.weak_orders import antipode, enumerate_weak_orders, parse_order
+from borda_dynamics.scenarios import build_gadget, build_traveling_wave, load_scenario
+from borda_dynamics.weak_orders import (
+    antipode,
+    enumerate_weak_orders,
+    margin_from_ties,
+    parse_order,
+    project,
+)
 
 G3 = build_cover_graph(3)
 POLICY = StepPolicy()
@@ -488,6 +497,165 @@ def test_contrarian_camps_always_leave_an_equilibrium(m, n_free, seed):
     else:
         raise AssertionError(f"no equilibrium within {2 * n_free + 1} rounds")
     assert profile in enumerate_fixed_points(net, build_cover_graph(m), POLICY, pc)
+
+
+# --- the integer kernel against the Fraction reference -------------------------------------
+
+def reference_run(net, graph, policy, pc, initial, schedule, max_steps):
+    """Re-drive a run on the Fraction path (aggregate_scores -> project ->
+    move_graph.step): (mu, period, prefix, target logs, margin), or None where
+    run_until_cycle must raise BudgetExceededError."""
+    free = pc.free_nodes(net.n)
+
+    def tau(view, i):
+        return project(aggregate_scores(net, view, i))
+
+    def update(state, nodes, synchronous):
+        nxt, log = list(state), []
+        for i in nodes:
+            t = tau(state if synchronous else tuple(nxt), i)
+            log.append((i, t))
+            nxt[i] = graph_step(policy, graph, nxt[i], t)
+        return tuple(log), tuple(nxt)
+
+    def margin(states):
+        scores = (aggregate_scores(net, state, i) for state in states for i in free)
+        return min(map(margin_from_ties, scores), default=math.inf)
+
+    prefix, logs = [initial], []
+    if schedule.kind == "uniform":
+        rng = random.Random(schedule.seed)
+        for t in range(max_steps + 1):
+            state = prefix[-1]
+            if all(graph_step(policy, graph, state[i], tau(state, i)) == state[i] for i in free):
+                return t, 1, prefix, logs, margin([state])
+            if t < max_steps:
+                log, state = update(state, (free[rng.randrange(len(free))],), True)
+                logs.append(log)
+                prefix.append(state)
+        return None
+    nodes = free if schedule.kind == "synchronous" else schedule.nodes
+    seen = {}
+    for t in range(max_steps + 1):
+        state = prefix[-1]
+        if state in seen:
+            mu = seen[state]
+            prefix.pop()
+            return mu, t - mu, prefix, logs, margin(prefix[mu:])
+        seen[state] = t
+        log, state = update(state, nodes, schedule.kind == "synchronous")
+        logs.append(log)
+        prefix.append(state)
+    return None
+
+
+KERNEL_MAX_STEPS = 60
+
+
+@st.composite
+def kernel_cases(draw):
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 5))
+    rows = []
+    for i in range(n):
+        raw = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        if not any(raw):
+            raw[i] = 1
+        rows.append([Fraction(w, sum(raw)) for w in raw])
+    net = influence_network(rows)
+    if draw(st.booleans()):
+        # denominators of order 10^6 per entry, so each row's LCD is large
+        net = perturb_weights(net, Fraction(1, draw(st.integers(2, 20))), draw(st.integers(0, 10**6)))
+    space = enumerate_weak_orders(m)
+    initial = tuple(draw(st.sampled_from(space)) for _ in range(n))
+    pinned = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    pc = PersistentConfig(pins={i: initial[i] for i in pinned})
+    free = pc.free_nodes(n)
+    kind = draw(st.sampled_from(["synchronous", "sequence", "uniform"]))
+    if kind == "synchronous":
+        schedule = Schedule.synchronous()
+    elif kind == "sequence":
+        schedule = Schedule.sequence(draw(st.lists(st.sampled_from(free), min_size=1, max_size=6)))
+    else:
+        schedule = Schedule.uniform(draw(st.integers(0, 2**31)))
+    policy = StepPolicy(allow_no_move_on_ambiguity=draw(st.booleans()))
+    return net, build_cover_graph(m), policy, pc, initial, schedule
+
+
+@given(kernel_cases())
+@example(
+    (GADGET.network, G3, StepPolicy(True), GADGET.persistent,
+     (o("x>y>z"), o("(xyz)")) + GADGET.initial[2:], Schedule.uniform(0))
+)
+@settings(deadline=None, max_examples=300)
+def test_runs_match_the_fraction_reference(case):
+    net, graph, policy, pc, initial, schedule = case
+    expected = reference_run(net, graph, policy, pc, initial, schedule, KERNEL_MAX_STEPS)
+    if expected is None:
+        with pytest.raises(BudgetExceededError):
+            run_until_cycle(net, graph, policy, pc, initial, schedule, KERNEL_MAX_STEPS)
+        return
+    report = run_until_cycle(net, graph, policy, pc, initial, schedule, KERNEL_MAX_STEPS)
+    mu, period, prefix, logs, margin = expected
+    assert (report.mu, report.period) == (mu, period)
+    assert report.prefix == tuple(prefix)
+    assert report.orbit == tuple(prefix[mu:])
+    assert report.target_log == tuple(logs)
+    assert report.min_margin == margin
+    assert type(report.min_margin) is type(margin)
+
+
+SHIPPED_SCENARIOS = sorted(
+    p for p in (Path(__file__).resolve().parent.parent / "scenarios").glob("*.json")
+    if not p.name.startswith("suite")
+)
+
+
+def test_runs_and_fixed_point_search_do_no_fraction_arithmetic(monkeypatch):
+    scenarios = [load_scenario(p) for p in SHIPPED_SCENARIOS]
+    assert len(scenarios) == 8
+    # the first pass also builds the per-m tables, which read Borda scores once
+    reports = [sc.run() for sc in scenarios]
+    fixed = enumerate_fixed_points(GADGET.network, G3, POLICY, GADGET.persistent)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Fraction reference path was used")
+
+    for owner, name in [(dynamics, "aggregate_scores"), (dynamics, "target"), (dynamics, "project"),
+                        (weak_orders, "project"), (weak_orders, "margin_from_ties")]:
+        monkeypatch.setattr(owner, name, forbidden)
+    for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
+        monkeypatch.setattr(Fraction, f"__{op}__", forbidden)
+        monkeypatch.setattr(Fraction, f"__r{op}__", forbidden)
+    for op in ("lt", "le", "gt", "ge"):
+        monkeypatch.setattr(Fraction, f"__{op}__", forbidden)
+    again = [sc.run() for sc in scenarios]
+    fixed_again = enumerate_fixed_points(GADGET.network, G3, POLICY, GADGET.persistent)
+    monkeypatch.undo()
+    assert again == reports
+    assert fixed_again == fixed
+
+
+M3_SWAP = (o("x>y>z"), o("z>y>x"))
+M3_M4_MIX = (parse_order("x>y>z>u", 4), o("z>y>x"))
+SWAP_NET = influence_network([["0", "1"], ["1", "0"]])
+G4 = build_cover_graph(4)
+ON_G4 = {
+    "run-sync": lambda p: run_until_cycle(SWAP_NET, G4, POLICY, FREE, p, Schedule.synchronous()),
+    "run-sequence": lambda p: run_until_cycle(SWAP_NET, G4, POLICY, FREE, p, Schedule.sequence([1, 0])),
+    "run-uniform": lambda p: run_until_cycle(SWAP_NET, G4, POLICY, FREE, p, Schedule.uniform(0)),
+    "step-sync": lambda p: step_sync(SWAP_NET, G4, POLICY, FREE, p),
+    "step-async": lambda p: step_async(SWAP_NET, G4, POLICY, FREE, p, 1),
+    "fixed-points": lambda p: enumerate_fixed_points(
+        SWAP_NET, G4, POLICY, PersistentConfig(pins=dict(enumerate(p)))),
+}
+
+
+@pytest.mark.parametrize("profile, node", [(M3_SWAP, 0), (M3_M4_MIX, 1)], ids=["m3", "m3-m4-mix"])
+@pytest.mark.parametrize("call", ON_G4.values(), ids=ON_G4.keys())
+def test_orders_on_another_alternative_count_are_rejected(call, profile, node):
+    with pytest.raises(ValueError, match=f"^node {node} has an order on 3 alternatives, "):
+        call(profile)
 
 
 # --- persistent config validation -----------------------------------------------------------------

@@ -37,6 +37,42 @@ def test_rows_must_sum_to_one():
         influence_network([[Fraction(3, 2), Fraction(-1, 2)], [0, 1]])
 
 
+def test_validation_messages_name_the_row():
+    with pytest.raises(ValueError, match=r"^negative weight in row 0$"):
+        influence_network([["3/2", "-1/2"], ["0", "1"]])
+    with pytest.raises(ValueError, match=r"^row 0 sums to 5/6, expected exactly 1$"):
+        influence_network([["1/2", "1/3"], ["0", "1"]])
+    with pytest.raises(ValueError, match=r"^row 1 sums to 0, expected exactly 1$"):
+        influence_network([["0", "1"], [0, "0"]])
+
+
+@st.composite
+def weight_rows(draw):
+    """Row-stochastic rows given as Fractions, ints and strings, zeros included."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for i in range(n):
+        raw = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        if not any(raw):
+            raw[i] = 1
+        total = sum(raw)
+        coerce = draw(st.sampled_from([lambda w: Fraction(w, total), lambda w: f"{w}/{total}"]))
+        rows.append([0 if w == 0 and draw(st.booleans()) else coerce(w) for w in raw])
+    return rows
+
+
+@given(weight_rows(), st.booleans(), st.integers(0, 10**6))
+@settings(deadline=None, max_examples=100)
+def test_rows_hold_the_nonzero_entries(rows, perturb, seed):
+    net = influence_network(rows)
+    if perturb:
+        net = perturb_weights(net, Fraction(1, 10), seed)
+    for i in range(net.n):
+        assert net.rows[i] == tuple((j, w) for j, w in enumerate(net.weights[i]) if w != 0)
+        assert net.in_neighbors(i) == tuple(j for j, w in enumerate(net.weights[i]) if w > 0)
+        assert all(type(w) is Fraction for w in net.weights[i])
+
+
 def test_normalize_two_nodes():
     net = normalize_random_walk(2, [(0, 1)])
     assert net.weights == ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))

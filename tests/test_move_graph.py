@@ -1,6 +1,9 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from borda_dynamics.errors import BudgetExceededError
 from borda_dynamics.move_graph import (
     StepPolicy,
     build_cover_graph,
@@ -222,6 +225,13 @@ def test_find_cycle_rejects_short_lengths():
 @pytest.mark.parametrize("length", [3, 5, 7])
 def test_no_odd_cycles(length):
     assert find_cycle(G3, length) is None
+
+
+def test_long_cycle_search_stops_at_its_budget():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        find_cycle(G4, 64)
+    assert time.perf_counter() - start < 15
 
 
 def test_four_cycle_regression():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from borda_dynamics.scenarios import (
     parse_scenario,
     with_pins,
 )
-from borda_dynamics.verifiers import load_suite
+from borda_dynamics.verifiers import MAX_WAVE_LENGTH, load_suite
 from borda_dynamics.weak_orders import antipode, parse_order
 
 G3 = build_cover_graph(3)
@@ -358,3 +359,19 @@ def test_suite_with_a_field_replaced_loads_or_names_the_field(tmp_path_factory, 
     except ScenarioFormatError:
         return
     assert all(isinstance(entry.scenario, ScenarioConfig) for entry in entries)
+
+
+def test_a_wave_at_the_length_bound_loads_within_its_stated_cost(tmp_path):
+    spec = {"builder": "traveling_wave", "m": 3, "ell": MAX_WAVE_LENGTH, "cycle_length": 4}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"entries": [
+        {"label": "long", "verifier": "traveling_wave", "scenario": spec,
+         "args": {"expected_k": 4}}]}))
+    tracemalloc.start()
+    try:
+        (entry,) = load_suite(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert entry.scenario.network.n == MAX_WAVE_LENGTH
+    assert peak < 32 * 2**20  # about 16 MB, the cost stated at MAX_WAVE_LENGTH
