@@ -158,9 +158,7 @@ def aggregate_scores(net: InfluenceNetwork, profile: Profile, i: int) -> tuple[F
     """
     m = profile[i].m
     totals = [Fraction(0)] * m
-    for j, w in enumerate(net.weights[i]):
-        if w == 0:
-            continue
+    for j, w in net.rows[i]:
         for a, s in enumerate(borda_scores(profile[j])):
             totals[a] += w * s
     return tuple(totals)

@@ -1,16 +1,16 @@
 """Directed weighted influence networks with exact rational weights.
 
-Row i of the weight matrix holds the weights node i places on its in-neighbors
-(`w[i][j] > 0` means j's state enters i's aggregate), and every row sums to
-exactly 1.  The support digraph therefore carries an arc j -> i whenever
-`w[i][j] > 0`: influence flows along arcs into i, and reachability is always
-stated in this forward-influence orientation.
+Row i holds the weights node i places on its in-neighbors (`w[i][j] > 0`
+means j's state enters i's aggregate), and every row sums to exactly 1.  The
+support digraph therefore carries an arc j -> i whenever `w[i][j] > 0`:
+influence flows along arcs into i, and reachability is always stated in this
+forward-influence orientation.
 
-The dense matrix `weights` is the constructor's contract.  Each network also
-derives `rows`, its support: for every node i the `(j, w)` pairs with
-`w != 0`, in increasing j.  Validation sums only the support, and
-`in_neighbors` and the integer kernel in `dynamics` read only `rows`, so
-their cost follows the number of arcs rather than n².
+A network stores only its support: `rows[i]` holds the `(j, w)` pairs of row
+i with `w > 0`, in increasing j.  Every builder here emits rows and every
+reader reads them, so costs follow the number of arcs rather than n².  The
+dense matrix `weights` is a view built on each read, for tests and callers
+that want it; `influence_network` is the one dense entry point.
 
 Besides construction and normalization the module computes the structural
 facts the oscillation checks rely on: reachability, strongly connected
@@ -22,80 +22,83 @@ that keep the support and the exact row sums.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-
 @dataclass(frozen=True)
 class InfluenceNetwork:
-    """Row-stochastic rational weight matrix plus display names for nodes."""
+    """Row-stochastic rational weights, stored as their support, plus node names."""
 
-    weights: tuple[tuple[Fraction, ...], ...]
+    #: per node i, the (j, w) pairs of row i with w > 0, in increasing j
+    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
     names: tuple[str, ...]
-    #: per node i, the (j, w) pairs of row i with w != 0
-    rows: tuple[tuple[tuple[int, Fraction], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
-        n = len(self.weights)
+        n = len(self.rows)
         if len(self.names) != n:
             raise ValueError(f"{len(self.names)} names for {n} nodes")
         if len(set(self.names)) != n:
             raise ValueError("node names must be distinct")
-        rows = []
-        for i, row in enumerate(self.weights):
-            if len(row) != n:
-                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-            support = tuple((j, w) for j, w in enumerate(row) if w)
-            if any(w < 0 for _, w in support):
-                raise ValueError(f"negative weight in row {i}")
-            total = sum(w for _, w in support)
+        for i, row in enumerate(self.rows):
+            total, last = 0, -1
+            try:
+                for j, w in row:
+                    if type(j) is not int or not last < j < n:
+                        raise ValueError(f"row {i} has column {j!r} out of order or outside 0..{n - 1}")
+                    if type(w) is not Fraction:
+                        raise ValueError(f"row {i} has weight {w!r}, expected a Fraction")
+                    if w.numerator <= 0:
+                        raise ValueError(f"negative weight in row {i}" if w else f"zero weight in row {i}")
+                    total += w
+                    last = j
+            except TypeError:
+                raise ValueError(f"row {i} is not a sequence of (column, weight) pairs") from None
             if total != 1:
                 raise ValueError(f"row {i} sums to {total}, expected exactly 1")
-            rows.append(support)
-        object.__setattr__(self, "rows", tuple(rows))
 
     @property
     def n(self) -> int:
-        return len(self.weights)
+        return len(self.rows)
+
+    @property
+    def weights(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense n x n matrix, built on each read; nothing in the package reads it."""
+        zero = Fraction(0)
+        dense = []
+        for row in self.rows:
+            line = [zero] * len(self.rows)
+            for j, w in row:
+                line[j] = w
+            dense.append(tuple(line))
+        return tuple(dense)
 
     def in_neighbors(self, i: int) -> tuple[int, ...]:
         """Nodes j whose state enters node i's aggregate."""
         return tuple(j for j, _ in self.rows[i])
 
-    def out_influence(self, j: int) -> tuple[int, ...]:
-        """Nodes i that listen to j (targets of support arcs j -> i)."""
-        return tuple(i for i in range(self.n) if self.weights[i][j] > 0)
-
     def support_arcs(self) -> tuple[tuple[int, int], ...]:
-        """All support arcs (j, i), meaning j influences i."""
-        return tuple(
-            (j, i) for j in range(self.n) for i in range(self.n) if self.weights[i][j] > 0
-        )
+        """All support arcs (j, i), meaning j influences i, sorted."""
+        return tuple(sorted((j, i) for i, row in enumerate(self.rows) for j, _ in row))
 
 
-_ZERO = Fraction(0)
+def _names(names: Sequence[str] | None, n: int) -> tuple[str, ...]:
+    return tuple(str(i) for i in range(n)) if names is None else tuple(names)
 
 
 def influence_network(
     rows: Sequence[Sequence[Fraction | int | str]], names: Sequence[str] | None = None
 ) -> InfluenceNetwork:
-    """Build a network from any row data coercible to Fractions.
-
-    Fraction entries are kept as given (they are immutable) and every other
-    zero becomes one shared Fraction(0), so the zeros of a sparse matrix
-    allocate nothing.
-    """
-    weights = tuple(
-        tuple(w if type(w) is Fraction else _ZERO if w == 0 else Fraction(w) for w in row)
-        for row in rows
-    )
-    if names is None:
-        names = tuple(str(i) for i in range(len(weights)))
-    return InfluenceNetwork(weights, tuple(names))
+    """Build a network from dense rows of anything coercible to Fractions; zeros are dropped."""
+    n = len(rows)
+    support = []
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+        coerced = (w if type(w) is Fraction else Fraction(w) for w in row)
+        support.append(tuple((j, w) for j, w in enumerate(coerced) if w))
+    return InfluenceNetwork(tuple(support), _names(names, n))
 
 
 def normalize_random_walk(
@@ -109,21 +112,30 @@ def normalize_random_walk(
         adjacency[u].add(v)
         adjacency[v].add(u)
     rows = []
-    for i in range(n):
-        deg = len(adjacency[i])
-        if deg == 0:
+    for i, neighbors in enumerate(adjacency):
+        if not neighbors:
             raise ValueError(f"isolated vertex {i}: cannot normalize an empty neighborhood")
-        rows.append([Fraction(1, deg) if j in adjacency[i] else Fraction(0) for j in range(n)])
-    return influence_network(rows, names)
+        w = Fraction(1, len(neighbors))
+        rows.append(tuple((j, w) for j in sorted(neighbors)))
+    return InfluenceNetwork(tuple(rows), _names(names, n))
+
+
+def _successors(net: InfluenceNetwork) -> list[list[int]]:
+    """Per node j, the nodes i it influences, in increasing i."""
+    succ: list[list[int]] = [[] for _ in range(net.n)]
+    for j, i in net.support_arcs():
+        succ[j].append(i)
+    return succ
 
 
 def reach(net: InfluenceNetwork, sources: Iterable[int]) -> frozenset[int]:
     """Forward closure along support arcs j -> i, sources included."""
+    succ = _successors(net)
     seen = set(sources)
     frontier = list(seen)
     while frontier:
         j = frontier.pop()
-        for i in net.out_influence(j):
+        for i in succ[j]:
             if i not in seen:
                 seen.add(i)
                 frontier.append(i)
@@ -197,13 +209,14 @@ def _tarjan_sccs(nodes: Sequence[int], succ: dict[int, list[int]]) -> list[list[
 def class_structure(net: InfluenceNetwork, free_nodes: Iterable[int]) -> ClassStructure:
     """SCCs of the free-to-free support, closedness, periods, and bipartitions.
 
-    A class is closed when none of its members places weight on a free node
-    outside the class (weight on pinned nodes is allowed).  The period is the
+    A class is closed when none of its members has a free node outside the
+    class on its support (weight on pinned nodes is allowed).  The period is the
     gcd of directed cycle lengths, computed from BFS level differences.
     """
     free = sorted(set(free_nodes))
     free_set = set(free)
-    succ = {j: [i for i in net.out_influence(j) if i in free_set] for j in free}
+    successors = _successors(net)
+    succ = {j: [i for i in successors[j] if i in free_set] for j in free}
 
     sccs = tuple(tuple(c) for c in sorted(_tarjan_sccs(free, succ)))
 
@@ -212,10 +225,7 @@ def class_structure(net: InfluenceNetwork, free_nodes: Iterable[int]) -> ClassSt
     parts: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for comp in sccs:
         comp_set = set(comp)
-        is_closed = all(
-            sum(net.weights[i][j] for j in free if j not in comp_set) == 0 for i in comp
-        )
-        if not is_closed:
+        if any(j in free_set and j not in comp_set for i in comp for j, _ in net.rows[i]):
             continue
         closed.append(comp)
         internal = [(u, v) for u in comp for v in succ[u] if v in comp_set]
@@ -259,7 +269,7 @@ def verify_minus_one_mode(
     sign.update({i: -1 for i in side_b})
     nodes = side_a | side_b
     for i in nodes:
-        image = sum(net.weights[i][j] * sign[j] for j in nodes)
+        image = sum(w * sign[j] for j, w in net.rows[i] if j in nodes)
         if image != -sign[i]:
             return False
     return True
@@ -278,24 +288,18 @@ def perturb_weights(net: InfluenceNetwork, eps: Fraction, seed: int) -> Influenc
     rng = random.Random(seed)
     denom = 10**6
     rows = []
-    for i in range(net.n):
-        row = list(net.weights[i])
-        support = [j for j, w in enumerate(row) if w > 0]
-        draws = [Fraction(rng.randint(-denom, denom), denom) for _ in support]
-        if eps == 0 or len(support) < 2:
-            rows.append(tuple(row))
+    for row in net.rows:
+        draws = [Fraction(rng.randint(-denom, denom), denom) for _ in row]
+        if eps == 0 or len(row) < 2:
+            rows.append(row)
             continue
         mean = sum(draws) / len(draws)
         deltas = [d - mean for d in draws]
         if all(d == 0 for d in deltas):
-            rows.append(tuple(row))
+            rows.append(row)
             continue
-        scale = min(
-            min(eps, row[j] / 2) / abs(d) for j, d in zip(support, deltas) if d != 0
-        )
-        for j, d in zip(support, deltas):
-            row[j] += scale * d
-        rows.append(tuple(row))
+        scale = min(min(eps, w / 2) / abs(d) for (_, w), d in zip(row, deltas) if d != 0)
+        rows.append(tuple((j, w + scale * d) for (j, w), d in zip(row, deltas)))
     return InfluenceNetwork(tuple(rows), net.names)
 
 
@@ -311,10 +315,10 @@ def seeded_random_network(
         ins = [j for j in range(n) if j != i and rng.random() < arc_prob]
         if not ins:
             ins = [rng.choice([j for j in range(n) if j != i])]
-        raw = {j: rng.randint(1, max_weight) for j in ins}
-        total = sum(raw.values())
-        rows.append([Fraction(raw.get(j, 0), total) for j in range(n)])
-    return influence_network(rows)
+        raw = [rng.randint(1, max_weight) for _ in ins]
+        total = sum(raw)
+        rows.append(tuple((j, Fraction(r, total)) for j, r in zip(ins, raw)))
+    return InfluenceNetwork(tuple(rows), _names(None, n))
 
 
 def seeded_random_bipartite(
@@ -353,7 +357,7 @@ def network_to_dot(net: InfluenceNetwork) -> str:
     lines = ["digraph influence {"]
     for i, name in enumerate(net.names):
         lines.append(f'  n{i} [label="{name}"];')
-    for j, i in sorted(net.support_arcs()):
-        lines.append(f'  n{j} -> n{i} [label="{net.weights[i][j]}"];')
+    for j, i, w in sorted((j, i, w) for i, row in enumerate(net.rows) for j, w in row):
+        lines.append(f'  n{j} -> n{i} [label="{w}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

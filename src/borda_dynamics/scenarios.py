@@ -27,7 +27,7 @@ from .dynamics import (
     run_until_cycle,
 )
 from .errors import ScenarioBuildError, ScenarioFormatError
-from .influence import InfluenceNetwork, influence_network, normalize_random_walk
+from .influence import InfluenceNetwork, normalize_random_walk
 from .move_graph import StepPolicy, build_cover_graph, distance
 from .weak_orders import MAX_ALTERNATIVES, WeakOrder, alternative_names, antipode, parse_order
 
@@ -89,12 +89,9 @@ def build_traveling_wave(
         raise ScenarioBuildError(
             f"cycle length {k} must divide ring length {ell} for a consistent start"
         )
-    rows = []
-    for i in range(ell):
-        row = [Fraction(0)] * ell
-        row[(i - 1) % ell] = Fraction(1)
-        rows.append(row)
-    net = influence_network(rows, [f"n{i}" for i in range(ell)])
+    one = Fraction(1)
+    rows = tuple((((i - 1) % ell, one),) for i in range(ell))
+    net = InfluenceNetwork(rows, tuple(f"n{i}" for i in range(ell)))
     initial = tuple(cycle[i % k] for i in range(ell))
     return ScenarioConfig(
         m=m,
@@ -127,14 +124,14 @@ def build_gadget(
     if not rho.is_strict:
         raise ScenarioBuildError("base order must be strict so its antipode differs")
     flipped = antipode(rho)
-    zero, one = Fraction(0), Fraction(1)
-    rows = [
-        [zero, one - eps, eps, zero],  # i hears j and the plus camp
-        [one - eps, zero, zero, eps],  # j hears i and the minus camp
-        [zero, zero, one, zero],  # pinned nodes keep a self-loop row
-        [zero, zero, zero, one],
-    ]
-    net = influence_network(rows, ["i", "j", "p", "q"])
+    one = Fraction(1)
+    rows = (
+        ((1, one - eps), (2, eps)),  # i hears j and the plus camp
+        ((0, one - eps), (3, eps)),  # j hears i and the minus camp
+        ((2, one),),  # pinned nodes keep a self-loop row
+        ((3, one),),
+    )
+    net = InfluenceNetwork(rows, ("i", "j", "p", "q"))
     persistent = PersistentConfig(
         pins={2: rho, 3: flipped}, camps=Camps(plus=(2,), minus=(3,), base=rho)
     )
@@ -273,24 +270,23 @@ def _parse_network(doc, path: str) -> InfluenceNetwork:
         except ValueError as exc:
             raise ScenarioFormatError(path, str(exc)) from None
 
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    seen_pairs = set()
+    incoming: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for k, edge in enumerate(edges):
         epath = f"{path}.edges[{k}]"
         src, dst = end(edge, epath, "from"), end(edge, epath, "to")
         weight = _parse_weight(_field(edge, "weight", epath, object), f"{epath}.weight")
-        if (src, dst) in seen_pairs:
+        if src in incoming[dst]:
             raise ScenarioFormatError(epath, f"duplicate edge {names[src]}->{names[dst]}")
-        seen_pairs.add((src, dst))
-        rows[dst][src] = weight
-    for i in range(n):
-        if sum(rows[i]) != 1:
+        incoming[dst][src] = weight
+    for i, row in enumerate(incoming):
+        total = sum(row.values())
+        if total != 1:
             raise ScenarioFormatError(
-                f"{path}.edges",
-                f"incoming weights of node {names[i]!r} sum to {sum(rows[i])}, expected 1",
+                f"{path}.edges", f"incoming weights of node {names[i]!r} sum to {total}, expected 1"
             )
+    rows = tuple(tuple(sorted((j, w) for j, w in row.items() if w)) for row in incoming)
     try:
-        return influence_network(rows, names)
+        return InfluenceNetwork(rows, names)
     except ValueError as exc:
         raise ScenarioFormatError(path, str(exc)) from None
 

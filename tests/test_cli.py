@@ -342,3 +342,19 @@ def test_simulate_stdout_digest_is_frozen(scenario_dir, name, digest):
     proc = subprocess.run(CLI + ["simulate", str(scenario_dir / name), "--csv", "-"], capture_output=True)
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("consensus_triangle.json", "94e3406c93599623a6eff8f01083c34f84a98d91e124360e092ba49903b434b5"),
+    ("gadget.json", "1fb6ce23e8e079c735f484c0b8e6e0eee194905ea2eff874604bb36a5e41ad71"),
+    ("gadget_single_camp.json", "1fb6ce23e8e079c735f484c0b8e6e0eee194905ea2eff874604bb36a5e41ad71"),
+    ("star_frozen.json", "41814fe807163242d0cc7a1e2dadf1c2a31e00240eb89361e763c7a278cfd93d"),
+    ("traveling_wave_4.json", "9da62c7e647a8c09d824fc41638eb422a9827ee9f35b00c98b46866df30f717b"),
+    ("traveling_wave_8.json", "3438fd8e74e16090e710ead8675ce5b8354fa4ebdca7a938c020b40ab42c6fe2"),
+    ("unreachable_pins.json", "1a8eae311088942734c1d9d0587890dc3f365ad8f723c4928a112d000ab9d75a"),
+    ("wave_corrupted.json", "9da62c7e647a8c09d824fc41638eb422a9827ee9f35b00c98b46866df30f717b"),
+])
+def test_export_dot_stdout_digest_is_frozen(scenario_dir, name, digest):
+    proc = subprocess.run(CLI + ["export-dot", "--scenario", str(scenario_dir / name)], capture_output=True)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest

@@ -1,10 +1,13 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from borda_dynamics import cli
 from borda_dynamics.influence import (
+    InfluenceNetwork,
     class_structure,
     influence_network,
     network_to_dot,
@@ -15,6 +18,7 @@ from borda_dynamics.influence import (
     seeded_random_network,
     verify_minus_one_mode,
 )
+from borda_dynamics.scenarios import load_scenario
 
 
 def support_only_network(n, arcs):
@@ -71,6 +75,34 @@ def test_rows_hold_the_nonzero_entries(rows, perturb, seed):
         assert net.rows[i] == tuple((j, w) for j, w in enumerate(net.weights[i]) if w != 0)
         assert net.in_neighbors(i) == tuple(j for j, w in enumerate(net.weights[i]) if w > 0)
         assert all(type(w) is Fraction for w in net.weights[i])
+    assert InfluenceNetwork(net.rows, net.names) == net
+    assert influence_network(net.weights, net.names) == net
+
+
+F = Fraction
+# row 1 of a three-node network whose rows 0 and 2 are valid, and the message's tail
+MALFORMED_ROWS = {
+    "float": (((0, 0.5), (2, F(1, 2))), "has weight 0.5, expected a Fraction"),
+    "bool": (((0, True),), "has weight True, expected a Fraction"),
+    "unsorted-column": (((2, F(1, 2)), (0, F(1, 2))), "has column 0 out of order"),
+    "duplicate-column": (((0, F(1, 2)), (0, F(1, 2))), "has column 0 out of order"),
+    "column-out-of-range": (((0, F(1, 2)), (3, F(1, 2))), "has column 3 out of order or outside 0..2"),
+    "stored-zero": (((0, F(0)), (2, F(1))), "^zero weight in row 1$"),
+    "negative-weight": (((0, F(3, 2)), (2, F(-1, 2))), "^negative weight in row 1$"),
+    "sum-not-one": (((0, F(1, 2)), (2, F(1, 3))), "^row 1 sums to 5/6, expected exactly 1$"),
+}
+
+
+@pytest.mark.parametrize("row, message", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys())
+def test_malformed_sparse_rows_are_rejected_naming_the_row(row, message):
+    with pytest.raises(ValueError, match=r"\brow 1\b") as caught:
+        InfluenceNetwork((((1, F(1)),), row, ((0, F(1)),)), ("a", "b", "c"))
+    assert re.search(message, str(caught.value))
+
+
+def test_a_float_matrix_that_sums_to_one_is_rejected():
+    with pytest.raises(ValueError, match=r"\brow 0\b"):
+        InfluenceNetwork(((0.5, 0.5), (0.5, 0.5)), ("a", "b"))
 
 
 def test_normalize_two_nodes():
@@ -194,8 +226,9 @@ def _closure_scc_partition(nodes, succ):
 
 def _check_structure_against_oracles(net, free):
     free_set = set(free)
+    weights = net.weights
     succ = {
-        j: [i for i in net.out_influence(j) if i in free_set] for j in free
+        j: [i for i in range(net.n) if weights[i][j] > 0 and i in free_set] for j in free
     }
     cs = class_structure(net, free)
     assert set(cs.sccs) == _closure_scc_partition(free, succ)
@@ -316,6 +349,17 @@ def test_perturb_is_deterministic_per_seed():
     assert perturb_weights(net, Fraction(1, 100), 3) != perturb_weights(net, Fraction(1, 100), 4)
 
 
+def test_perturb_draws_one_number_per_support_entry_in_row_order():
+    # row 0 is forced but still takes its draw, so row 2 gets the same numbers as ever
+    net = influence_network([["0", "1", "0"], ["1/2", "0", "1/2"], ["1/3", "1/3", "1/3"]])
+    out = perturb_weights(net, Fraction(1, 10), seed=7)
+    assert [[str(w) for w in row] for row in out.weights] == [
+        ["0", "1", "0"],
+        ["3/5", "0", "2/5"],
+        ["20474771/59717580", "25308707/59717580", "7/30"],
+    ]
+
+
 def test_perturb_rejects_negative_eps():
     net = influence_network(GADGET_ROWS)
     with pytest.raises(ValueError):
@@ -330,3 +374,24 @@ def test_network_dot_export():
     assert dot.startswith("digraph influence {")
     assert 'n1 -> n0 [label="9/10"];' in dot
     assert dot == network_to_dot(net)
+
+
+# --- the stored form --------------------------------------------------------------------------
+
+def test_the_package_never_reads_the_dense_view(monkeypatch, scenario_dir):
+    def forbidden(self):
+        raise AssertionError("the dense weights view was read")
+
+    monkeypatch.setattr(InfluenceNetwork, "weights", property(forbidden))
+    scenario_files = sorted(p for p in scenario_dir.glob("*.json") if not p.name.startswith("suite"))
+    assert len(scenario_files) == 8
+    for path in scenario_files:
+        sc = load_scenario(path)
+        sc.run()
+        class_structure(sc.network, sc.persistent.free_nodes(sc.network.n))
+        reach(sc.network, sc.persistent.pins)
+        assert cli.main(["export-dot", "--scenario", str(path)]) == 0
+    for suite in ("suite_default.json", "suite_controls.json"):
+        assert cli.main(["verify", str(scenario_dir / suite)]) == 0
+    with pytest.raises(AssertionError, match="dense weights view"):
+        sc.network.weights
