@@ -45,10 +45,10 @@ def cmd_enumerate(args) -> int:
         _write(args.out, move_graph_to_dot(graph))
         return EXIT_OK
     lines = ["id,order,scores,antipode,degree"]
-    for w in graph.orders:
+    for k, w in enumerate(graph.orders):
         scores = ";".join(str(s) for s in borda_scores(w))
         lines.append(
-            f"{w.canonical_id},{format_order(w)},{scores},"
+            f"{k},{format_order(w)},{scores},"
             f"{format_order(antipode(w))},{graph.degree(w)}"
         )
     _write(args.out, "\n".join(lines) + "\n")

@@ -19,7 +19,7 @@ i's aggregate sum_j W_ij * B2[state_j] is exactly 2*D_i times the Fraction
 aggregate: ties and order are decided by integer equality, with no float and
 no tolerance.  The target is read from the dense ranks of that aggregate,
 a tie margin is the smallest gap between its distinct values over 2*D_i,
-and each (current, target) step is asked of `move_graph.step` once per run.
+and each step is asked of the move graph by id (`MoveGraph.next_id`).
 WeakOrders appear again only in the returned OrbitReport.
 `aggregate_scores`, `target`, `is_fixed_point`, `step_sync` and `step_async`
 keep the Fraction arithmetic as the reference path.
@@ -184,7 +184,7 @@ def step_sync(
 
     Fraction reference path; runs use the integer kernel.
     """
-    _check_alternatives(graph, enumerate(profile))
+    _order_ids(graph, enumerate(profile))
     return _update(net, graph, policy, persistent.free_nodes(net.n), profile, True)[1]
 
 
@@ -202,7 +202,7 @@ def step_async(
     """
     if i in persistent.pins:
         raise ScheduleError(f"node {i} is pinned and cannot be scheduled")
-    _check_alternatives(graph, enumerate(profile))
+    _order_ids(graph, enumerate(profile))
     return _update(net, graph, policy, (i,), profile, True)[1]
 
 
@@ -222,14 +222,16 @@ def _update(net, graph, policy, nodes, profile, synchronous):
     return tuple(log), tuple(nxt)
 
 
-def _check_alternatives(graph: MoveGraph, orders: Iterable[tuple[int, WeakOrder]]) -> None:
-    """Reject the first (node, order) whose order is not on the graph's m alternatives."""
+def _order_ids(graph: MoveGraph, orders: Iterable[tuple[int, WeakOrder]]) -> dict[int, int]:
+    """Node -> id of its order per (node, order) pair; rejects, by node, an order on another m."""
+    ids = {}
     for node, order in orders:
-        if order.m != graph.m:
-            raise ValueError(
-                f"node {node} has an order on {order.m} alternatives, "
-                f"but the move graph is on {graph.m}"
-            )
+        try:
+            ids[node] = graph.id_of(order)
+        except ValueError:
+            raise ValueError(f"node {node} has an order on {order.m} alternatives, "
+                             f"but the move graph is on {graph.m}") from None
+    return ids
 
 
 @lru_cache(maxsize=None)
@@ -252,14 +254,13 @@ class _Kernel:
     """One run compiled to integers over canonical ids (see the module docstring).
 
     Built per run and dropped with it: `rows[i]` is (in-neighbours, integer
-    weights W_ij, 2*D_i) for each compiled node, and `moves` memoizes the
-    next id of each (current, target) pair met so far.
+    weights W_ij, 2*D_i) for each compiled node; the graph keeps the steps.
     """
 
     def __init__(self, net: InfluenceNetwork, graph: MoveGraph, policy: StepPolicy, nodes: Iterable[int]):
         self.scores, self.rank_ids = _id_tables(graph.m)
         self.graph = graph
-        self.policy = policy
+        self.stay_on_ambiguity = policy.allow_no_move_on_ambiguity
         self.rows: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
         for i in nodes:
             support = net.rows[i]
@@ -269,7 +270,6 @@ class _Kernel:
                 tuple(w.numerator * (d // w.denominator) for _, w in support),
                 2 * d,
             )
-        self.moves: dict[tuple[int, int], int] = {}
 
     def aggregate(self, state: Sequence[int], i: int) -> list[int]:
         """Node i's aggregate times 2*D_i, one integer per alternative."""
@@ -282,21 +282,10 @@ class _Kernel:
         distinct = sorted(set(total), reverse=True)
         return self.rank_ids[tuple(map(distinct.index, total))]
 
-    def step(self, current: int, tau: int) -> int:
-        """Id one bounded step from `current` toward `tau`, by `move_graph.step`."""
-        if current == tau:
-            return current
-        nxt = self.moves.get((current, tau))
-        if nxt is None:
-            orders = self.graph.orders
-            nxt = graph_step(self.policy, self.graph, orders[current], orders[tau]).canonical_id
-            self.moves[(current, tau)] = nxt
-        return nxt
-
     def stays(self, state: Sequence[int], i: int) -> bool:
         """True iff node i's step leaves it where it is: at its target, or
         stalled there under no-move-on-ambiguity."""
-        return self.step(state[i], self.target(state, i)) == state[i]
+        return self.graph.next_id(state[i], self.target(state, i), self.stay_on_ambiguity) == state[i]
 
     def update(self, nodes: Sequence[int], state: tuple[int, ...], synchronous: bool):
         """Move each of `nodes` in turn one step toward its target.
@@ -308,10 +297,11 @@ class _Kernel:
         log = []
         nxt = list(state)
         view = state if synchronous else nxt
+        next_id, lazy = self.graph.next_id, self.stay_on_ambiguity
         for i in nodes:
             tau = self.target(view, i)
             log.append((i, tau))
-            nxt[i] = self.step(nxt[i], tau)
+            nxt[i] = next_id(nxt[i], tau, lazy)
         return tuple(log), tuple(nxt)
 
     def min_margin(self, states: Iterable[Sequence[int]], free: Sequence[int]) -> Fraction | float:
@@ -361,9 +351,8 @@ def run_until_cycle(
     updates.  Every order of `initial` must be on the graph's alternatives.
     """
     persistent.check_profile(initial)
-    _check_alternatives(graph, enumerate(initial))
+    state = tuple(_order_ids(graph, enumerate(initial)).values())
     free = persistent.free_nodes(net.n)
-    state = tuple(w.canonical_id for w in initial)
     kernel = _Kernel(net, graph, policy, free)
 
     if schedule.kind == "uniform":
@@ -434,12 +423,10 @@ def enumerate_fixed_points(
     failed check prunes every completion.  Raises BudgetExceededError once
     more than `budget` partial profiles have been tried.
     """
-    _check_alternatives(graph, persistent.pins.items())
+    pinned = _order_ids(graph, persistent.pins.items())
     free = persistent.free_nodes(net.n)
     orders = graph.orders
-    state: list[int | None] = [None] * net.n
-    for node, order in persistent.pins.items():
-        state[node] = order.canonical_id
+    state: list[int | None] = [pinned.get(i) for i in range(net.n)]
     if not free:
         return [tuple(orders[k] for k in state)]  # type: ignore[index]
     kernel = _Kernel(net, graph, policy, free)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 @dataclass(frozen=True)
@@ -37,12 +37,14 @@ class InfluenceNetwork:
 
     def __post_init__(self):
         n = len(self.rows)
-        if len(self.names) != n:
-            raise ValueError(f"{len(self.names)} names for {n} nodes")
-        if len(set(self.names)) != n:
+        names = tuple(self.names)
+        if len(names) != n:
+            raise ValueError(f"{len(names)} names for {n} nodes")
+        if len(set(names)) != n:
             raise ValueError("node names must be distinct")
+        rows = []
         for i, row in enumerate(self.rows):
-            total, last = 0, -1
+            last, pairs = -1, []
             try:
                 for j, w in row:
                     if type(j) is not int or not last < j < n:
@@ -51,12 +53,17 @@ class InfluenceNetwork:
                         raise ValueError(f"row {i} has weight {w!r}, expected a Fraction")
                     if w.numerator <= 0:
                         raise ValueError(f"negative weight in row {i}" if w else f"zero weight in row {i}")
-                    total += w
                     last = j
+                    pairs.append((j, w))
             except TypeError:
                 raise ValueError(f"row {i} is not a sequence of (column, weight) pairs") from None
-            if total != 1:
-                raise ValueError(f"row {i} sums to {total}, expected exactly 1")
+            den = lcm(*(w.denominator for _, w in pairs))  # sum exactly, in integers
+            num = sum(w.numerator * (den // w.denominator) for _, w in pairs)
+            if num != den:
+                raise ValueError(f"row {i} sums to {Fraction(num, den)}, expected exactly 1")
+            rows.append(tuple(pairs))
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "names", names)
 
     @property
     def n(self) -> int:
@@ -90,13 +97,17 @@ def _names(names: Sequence[str] | None, n: int) -> tuple[str, ...]:
 def influence_network(
     rows: Sequence[Sequence[Fraction | int | str]], names: Sequence[str] | None = None
 ) -> InfluenceNetwork:
-    """Build a network from dense rows of anything coercible to Fractions; zeros are dropped."""
+    """Build a network from dense rows of Fractions, ints or "p/q" strings; zeros are dropped."""
     n = len(rows)
     support = []
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        coerced = (w if type(w) is Fraction else Fraction(w) for w in row)
+        coerced = []
+        for w in row:
+            if type(w) is not Fraction and isinstance(w, (float, bool)):
+                raise ValueError(f"row {i} has entry {w!r}, expected a Fraction, an int or a p/q string")
+            coerced.append(w if type(w) is Fraction else Fraction(w))
         support.append(tuple((j, w) for j, w in enumerate(coerced) if w))
     return InfluenceNetwork(tuple(support), _names(names, n))
 
@@ -303,26 +314,24 @@ def perturb_weights(net: InfluenceNetwork, eps: Fraction, seed: int) -> Influenc
     return InfluenceNetwork(tuple(rows), net.names)
 
 
-def seeded_random_network(
-    n: int, seed: int, arc_prob: float = 0.5, max_weight: int = 9
-) -> InfluenceNetwork:
+def seeded_random_network(n: int, seed: int) -> InfluenceNetwork:
     """Random row-stochastic network with integer-ratio weights, no self-loops."""
     if n < 2:
         raise ValueError("need at least two nodes")
     rng = random.Random(seed)
     rows = []
     for i in range(n):
-        ins = [j for j in range(n) if j != i and rng.random() < arc_prob]
+        ins = [j for j in range(n) if j != i and rng.random() < 0.5]
         if not ins:
             ins = [rng.choice([j for j in range(n) if j != i])]
-        raw = [rng.randint(1, max_weight) for _ in ins]
+        raw = [rng.randint(1, 9) for _ in ins]
         total = sum(raw)
         rows.append(tuple((j, Fraction(r, total)) for j, r in zip(ins, raw)))
     return InfluenceNetwork(tuple(rows), _names(None, n))
 
 
 def seeded_random_bipartite(
-    size_a: int, size_b: int, seed: int, extra_prob: float = 0.3
+    size_a: int, size_b: int, seed: int
 ) -> tuple[int, list[tuple[int, int]], tuple[tuple[int, ...], tuple[int, ...]]]:
     """Connected undirected bipartite graph: a zigzag spanning path plus extras.
 
@@ -347,7 +356,7 @@ def seeded_random_bipartite(
         edges.add((part_a[0], b))
     for a in part_a:
         for b in part_b:
-            if rng.random() < extra_prob:
+            if rng.random() < 0.3:
                 edges.add((a, b))
     return size_a + size_b, sorted(edges), (part_a, part_b)
 

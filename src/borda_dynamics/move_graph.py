@@ -4,17 +4,19 @@ Two weak orders are adjacent when one arises from the other by splitting a
 single indifference class into two consecutive nonempty classes (or merging
 two adjacent classes, the inverse move).  The bounded step advances one edge
 along a shortest path toward a target order, breaking ties by smallest
-canonical id.
+canonical id.  `MoveGraph` is the one place where orders become ids
+(`id_of`) and where the step is decided, by id (`next_id`).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExceededError
-from .weak_orders import WeakOrder, enumerate_weak_orders, format_order
+from .weak_orders import MAX_ALTERNATIVES, WeakOrder, enumerate_weak_orders, format_order
 
 #: most path extensions one `find_cycle` call may make (about a second)
 FIND_CYCLE_BUDGET = 10**6
@@ -36,14 +38,17 @@ class MoveGraph:
     """Undirected cover graph on all weak orders for a fixed m.
 
     Vertices are canonical ids; BFS distance rows are computed on demand and
-    cached, so `distance_table` is only materialized when actually read.
+    cached as bytes (the diameter is 2(m - 1)), so `distance_table` is only
+    materialized when actually read.  A step row per target holds, by current
+    id, -1 until asked, else the first candidate, plus order_count if ambiguous.
     """
 
     def __init__(self, m: int, orders: tuple[WeakOrder, ...], adjacency: tuple[tuple[int, ...], ...]):
         self.m = m
         self.orders = orders
         self.adjacency = adjacency
-        self._dist_rows: dict[int, list[int]] = {}
+        self._dist_rows: dict[int, bytes] = {}
+        self._steps: dict[int, array] = {}
 
     @property
     def order_count(self) -> int:
@@ -60,10 +65,16 @@ class MoveGraph:
                 if i < j:
                     yield i, j
 
-    def degree(self, order: WeakOrder) -> int:
-        return len(self.adjacency[order.canonical_id])
+    def id_of(self, order: WeakOrder) -> int:
+        """Canonical id of `order`, which must be on the graph's m alternatives."""
+        if order.m != self.m:
+            raise ValueError(f"{format_order(order)} is on {order.m} alternatives, not the graph's {self.m}")
+        return order.canonical_id
 
-    def distance_row(self, source_id: int) -> list[int]:
+    def degree(self, order: WeakOrder) -> int:
+        return len(self.adjacency[self.id_of(order)])
+
+    def distance_row(self, source_id: int) -> bytes:
         """BFS distances from one vertex to all vertices (cached per source)."""
         row = self._dist_rows.get(source_id)
         if row is None:
@@ -76,11 +87,25 @@ class MoveGraph:
                     if row[v] < 0:
                         row[v] = row[u] + 1
                         queue.append(v)
-            self._dist_rows[source_id] = row
+            row = self._dist_rows[source_id] = bytes(row)
         return row
 
-    def distance_ids(self, i: int, j: int) -> int:
-        return self.distance_row(i)[j]
+    def next_id(self, current: int, target: int, stay_on_ambiguity: bool) -> int:
+        """Id one bounded step from `current` toward `target`: the neighbour of
+        smallest id one unit closer, or `current` under `stay_on_ambiguity`
+        when several neighbours are."""
+        if current == target:
+            return current
+        row = self._steps.get(target)
+        if row is None:
+            row = self._steps[target] = array("h", [-1]) * self.order_count
+        first = row[current]
+        if first < 0:
+            to_target = self.distance_row(target)
+            want = to_target[current] - 1
+            candidates = [v for v in self.adjacency[current] if to_target[v] == want]
+            first = row[current] = candidates[0] + len(row) * (len(candidates) > 1)
+        return first if first < len(row) else (current if stay_on_ambiguity else first - len(row))
 
     @property
     def distance_table(self) -> tuple[tuple[int, ...], ...]:
@@ -107,12 +132,11 @@ def _splits(order: WeakOrder):
 @lru_cache(maxsize=None)
 def build_cover_graph(m: int) -> MoveGraph:
     """Construct the cover graph for 2 <= m <= 6 (cached; graphs are immutable)."""
-    if not 2 <= m <= 6:
-        raise ValueError(f"move graph supported for 2 <= m <= 6, got {m}")
+    if not 2 <= m <= MAX_ALTERNATIVES:
+        raise ValueError(f"move graph supported for 2 <= m <= {MAX_ALTERNATIVES}, got {m}")
     orders = enumerate_weak_orders(m)
     neighbors: list[set[int]] = [set() for _ in orders]
-    for w in orders:
-        i = w.canonical_id
+    for i, w in enumerate(orders):
         for finer in _splits(w):
             j = finer.canonical_id
             neighbors[i].add(j)
@@ -123,33 +147,19 @@ def build_cover_graph(m: int) -> MoveGraph:
 
 def distance(graph: MoveGraph, order1: WeakOrder, order2: WeakOrder) -> int:
     """Exact shortest-path hop count between two orders."""
-    return graph.distance_ids(order1.canonical_id, order2.canonical_id)
+    return graph.distance_row(graph.id_of(order1))[graph.id_of(order2)]
 
 
 def step(policy: StepPolicy, graph: MoveGraph, current: WeakOrder, target: WeakOrder) -> WeakOrder:
-    """One bounded step from `current` toward `target`.
-
-    Returns `current` when already at the target; otherwise moves to a
-    neighbor one unit closer to the target, chosen by smallest canonical id
-    (or stays put under the no-move-on-ambiguity policy when the choice is
-    not unique).
-    """
-    a = current.canonical_id
-    b = target.canonical_id
-    if a == b:
-        return current
-    to_target = graph.distance_row(b)
-    want = to_target[a] - 1
-    candidates = [v for v in graph.adjacency[a] if to_target[v] == want]
-    if policy.allow_no_move_on_ambiguity and len(candidates) > 1:
-        return current
-    return graph.orders[candidates[0]]
+    """One bounded step from `current` toward `target`, as `MoveGraph.next_id` decides it."""
+    nxt = graph.next_id(graph.id_of(current), graph.id_of(target), policy.allow_no_move_on_ambiguity)
+    return graph.orders[nxt]
 
 
 def geodesic_count(graph: MoveGraph, order1: WeakOrder, order2: WeakOrder) -> int:
     """Number of distinct shortest paths, counted over BFS layers."""
-    a = order1.canonical_id
-    b = order2.canonical_id
+    a = graph.id_of(order1)
+    b = graph.id_of(order2)
     dist = graph.distance_row(a)
     counts = [0] * graph.order_count
     counts[a] = 1

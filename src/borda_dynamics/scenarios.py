@@ -61,9 +61,7 @@ class ScenarioConfig:
         )
 
 
-def build_traveling_wave(
-    ell: int, h_cycle: Sequence[WeakOrder], label: str | None = None
-) -> ScenarioConfig:
+def build_traveling_wave(ell: int, h_cycle: Sequence[WeakOrder]) -> ScenarioConfig:
     """Directed ell-ring of pure copiers initialized along a move-graph cycle.
 
     Node i listens only to node i-1 (mod ell) with weight 1 and starts at
@@ -76,7 +74,7 @@ def build_traveling_wave(
         raise ScenarioBuildError("ring length must be at least 3")
     if k < 3:
         raise ScenarioBuildError("move-graph cycle must have at least 3 states")
-    if len({w.canonical_id for w in cycle}) != k:
+    if len(set(cycle)) != k:
         raise ScenarioBuildError("move-graph cycle revisits a state")
     m = cycle[0].m
     graph = build_cover_graph(m)
@@ -99,16 +97,12 @@ def build_traveling_wave(
         persistent=PersistentConfig.none(),
         initial=initial,
         schedule=Schedule.synchronous(),
-        label=label or f"traveling_wave_l{ell}_k{k}",
+        label=f"traveling_wave_l{ell}_k{k}",
     )
 
 
 def build_gadget(
-    m: int,
-    rho: WeakOrder,
-    eps: Fraction,
-    initial_free: tuple[WeakOrder, WeakOrder] | None = None,
-    label: str | None = None,
+    m: int, rho: WeakOrder, eps: Fraction, initial_free: tuple[WeakOrder, WeakOrder] | None = None
 ) -> ScenarioConfig:
     """Two free nodes cross-listening, each nudged by one of two antipodal camps.
 
@@ -143,7 +137,7 @@ def build_gadget(
         persistent=persistent,
         initial=initial,
         schedule=Schedule.synchronous(),
-        label=label or f"gadget_m{m}_eps{eps.numerator}_{eps.denominator}",
+        label=f"gadget_m{m}_eps{eps.numerator}_{eps.denominator}",
     )
 
 

@@ -147,7 +147,7 @@ def verify_traveling_wave(sc: ScenarioConfig, expected_k: int) -> VerificationOu
 # --- forced even-period oscillations under contrarian camps ------------------
 
 
-def verify_forced_even_period(sc: ScenarioConfig, sweep: bool = True) -> VerificationOutcome:
+def verify_forced_even_period(sc: ScenarioConfig) -> VerificationOutcome:
     """Contrarian camps on a period-2 closed free class force an even period.
 
     Simulates the configured initial profile first and, if needed, sweeps all
@@ -191,7 +191,7 @@ def verify_forced_even_period(sc: ScenarioConfig, sweep: bool = True) -> Verific
     tried = 1
     found, report = attempt(sc.initial)
     witness = sc.initial
-    if not found and sweep:
+    if not found:
         for combo in product(enumerate_weak_orders(sc.m), repeat=len(cls)):
             candidate = list(sc.initial)
             for node, order in zip(cls, combo):
@@ -285,7 +285,7 @@ def verify_even_period_lifting(sc: ScenarioConfig) -> VerificationOutcome:
 
     def even_time_period(side: tuple[int, ...]) -> int:
         length = p if p % 2 else p // 2
-        seq = [tuple(orbit[(2 * j) % p][i].canonical_id for i in side) for j in range(length)]
+        seq = [tuple(orbit[(2 * j) % p][i] for i in side) for j in range(length)]
         return _cyclic_min_period(seq)
 
     k_a = even_time_period(side_a)

@@ -20,7 +20,7 @@ from borda_dynamics.dynamics import (
     step_sync,
     target,
 )
-from borda_dynamics import dynamics, weak_orders
+from borda_dynamics import dynamics, move_graph, weak_orders
 from borda_dynamics.errors import BudgetExceededError, ScheduleError
 from borda_dynamics.influence import influence_network, perturb_weights, seeded_random_network
 from borda_dynamics.move_graph import StepPolicy, build_cover_graph, distance, find_cycle, geodesic_unique
@@ -622,7 +622,8 @@ def test_runs_and_fixed_point_search_do_no_fraction_arithmetic(monkeypatch):
         raise AssertionError("the Fraction reference path was used")
 
     for owner, name in [(dynamics, "aggregate_scores"), (dynamics, "target"), (dynamics, "project"),
-                        (weak_orders, "project"), (weak_orders, "margin_from_ties")]:
+                        (weak_orders, "project"), (weak_orders, "margin_from_ties"),
+                        (dynamics, "graph_step"), (move_graph, "step")]:
         monkeypatch.setattr(owner, name, forbidden)
     for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
         monkeypatch.setattr(Fraction, f"__{op}__", forbidden)

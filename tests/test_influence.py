@@ -100,9 +100,46 @@ def test_malformed_sparse_rows_are_rejected_naming_the_row(row, message):
     assert re.search(message, str(caught.value))
 
 
+@given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=10**4), min_size=1, max_size=6),
+       st.booleans())
+@settings(deadline=None, max_examples=200)
+def test_a_row_is_accepted_exactly_when_its_fraction_sum_is_one(weights, complete):
+    # the constructor sums in integers over a common denominator; the
+    # Fraction sum is the oracle for both the verdict and the message
+    weights = [w for w in weights if w > 0] or [Fraction(1)]
+    if complete and sum(weights[:-1]) < 1:
+        weights[-1] = Fraction(1) - sum(weights[:-1])
+    row = tuple(enumerate(weights))
+    rows = (row,) + tuple(((0, Fraction(1)),) for _ in weights[1:])
+    names = tuple(str(k) for k in range(len(weights)))
+    total = sum(weights)
+    if total == 1:
+        assert InfluenceNetwork(rows, names).rows[0] == row
+    else:
+        with pytest.raises(ValueError, match=rf"^row 0 sums to {total}, expected exactly 1$"):
+            InfluenceNetwork(rows, names)
+
+
 def test_a_float_matrix_that_sums_to_one_is_rejected():
     with pytest.raises(ValueError, match=r"\brow 0\b"):
         InfluenceNetwork(((0.5, 0.5), (0.5, 0.5)), ("a", "b"))
+
+
+@pytest.mark.parametrize("rows, row", [([[0.5, 0.5], ["1", 0]], 0), ([["1/2", "1/2"], [True, 0]], 1)],
+                         ids=["float", "bool"])
+def test_dense_float_and_bool_entries_are_rejected_naming_the_row(rows, row):
+    # 0.5 and True would coerce to exact Fractions; a weight must be exact as written
+    with pytest.raises(ValueError, match=rf"^row {row} has entry "):
+        influence_network(rows)
+
+
+def test_a_network_built_from_lists_equals_the_tuple_one_and_hashes():
+    half, one = Fraction(1, 2), Fraction(1)
+    from_lists = InfluenceNetwork([[[1, half], [2, half]], [(0, one)], [[0, one]]], ["a", "b", "c"])
+    from_tuples = InfluenceNetwork((((1, half), (2, half)), ((0, one),), ((0, one),)), ("a", "b", "c"))
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    assert from_lists.rows == from_tuples.rows and from_lists.names == ("a", "b", "c")
 
 
 def test_normalize_two_nodes():

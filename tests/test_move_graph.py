@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from borda_dynamics.errors import BudgetExceededError
 from borda_dynamics.move_graph import (
+    MoveGraph,
     StepPolicy,
     build_cover_graph,
     distance,
@@ -116,21 +117,25 @@ def test_diameters():
     assert G4.diameter == 6
 
 
-def test_distance_table_agrees_with_reference_bfs():
+def _reference_bfs(graph, src):
     # independent BFS written against the adjacency only
+    ref = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in graph.adjacency[u]:
+                if v not in ref:
+                    ref[v] = ref[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return [ref[v] for v in range(graph.order_count)]
+
+
+def test_distance_table_agrees_with_reference_bfs():
     table = G3.distance_table
     for src in range(G3.order_count):
-        ref = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in G3.adjacency[u]:
-                    if v not in ref:
-                        ref[v] = ref[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        assert list(table[src]) == [ref[v] for v in range(G3.order_count)]
+        assert list(table[src]) == _reference_bfs(G3, src)
 
 
 @settings(deadline=None)
@@ -140,7 +145,8 @@ def test_distance_table_agrees_with_reference_bfs():
     st.integers(min_value=0, max_value=74),
 )
 def test_triangle_inequality(i, j, k):
-    assert G4.distance_ids(i, j) <= G4.distance_ids(i, k) + G4.distance_ids(k, j)
+    d = G4.distance_row
+    assert d(i)[j] <= d(i)[k] + d(k)[j]
 
 
 # --- bounded step ---------------------------------------------------------------------
@@ -179,6 +185,47 @@ def test_no_move_on_ambiguity_flag():
     assert step(lazy, G3, o("(xy)>z"), o("x>y>z")) == o("x>y>z")  # unique, moves
 
 
+@pytest.mark.parametrize("base", [G3, G4], ids=["m3", "m4"])
+def test_step_is_the_smallest_id_neighbour_one_unit_closer_exhaustive(base):
+    # the step rule's oracle: distances from a BFS written here, candidates
+    # scanned here; under no-move-on-ambiguity the step stays put exactly
+    # when more than one neighbour is one unit closer
+    lazy = StepPolicy(allow_no_move_on_ambiguity=True)
+    expected = {}
+    for b in range(base.order_count):
+        dist = _reference_bfs(base, b)
+        for a in range(base.order_count):
+            closer = [v for v in base.adjacency[a] if dist[v] == dist[a] - 1]
+            eager = min(closer) if closer else a
+            expected[a, b] = {POLICY: eager, lazy: a if len(closer) > 1 else eager}
+    # each policy first, on a graph whose step cache starts empty
+    for policies in ((POLICY, lazy), (lazy, POLICY)):
+        graph = MoveGraph(base.m, base.orders, base.adjacency)
+        for (a, b), want in expected.items():
+            for policy in policies:
+                moved = step(policy, graph, graph.orders[a], graph.orders[b])
+                assert moved == graph.orders[want[policy]], (a, b, policy)
+
+
+M4_ON_G3 = {
+    "distance-first": lambda w: distance(G3, w, o("x>y>z")),
+    "distance-second": lambda w: distance(G3, o("x>y>z"), w),
+    "step-current": lambda w: step(POLICY, G3, w, o("x>y>z")),
+    "step-target": lambda w: step(POLICY, G3, o("x>y>z"), w),
+    "geodesic_count": lambda w: geodesic_count(G3, w, o("x>y>z")),
+    "degree": lambda w: G3.degree(w),
+}
+
+
+@pytest.mark.parametrize("order_id", [5, 74], ids=["id-inside-m3", "id-beyond-m3"])
+@pytest.mark.parametrize("call", M4_ON_G3.values(), ids=M4_ON_G3.keys())
+def test_an_order_on_another_alternative_count_is_rejected_at_the_graph(call, order_id):
+    # at id 5 a bare canonical id would answer for the wrong order, at 74 it
+    # would index past the m = 3 graph
+    with pytest.raises(ValueError, match="is on 4 alternatives, not the graph's 3$"):
+        call(G4.orders[order_id])
+
+
 # --- geodesics ---------------------------------------------------------------------------
 
 def test_geodesic_examples():
@@ -191,7 +238,7 @@ def test_geodesic_examples():
 def _paths_between(graph, a, b, limit):
     # brute-force oracle: enumerate simple paths of exactly the BFS length
     found = 0
-    target = graph.distance_ids(a, b)
+    target = graph.distance_row(a)[b]
 
     def walk(u, depth, seen):
         nonlocal found
@@ -200,7 +247,7 @@ def _paths_between(graph, a, b, limit):
                 found += 1
             return
         for v in graph.adjacency[u]:
-            if v not in seen and graph.distance_ids(v, b) == target - depth - 1:
+            if v not in seen and graph.distance_row(v)[b] == target - depth - 1:
                 walk(v, depth + 1, seen | {v})
 
     walk(a, 0, {a})

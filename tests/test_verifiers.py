@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from borda_dynamics.dynamics import PersistentConfig, Schedule, run_until_cycle
+from borda_dynamics.dynamics import PersistentConfig, Schedule, enumerate_fixed_points, run_until_cycle
 from borda_dynamics.errors import ScenarioFormatError
 from borda_dynamics.influence import influence_network, perturb_weights, seeded_random_network
 from borda_dynamics.move_graph import build_cover_graph, find_cycle
@@ -106,20 +106,15 @@ def test_epsilon_sweep_regression():
     oscillating = []
     for k in range(1, 20):
         sc = build_gadget(3, RHO, Fraction(k, 20))
-        outcome = verify_forced_even_period(sc, sweep=False)
-        if outcome.evidence["period"] == 2 and outcome.evidence["mu"] <= 1:
+        report = sc.run()
+        if report.period == 2 and report.mu <= 1:
             oscillating.append(k)
-        assert outcome.evidence["fixed_point_count"] > 0
-        if outcome.evidence["period"] == 1:
+        fixed = enumerate_fixed_points(sc.network, G3, sc.policy, sc.persistent)
+        assert len(fixed) > 0
+        if report.period == 1:
             # a period-1 orbit state is itself a fixed point, so an empty
             # fixed-point set would force every orbit to have period > 1
-            report = sc.run()
-            free_state = {
-                "i": format_order(report.orbit[0][0]),
-                "j": format_order(report.orbit[0][1]),
-            }
-            listed = {(fp["i"], fp["j"]) for fp in outcome.evidence["fixed_points"]}
-            assert (free_state["i"], free_state["j"]) in listed
+            assert report.orbit[0] in fixed
     assert oscillating == list(range(1, 9))  # eps = 1/20 .. 2/5
 
 
