@@ -2,16 +2,22 @@
 
 Two weak orders are adjacent when one arises from the other by splitting a
 single indifference class into two consecutive nonempty classes (or merging
-two adjacent classes, the inverse move).  The bounded step advances one edge
-along a shortest path toward a target order, breaking ties by smallest
-canonical id.  `MoveGraph` is the one place where orders become ids
-(`id_of`) and where the step is decided, by id (`next_id`).
+two adjacent classes, the inverse move).  An order is the chain of its cuts,
+the alternative sets of its proper prefixes of classes; a split adds one cut
+and a merge drops one.  So the distance of two orders is the number of cuts
+exactly one of them has: an edge changes that number by one, and since any
+subset of a chain is a chain, dropping the first order's extra cuts one by
+one and then adding the second's is a path of that length.
+
+The bounded step advances one edge along a shortest path toward a target
+order, breaking ties by smallest canonical id.  `MoveGraph` is the one place
+where orders become ids (`id_of`) and where the step is decided, by id
+(`next_id`).
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,19 +41,30 @@ class StepPolicy:
 
 
 class MoveGraph:
-    """Undirected cover graph on all weak orders for a fixed m.
+    """Undirected cover graph on all weak orders for a fixed m, by canonical id.
 
-    Vertices are canonical ids; BFS distance rows are computed on demand and
-    cached as bytes (the diameter is 2(m - 1)), so `distance_table` is only
-    materialized when actually read.  A step row per target holds, by current
-    id, -1 until asked, else the first candidate, plus order_count if ambiguous.
+    `cuts[i]` is order i's chain of cuts as one bitmask: bit p is set when
+    the alternative set with bitmask p is a cut.  Dropping a cut merges two
+    adjacent classes, so `adjacency` derives from `cuts`, and the distance of
+    two ids is the number of cuts exactly one of them has.  The step rows
+    are the only lazy state: one per target, holding by current id -1 until
+    asked, else the first candidate, plus order_count if ambiguous.
     """
 
-    def __init__(self, m: int, orders: tuple[WeakOrder, ...], adjacency: tuple[tuple[int, ...], ...]):
+    def __init__(self, m: int, orders: tuple[WeakOrder, ...]):
         self.m = m
         self.orders = orders
-        self.adjacency = adjacency
-        self._dist_rows: dict[int, bytes] = {}
+        self.cuts = tuple(map(_cuts, orders))
+        index = {c: i for i, c in enumerate(self.cuts)}
+        neighbors: list[list[int]] = [[] for _ in orders]
+        for i, c in enumerate(self.cuts):
+            rest = c
+            while rest:  # drop each cut in turn, lowest bit first
+                j = index[c & ~(rest & -rest)]
+                neighbors[i].append(j)
+                neighbors[j].append(i)
+                rest &= rest - 1
+        self.adjacency = tuple(tuple(sorted(nb)) for nb in neighbors)
         self._steps: dict[int, array] = {}
 
     @property
@@ -74,21 +91,9 @@ class MoveGraph:
     def degree(self, order: WeakOrder) -> int:
         return len(self.adjacency[self.id_of(order)])
 
-    def distance_row(self, source_id: int) -> bytes:
-        """BFS distances from one vertex to all vertices (cached per source)."""
-        row = self._dist_rows.get(source_id)
-        if row is None:
-            row = [-1] * self.order_count
-            row[source_id] = 0
-            queue = deque([source_id])
-            while queue:
-                u = queue.popleft()
-                for v in self.adjacency[u]:
-                    if row[v] < 0:
-                        row[v] = row[u] + 1
-                        queue.append(v)
-            row = self._dist_rows[source_id] = bytes(row)
-        return row
+    def distance_ids(self, a: int, b: int) -> int:
+        """Shortest-path hop count between two ids: the cuts exactly one has."""
+        return (self.cuts[a] ^ self.cuts[b]).bit_count()
 
     def next_id(self, current: int, target: int, stay_on_ambiguity: bool) -> int:
         """Id one bounded step from `current` toward `target`: the neighbour of
@@ -101,32 +106,30 @@ class MoveGraph:
             row = self._steps[target] = array("h", [-1]) * self.order_count
         first = row[current]
         if first < 0:
-            to_target = self.distance_row(target)
-            want = to_target[current] - 1
-            candidates = [v for v in self.adjacency[current] if to_target[v] == want]
+            cuts, goal = self.cuts, self.cuts[target]
+            want = (cuts[current] ^ goal).bit_count() - 1
+            candidates = [v for v in self.adjacency[current] if (cuts[v] ^ goal).bit_count() == want]
             first = row[current] = candidates[0] + len(row) * (len(candidates) > 1)
         return first if first < len(row) else (current if stay_on_ambiguity else first - len(row))
 
     @property
     def distance_table(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(self.distance_row(i)) for i in range(self.order_count))
+        return tuple(tuple((a ^ b).bit_count() for b in self.cuts) for a in self.cuts)
 
     @property
     def diameter(self) -> int:
-        return max(max(self.distance_row(i)) for i in range(self.order_count))
+        return max(map(max, self.distance_table))
 
 
-def _splits(order: WeakOrder):
-    """All orders obtained by splitting one class into two consecutive classes."""
-    classes = order.classes
-    for ci, cls in enumerate(classes):
-        c = len(cls)
-        if c < 2:
-            continue
-        for mask in range(1, (1 << c) - 1):
-            top = tuple(cls[k] for k in range(c) if mask >> k & 1)
-            bottom = tuple(cls[k] for k in range(c) if not mask >> k & 1)
-            yield WeakOrder(classes[:ci] + (top, bottom) + classes[ci + 1 :])
+def _cuts(order: WeakOrder) -> int:
+    """The chain of cuts of `order` (the alternatives of each proper prefix of
+    its classes) as one bitmask over the cuts' own bitmasks."""
+    cuts = prefix = 0
+    for cls in order.classes[:-1]:
+        for a in cls:
+            prefix |= 1 << a
+        cuts |= 1 << prefix
+    return cuts
 
 
 @lru_cache(maxsize=None)
@@ -134,20 +137,12 @@ def build_cover_graph(m: int) -> MoveGraph:
     """Construct the cover graph for 2 <= m <= 6 (cached; graphs are immutable)."""
     if not 2 <= m <= MAX_ALTERNATIVES:
         raise ValueError(f"move graph supported for 2 <= m <= {MAX_ALTERNATIVES}, got {m}")
-    orders = enumerate_weak_orders(m)
-    neighbors: list[set[int]] = [set() for _ in orders]
-    for i, w in enumerate(orders):
-        for finer in _splits(w):
-            j = finer.canonical_id
-            neighbors[i].add(j)
-            neighbors[j].add(i)
-    adjacency = tuple(tuple(sorted(nb)) for nb in neighbors)
-    return MoveGraph(m, orders, adjacency)
+    return MoveGraph(m, enumerate_weak_orders(m))
 
 
 def distance(graph: MoveGraph, order1: WeakOrder, order2: WeakOrder) -> int:
     """Exact shortest-path hop count between two orders."""
-    return graph.distance_row(graph.id_of(order1))[graph.id_of(order2)]
+    return graph.distance_ids(graph.id_of(order1), graph.id_of(order2))
 
 
 def step(policy: StepPolicy, graph: MoveGraph, current: WeakOrder, target: WeakOrder) -> WeakOrder:
@@ -157,10 +152,10 @@ def step(policy: StepPolicy, graph: MoveGraph, current: WeakOrder, target: WeakO
 
 
 def geodesic_count(graph: MoveGraph, order1: WeakOrder, order2: WeakOrder) -> int:
-    """Number of distinct shortest paths, counted over BFS layers."""
+    """Number of distinct shortest paths, counted over distance layers."""
     a = graph.id_of(order1)
     b = graph.id_of(order2)
-    dist = graph.distance_row(a)
+    dist = [graph.distance_ids(a, v) for v in range(graph.order_count)]
     counts = [0] * graph.order_count
     counts[a] = 1
     for v in sorted(range(graph.order_count), key=lambda v: dist[v]):
@@ -191,7 +186,7 @@ def find_cycle(graph: MoveGraph, length: int) -> tuple[WeakOrder, ...] | None:
     adjacency = graph.adjacency
     extensions = 0
     for start in range(graph.order_count):
-        back = graph.distance_row(start)
+        back = [graph.distance_ids(start, v) for v in range(graph.order_count)]
         path = [start]
         on_path = {start}
         # one neighbour iterator per path vertex; no recursion, so a long

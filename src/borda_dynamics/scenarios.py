@@ -77,6 +77,9 @@ def build_traveling_wave(ell: int, h_cycle: Sequence[WeakOrder]) -> ScenarioConf
     if len(set(cycle)) != k:
         raise ScenarioBuildError("move-graph cycle revisits a state")
     m = cycle[0].m
+    for r, state in enumerate(cycle):
+        if state.m != m:
+            raise ScenarioBuildError(f"cycle state {r} is on {state.m} alternatives, state 0 on {m}")
     graph = build_cover_graph(m)
     for r in range(k):
         if distance(graph, cycle[r], cycle[(r + 1) % k]) != 1:

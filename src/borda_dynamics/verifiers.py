@@ -65,8 +65,6 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, WeakOrder):
-        return format_order(value)
     if isinstance(value, float) and math.isinf(value):
         return "inf"
     if isinstance(value, frozenset):
@@ -74,8 +72,8 @@ def _jsonable(value):
     return value
 
 
-def _profile_text(profile: Profile, names: Sequence[str]) -> dict[str, str]:
-    return {name: format_order(w) for name, w in zip(names, profile)}
+def _profile_text(sc: ScenarioConfig, profile: Profile) -> dict[str, str]:
+    return {name: format_order(w, sc.alt_names) for name, w in zip(sc.network.names, profile)}
 
 
 def _hypothesis_not_met(claim: str, reason: str, **extra) -> VerificationOutcome:
@@ -214,9 +212,9 @@ def verify_forced_even_period(sc: ScenarioConfig) -> VerificationOutcome:
             "fixed_point_count": None if fixed_points is None else len(fixed_points),
             "fixed_points": None
             if fixed_points is None
-            else [_profile_text(p, sc.network.names) for p in fixed_points],
+            else [_profile_text(sc, p) for p in fixed_points],
             "initial_profiles_tried": tried,
-            "witness_initial": _profile_text(witness, sc.network.names),
+            "witness_initial": _profile_text(sc, witness),
             "mu": report.mu,
             "period": report.period,
             "period_even": report.period % 2 == 0,
@@ -307,7 +305,7 @@ def verify_even_period_lifting(sc: ScenarioConfig) -> VerificationOutcome:
             "period": p,
             "half_cycle_a": k_a,
             "half_cycle_b": k_b,
-            "witness": _profile_text(orbit[0], sc.network.names),
+            "witness": _profile_text(sc, orbit[0]),
             "witness_closed": witness_closed,
             "trivial_fixed_point": p == 1,
         },
@@ -458,19 +456,20 @@ def verify_single_peaked_invariance(
             raise ScenarioBuildError(f"initial state of node {sc.network.names[i]} is not single-peaked")
     report = sc.run()
 
+    nodes = sc.network.names
     target_violation = None
     state_violation = None
     for t, log in enumerate(report.target_log):
         for i, tau in log:
             if not is_single_peaked(tau, axis):
-                target_violation = {"step": t, "node": sc.network.names[i], "target": tau}
+                target_violation = {"step": t, "node": nodes[i], "target": format_order(tau, sc.alt_names)}
                 break
         if target_violation:
             break
         after = report.state_at(t + 1)
         for i, w in enumerate(after):
             if not is_single_peaked(w, axis):
-                state_violation = {"step": t + 1, "node": sc.network.names[i], "state": w}
+                state_violation = {"step": t + 1, "node": nodes[i], "state": format_order(w, sc.alt_names)}
                 break
         if state_violation:
             break

@@ -276,6 +276,42 @@ def test_verify_unknown_verifier_exits_two(tmp_path):
     assert "nope" in proc.stderr
 
 
+def test_verify_evidence_names_alternatives_as_the_scenario_does(scenario_dir, tmp_path):
+    gadget = json.loads((scenario_dir / "gadget.json").read_text())
+    gadget["alternatives"] = "abc"
+    gadget["persistent"]["camps"]["rho"] = "a>b>c"
+    gadget["initial"] = {"i": "a>b>c", "j": "c>b>a"}
+    (tmp_path / "gadget_abc.json").write_text(json.dumps(gadget))
+    leaf = {
+        "m": 3,
+        "alternatives": "abc",
+        "network": {"nodes": ["hub", "leaf"], "edges": [
+            {"from": "hub", "to": "hub", "weight": "1"},
+            {"from": "hub", "to": "leaf", "weight": "1"},
+        ]},
+        "persistent": {"pins": [{"node": "hub", "order": "a>b>c"}]},
+        "initial": {"leaf": "(abc)"},
+        "variant": {"kind": "S"},
+    }
+    (tmp_path / "leaf_abc.json").write_text(json.dumps(leaf))
+    entries = [
+        {"verifier": "forced_even_period", "scenario": "gadget_abc.json"},
+        {"verifier": "even_period_lifting", "scenario": "gadget_abc.json"},
+        {"verifier": "single_peaked_invariance", "scenario": "leaf_abc.json",
+         "args": {"axis": "abc"}, "expect": "fail"},
+    ]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"entries": entries}))
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 0, proc.stderr
+    forced, lifting, single_peaked = (r["evidence"] for r in json.loads(proc.stdout))
+    strict = {"a>b>c", "a>c>b", "b>a>c", "b>c>a", "c>a>b", "c>b>a"}
+    assert {(fp["i"], fp["j"]) for fp in forced["fixed_points"]} == {(s, s) for s in strict}
+    assert forced["witness_initial"] == {"i": "a>b>c", "j": "c>b>a", "p": "a>b>c", "q": "c>b>a"}
+    assert set("".join(lifting["witness"].values())) <= set("abc()>")
+    assert single_peaked["first_state_violation"]["state"] == "a>(bc)"
+
+
 # --- export-dot ---------------------------------------------------------------------------
 
 def test_export_dot_network(scenario_dir):
@@ -356,5 +392,34 @@ def test_simulate_stdout_digest_is_frozen(scenario_dir, name, digest):
 ])
 def test_export_dot_stdout_digest_is_frozen(scenario_dir, name, digest):
     proc = subprocess.run(CLI + ["export-dot", "--scenario", str(scenario_dir / name)], capture_output=True)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, digest", [
+    (("2",), "0f5c27c38d7270dc3bd5ed6e18252a07aa4e5a08d036b6f4a2e0f3a115f98f60"),
+    (("2", "--dot"), "c36bc3a3c6d369c10e3a01a6b6b94926e182220622c765c3ffa03a06952c74dd"),
+    (("3",), "377cedafa7405280ac36e7e24a652ec6916a55f021d2910cf99fb700e32ab5b5"),
+    (("3", "--dot"), "4d4b7534b373feee630c893983ebbc32343ef48652e578a98229dde8a62cfd3c"),
+    (("4",), "53b34dbe2df2846b62cbaa5b457cb958e45eb961b77506a0868cd6e55a8a8ec4"),
+    (("4", "--dot"), "7a80d4546484206b0360d2663b00ad07669268a67c1c301a53bd1fbea872d6cd"),
+    (("5",), "67a1add241eeea0df92399183ec0917bc1d4a67438237e0714d432aa8a772eb4"),
+    (("5", "--dot"), "efe19d0527e34d77a53268003eb53fa5c174b4fe1012e05d00e6a1ac7da5f4c0"),
+    (("6",), "b1f323428f6b1411df9eee0616ef88a8c08d3ad470e990137de7ffd4af98129d"),
+    (("6", "--dot"), "a45b03df9fa0f9b5246d8f56bee49b7e086f9cd0870c63e973b90ad4fbceb2b6"),
+])
+def test_enumerate_stdout_digest_is_frozen(args, digest):
+    proc = subprocess.run(CLI + ["enumerate", *args], capture_output=True)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("epsilon_sweep.py", "fcab971ea5f945d82f895641250cf936ecef0f87ff0091d3e149c024ba7693b3"),
+    ("orbit_census.py", "d39704841599dc7d548fe603f9694ad19c758c995dd61ef204e46746b1379a7e"),
+    ("single_peaked_trials.py", "4696e9a33912852bc1941354b751f101772ccf93248bbcbf6e1015f2cc5e371b"),
+])
+def test_script_stdout_digest_is_frozen(scenario_dir, name, digest):
+    proc = subprocess.run([sys.executable, str(scenario_dir.parent / "scripts" / name)], capture_output=True)
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == digest

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -75,7 +76,7 @@ def _is_cover_pair(coarse, fine):
     return False
 
 
-@pytest.mark.parametrize("graph", [G3, G4])
+@pytest.mark.parametrize("graph", [G3, G4, build_cover_graph(5)])
 def test_adjacency_matches_cover_oracle(graph):
     orders = graph.orders
     expected = set()
@@ -88,8 +89,7 @@ def test_adjacency_matches_cover_oracle(graph):
 
 @pytest.mark.parametrize("graph", [G3, G4])
 def test_connected_and_bipartite_by_class_parity(graph):
-    row = graph.distance_row(0)
-    assert all(d >= 0 for d in row)
+    assert all(d >= 0 for d in _reference_bfs(graph, 0))
     for i, j in graph.edges():
         ki = len(graph.orders[i].classes)
         kj = len(graph.orders[j].classes)
@@ -129,13 +129,20 @@ def _reference_bfs(graph, src):
                     ref[v] = ref[u] + 1
                     nxt.append(v)
         frontier = nxt
-    return [ref[v] for v in range(graph.order_count)]
+    return [ref.get(v, -1) for v in range(graph.order_count)]
 
 
 def test_distance_table_agrees_with_reference_bfs():
-    table = G3.distance_table
-    for src in range(G3.order_count):
-        assert list(table[src]) == _reference_bfs(G3, src)
+    # every source for m = 2..5; 20 seeded sources for m = 6
+    for m in range(2, 6):
+        graph = build_cover_graph(m)
+        table = graph.distance_table
+        for src in range(graph.order_count):
+            assert list(table[src]) == _reference_bfs(graph, src), (m, src)
+    graph = build_cover_graph(6)
+    for src in random.Random(6).sample(range(graph.order_count), 20):
+        row = [graph.distance_ids(src, v) for v in range(graph.order_count)]
+        assert row == _reference_bfs(graph, src), (6, src)
 
 
 @settings(deadline=None)
@@ -145,8 +152,8 @@ def test_distance_table_agrees_with_reference_bfs():
     st.integers(min_value=0, max_value=74),
 )
 def test_triangle_inequality(i, j, k):
-    d = G4.distance_row
-    assert d(i)[j] <= d(i)[k] + d(k)[j]
+    d = G4.distance_ids
+    assert d(i, j) <= d(i, k) + d(k, j)
 
 
 # --- bounded step ---------------------------------------------------------------------
@@ -200,7 +207,7 @@ def test_step_is_the_smallest_id_neighbour_one_unit_closer_exhaustive(base):
             expected[a, b] = {POLICY: eager, lazy: a if len(closer) > 1 else eager}
     # each policy first, on a graph whose step cache starts empty
     for policies in ((POLICY, lazy), (lazy, POLICY)):
-        graph = MoveGraph(base.m, base.orders, base.adjacency)
+        graph = MoveGraph(base.m, base.orders)
         for (a, b), want in expected.items():
             for policy in policies:
                 moved = step(policy, graph, graph.orders[a], graph.orders[b])
@@ -238,7 +245,7 @@ def test_geodesic_examples():
 def _paths_between(graph, a, b, limit):
     # brute-force oracle: enumerate simple paths of exactly the BFS length
     found = 0
-    target = graph.distance_row(a)[b]
+    target = graph.distance_ids(a, b)
 
     def walk(u, depth, seen):
         nonlocal found
@@ -247,7 +254,7 @@ def _paths_between(graph, a, b, limit):
                 found += 1
             return
         for v in graph.adjacency[u]:
-            if v not in seen and graph.distance_row(v)[b] == target - depth - 1:
+            if v not in seen and graph.distance_ids(v, b) == target - depth - 1:
                 walk(v, depth + 1, seen | {v})
 
     walk(a, 0, {a})

@@ -54,6 +54,12 @@ def test_wave_builder_rejects_non_cycles():
         build_traveling_wave(4, repeated)
 
 
+def test_wave_builder_rejects_a_cycle_state_on_another_alternative_count():
+    mixed = (o("x>y>z"), o("(xy)>z"), o("y>x>z>u", 4), o("(xyz)"))
+    with pytest.raises(ScenarioBuildError, match="^cycle state 2 is on 4 alternatives, state 0 on 3$"):
+        build_traveling_wave(4, mixed)
+
+
 def test_gadget_builder_layout():
     rho = o("x>y>z")
     sc = build_gadget(3, rho, Fraction(1, 10))

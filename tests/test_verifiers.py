@@ -100,6 +100,17 @@ def test_gadget_fixed_points_are_the_strict_consensus_pairs():
     assert free_states == {(s, s) for s in strict}
 
 
+def test_forced_even_period_sweeps_the_closed_class_from_consensus():
+    # consensus is a fixed point, so the default start fails and the sweep
+    # over the closed class's initial profiles finds the witness
+    outcome = verify_forced_even_period(build_gadget(3, RHO, Fraction(1, 10), initial_free=(RHO, RHO)))
+    assert outcome.passed
+    evidence = outcome.evidence
+    assert evidence["initial_profiles_tried"] == 4
+    assert evidence["witness_initial"] == {"i": "x>y>z", "j": "x>z>y", "p": "x>y>z", "q": "z>y>x"}
+    assert (evidence["mu"], evidence["period"]) == (0, 2)
+
+
 def test_epsilon_sweep_regression():
     # default-start oscillation band on the /20 grid; the fixed-point set is
     # never empty anywhere on the grid
@@ -300,7 +311,7 @@ def test_single_peaked_invariance_counterexample():
     violation = outcome.evidence["first_state_violation"]
     assert violation["step"] == 1
     assert violation["node"] == "leaf"
-    assert violation["state"] == o("x>(yz)")
+    assert violation["state"] == "x>(yz)"
 
 
 def test_single_peaked_invariance_rejects_bad_initial():
