@@ -20,6 +20,11 @@ aggregate: ties and order are decided by integer equality, with no float and
 no tolerance.  The target is read from the dense ranks of that aggregate,
 a tie margin is the smallest gap between its distinct values over 2*D_i,
 and each step is asked of the move graph by id (`MoveGraph.next_id`).
+A node's target depends on its in-neighbours' states alone, so a run keeps
+one target per node between updates and marks it stale when one of those
+in-neighbours moves: a synchronous step marks after all its reads, a
+sequence step at each move.  The uniform schedule's fixed-point check then
+reads cached targets instead of re-aggregating every free node.
 WeakOrders appear again only in the returned OrbitReport.
 `aggregate_scores`, `target`, `is_fixed_point`, `step_sync` and `step_async`
 keep the Fraction arithmetic as the reference path.
@@ -238,15 +243,22 @@ def _order_ids(graph: MoveGraph, orders: Iterable[tuple[int, WeakOrder]]) -> dic
 def _id_tables(m: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
     """Doubled Borda scores by canonical id, and dense-rank tuple -> canonical id.
 
-    Doubled Borda scores are integers: a class scores the average of
-    consecutive integer ranks, a multiple of 1/2.  The dense rank of an
+    A class of c alternatives above `below` others occupies the ranks below
+    to below + c - 1, so each of its alternatives scores their average, and
+    the doubled score 2*below + c - 1 is an integer.  The dense rank of an
     alternative is the index of its class, so an aggregate projects to the
     order whose class indices are its dense ranks.
     """
     scores, rank_ids = [], {}
     for k, order in enumerate(enumerate_weak_orders(m)):
-        scores.append(tuple(int(2 * s) for s in borda_scores(order)))
-        rank_ids[tuple(order.class_index(a) for a in range(m))] = k
+        doubled, ranks = [0] * m, [0] * m
+        below = m
+        for index, cls in enumerate(order.classes):
+            below -= len(cls)
+            for a in cls:
+                doubled[a], ranks[a] = 2 * below + len(cls) - 1, index
+        scores.append(tuple(doubled))
+        rank_ids[tuple(ranks)] = k
     return tuple(scores), rank_ids
 
 
@@ -254,7 +266,13 @@ class _Kernel:
     """One run compiled to integers over canonical ids (see the module docstring).
 
     Built per run and dropped with it: `rows[i]` is (in-neighbours, integer
-    weights W_ij, 2*D_i) for each compiled node; the graph keeps the steps.
+    weights W_ij, 2*D_i) for each compiled node, and `listeners[j]` lists the
+    compiled nodes whose row reads j; the graph keeps the steps.  `start`
+    gives the kernel the run's state, which `update` then moves in place.
+    `targets[i]` caches node i's target for that state, -1 when stale: a
+    move of j marks every node of `listeners[j]` stale, so a target is
+    recomputed only after one of its in-neighbours has moved.  `target` and
+    `stays` are pure functions of the state they are given.
     """
 
     def __init__(self, net: InfluenceNetwork, graph: MoveGraph, policy: StepPolicy, nodes: Iterable[int]):
@@ -262,14 +280,16 @@ class _Kernel:
         self.graph = graph
         self.stay_on_ambiguity = policy.allow_no_move_on_ambiguity
         self.rows: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+        self.listeners: list[list[int]] = [[] for _ in range(net.n)]
         for i in nodes:
             support = net.rows[i]
             d = math.lcm(*(w.denominator for _, w in support))
-            self.rows[i] = (
-                tuple(j for j, _ in support),
-                tuple(w.numerator * (d // w.denominator) for _, w in support),
-                2 * d,
-            )
+            ins = tuple(j for j, _ in support)
+            self.rows[i] = (ins, tuple(w.numerator * (d // w.denominator) for _, w in support), 2 * d)
+            for j in ins:
+                self.listeners[j].append(i)
+        self.state: list[int] = []
+        self.targets: list[int] = []
 
     def aggregate(self, state: Sequence[int], i: int) -> list[int]:
         """Node i's aggregate times 2*D_i, one integer per alternative."""
@@ -287,22 +307,54 @@ class _Kernel:
         stalled there under no-move-on-ambiguity."""
         return self.graph.next_id(state[i], self.target(state, i), self.stay_on_ambiguity) == state[i]
 
-    def update(self, nodes: Sequence[int], state: tuple[int, ...], synchronous: bool):
+    def start(self, state: Sequence[int]) -> None:
+        """Make `state` the run's current state, with every target stale."""
+        self.state = list(state)
+        self.targets = [-1] * len(state)
+
+    def cached_target(self, i: int) -> int:
+        """Node i's target in the current state, recomputed only when stale."""
+        tau = self.targets[i]
+        if tau < 0:
+            tau = self.targets[i] = self.target(self.state, i)
+        return tau
+
+    def settled(self, i: int) -> bool:
+        """`stays` for the current state, read from the cached target."""
+        current = self.state[i]
+        return self.graph.next_id(current, self.cached_target(i), self.stay_on_ambiguity) == current
+
+    def update(self, nodes: Sequence[int], synchronous: bool):
         """Move each of `nodes` in turn one step toward its target.
 
-        A synchronous step reads every target from `state`; a sequence step
-        reads the state as the earlier nodes left it.  Returns the target log
-        and the new state.
+        A synchronous step reads every target from the state before the
+        step, so its moves are written, and their listeners marked stale,
+        once every node has been read; a sequence step writes each move at
+        once, so later nodes (the mover too, on a self-loop) read it.
+        Returns the target log and the new state.
         """
-        log = []
-        nxt = list(state)
-        view = state if synchronous else nxt
+        state, cached_target = self.state, self.cached_target
         next_id, lazy = self.graph.next_id, self.stay_on_ambiguity
+        log, moves = [], []
         for i in nodes:
-            tau = self.target(view, i)
+            tau = cached_target(i)
             log.append((i, tau))
-            nxt[i] = next_id(nxt[i], tau, lazy)
-        return tuple(log), tuple(nxt)
+            nxt = next_id(state[i], tau, lazy)
+            if nxt != state[i]:
+                moves.append((i, nxt))
+                if not synchronous:
+                    self._write(moves)
+        self._write(moves)
+        return tuple(log), tuple(state)
+
+    def _write(self, moves: list[tuple[int, int]]) -> None:
+        """Apply and clear `moves`, marking each mover's listeners stale."""
+        state, targets, listeners = self.state, self.targets, self.listeners
+        for i, nxt in moves:
+            state[i] = nxt
+            for k in listeners[i]:
+                targets[k] = -1
+        moves.clear()
 
     def min_margin(self, states: Iterable[Sequence[int]], free: Sequence[int]) -> Fraction | float:
         """Smallest tie margin of any free node's aggregate over `states`:
@@ -354,6 +406,7 @@ def run_until_cycle(
     state = tuple(_order_ids(graph, enumerate(initial)).values())
     free = persistent.free_nodes(net.n)
     kernel = _Kernel(net, graph, policy, free)
+    kernel.start(state)
 
     if schedule.kind == "uniform":
         return _run_uniform(kernel, free, state, schedule, max_steps)
@@ -375,7 +428,7 @@ def run_until_cycle(
         if first is not None:
             return kernel.report(list(seen), first, logs, free)
         seen[state] = t
-        log, state = kernel.update(nodes, state, synchronous)
+        log, state = kernel.update(nodes, synchronous)
         logs.append(log)
     raise BudgetExceededError(f"no cycle within {max_steps} steps")
 
@@ -387,12 +440,11 @@ def _run_uniform(kernel: _Kernel, free, state, schedule, max_steps):
     states = [state]
     logs = []
     for t in range(max_steps + 1):
-        if all(kernel.stays(state, i) for i in free):
+        if all(map(kernel.settled, free)):
             return kernel.report(states, t, logs, free)
         if t == max_steps:
             break
-        i = free[rng.randrange(len(free))]
-        log, state = kernel.update((i,), state, True)
+        log, state = kernel.update((free[rng.randrange(len(free))],), True)
         logs.append(log)
         states.append(state)
     raise BudgetExceededError(f"no fixed point within {max_steps} asynchronous updates")
@@ -421,7 +473,9 @@ def enumerate_fixed_points(
     Free nodes are assigned in index order.  Node i is checked as soon as it
     and its free in-neighbours all have states, which fixes its target, and a
     failed check prunes every completion.  Raises BudgetExceededError once
-    more than `budget` partial profiles have been tried.
+    more than `budget` partial profiles have been tried, and before searching
+    when the levels up to the first check, which nothing prunes, already
+    hold more.
     """
     pinned = _order_ids(graph, persistent.pins.items())
     free = persistent.free_nodes(net.n)
@@ -435,6 +489,16 @@ def enumerate_fixed_points(
     for i in free:
         checks[max(level.get(j, -1) for j in (i, *net.in_neighbors(i)))].append(i)
     space = range(graph.order_count)
+    # nothing prunes before the first check, so every partial profile on the
+    # levels up to it is tried: refuse at once when they alone exceed the budget
+    size, unpruned = 1, 0
+    for nodes in checks:
+        size *= len(space)
+        unpruned += size
+        if unpruned > budget:
+            raise BudgetExceededError(f"more than {budget} partial profiles tried")
+        if nodes:
+            break
     found = []
     tried = 0
     # one iterator over the order ids per assigned level; no recursion, so

@@ -46,7 +46,8 @@ class MoveGraph:
     `cuts[i]` is order i's chain of cuts as one bitmask: bit p is set when
     the alternative set with bitmask p is a cut.  Dropping a cut merges two
     adjacent classes, so `adjacency` derives from `cuts`, and the distance of
-    two ids is the number of cuts exactly one of them has.  The step rows
+    two ids is the number of cuts exactly one of them has.  `id_of` is one
+    lookup in a class-sequence -> id dict.  The step rows
     are the only lazy state: one per target, holding by current id -1 until
     asked, else the first candidate, plus order_count if ambiguous.
     """
@@ -65,6 +66,7 @@ class MoveGraph:
                 neighbors[j].append(i)
                 rest &= rest - 1
         self.adjacency = tuple(tuple(sorted(nb)) for nb in neighbors)
+        self._ids = {order.classes: k for k, order in enumerate(orders)}
         self._steps: dict[int, array] = {}
 
     @property
@@ -84,9 +86,10 @@ class MoveGraph:
 
     def id_of(self, order: WeakOrder) -> int:
         """Canonical id of `order`, which must be on the graph's m alternatives."""
-        if order.m != self.m:
+        k = self._ids.get(order.classes)
+        if k is None:
             raise ValueError(f"{format_order(order)} is on {order.m} alternatives, not the graph's {self.m}")
-        return order.canonical_id
+        return k
 
     def degree(self, order: WeakOrder) -> int:
         return len(self.adjacency[self.id_of(order)])

@@ -372,6 +372,32 @@ def test_enumerate_fixed_points_budget():
         enumerate_fixed_points(net, G3, POLICY, FREE, budget=100)
 
 
+def test_enumerate_fixed_points_budget_counts_the_unpruned_levels():
+    # one free node, checked on level 0: its 13 orders are the whole search
+    net = influence_network([["0", "1"], ["0", "1"]])
+    pc = PersistentConfig(pins={1: o("x>(yz)")})
+    assert enumerate_fixed_points(net, G3, POLICY, pc, budget=13) == [(o("x>(yz)"), o("x>(yz)"))]
+    with pytest.raises(BudgetExceededError):
+        enumerate_fixed_points(net, G3, POLICY, pc, budget=12)
+
+
+def test_enumerate_fixed_points_refuses_before_searching_past_its_budget(monkeypatch):
+    # every node hears every node, so nothing is checked before the last of
+    # six levels: 13 + 13**2 + ... + 13**6 partial profiles exceed the default
+    # budget, and the search is refused before any of them is tried
+    checked = []
+    stays = dynamics._Kernel.stays
+
+    def counted(self, state, i):
+        checked.append(i)
+        return stays(self, state, i)
+
+    monkeypatch.setattr(dynamics._Kernel, "stays", counted)
+    with pytest.raises(BudgetExceededError, match="^more than 1000000 partial profiles tried$"):
+        enumerate_fixed_points(uniform_net(6), G3, POLICY, FREE)
+    assert checked == []
+
+
 def brute_force_fixed_points(net, graph, policy, pc):
     """Reference: every assignment of the free nodes, in itertools.product
     order, kept when one synchronous step leaves it unchanged."""
@@ -555,7 +581,7 @@ KERNEL_MAX_STEPS = 60
 @st.composite
 def kernel_cases(draw):
     m = draw(st.integers(2, 6))
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
     rows = []
     for i in range(n):
         raw = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
@@ -575,7 +601,7 @@ def kernel_cases(draw):
     if kind == "synchronous":
         schedule = Schedule.synchronous()
     elif kind == "sequence":
-        schedule = Schedule.sequence(draw(st.lists(st.sampled_from(free), min_size=1, max_size=6)))
+        schedule = Schedule.sequence(draw(st.lists(st.sampled_from(free), min_size=1, max_size=12)))
     else:
         schedule = Schedule.uniform(draw(st.integers(0, 2**31)))
     policy = StepPolicy(allow_no_move_on_ambiguity=draw(st.booleans()))
@@ -589,13 +615,17 @@ def kernel_cases(draw):
 )
 @settings(deadline=None, max_examples=300)
 def test_runs_match_the_fraction_reference(case):
-    net, graph, policy, pc, initial, schedule = case
-    expected = reference_run(net, graph, policy, pc, initial, schedule, KERNEL_MAX_STEPS)
+    assert_run_matches_reference(*case, KERNEL_MAX_STEPS)
+
+
+def assert_run_matches_reference(net, graph, policy, pc, initial, schedule, max_steps):
+    """run_until_cycle equals reference_run; returns the report (None on a budget error)."""
+    expected = reference_run(net, graph, policy, pc, initial, schedule, max_steps)
     if expected is None:
         with pytest.raises(BudgetExceededError):
-            run_until_cycle(net, graph, policy, pc, initial, schedule, KERNEL_MAX_STEPS)
-        return
-    report = run_until_cycle(net, graph, policy, pc, initial, schedule, KERNEL_MAX_STEPS)
+            run_until_cycle(net, graph, policy, pc, initial, schedule, max_steps)
+        return None
+    report = run_until_cycle(net, graph, policy, pc, initial, schedule, max_steps)
     mu, period, prefix, logs, margin = expected
     assert (report.mu, report.period) == (mu, period)
     assert report.prefix == tuple(prefix)
@@ -603,6 +633,60 @@ def test_runs_match_the_fraction_reference(case):
     assert report.target_log == tuple(logs)
     assert report.min_margin == margin
     assert type(report.min_margin) is type(margin)
+    return report
+
+
+def test_a_sequence_step_reads_a_self_loop_move():
+    # node 0 hears itself and a pin at 1/2 each; its first target (xyz) moves
+    # it to x>(yz), which changes its own second target within the step
+    net = influence_network([["1/2", "1/2"], ["0", "1"]])
+    pc = PersistentConfig(pins={1: o("z>y>x")})
+    report = assert_run_matches_reference(
+        net, G3, POLICY, pc, (o("x>y>z"), o("z>y>x")), Schedule.sequence([0, 0, 0]), 20
+    )
+    first, second, _ = report.target_log[0]
+    assert (first, second) == ((0, o("(xyz)")), (0, o("z>x>y")))
+
+
+def chained_pins_case(seed):
+    """A uniform run on 24 nodes with 5 free ones, each reading 3 pins and the
+    free node before it, so that every move makes exactly one free target stale."""
+    rng = random.Random(seed)
+    n, free = 24, (0, 1, 2, 3, 4)
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        if i in free:
+            for j in rng.sample(range(len(free), n), 3):
+                row[j] = rng.randint(1, 3)
+            row[free[i - 1]] = rng.randint(2, 6)
+        else:
+            row[i] = 1
+        rows.append([Fraction(w, sum(row)) for w in row])
+    initial = random_profile(rng, n, 4)
+    pc = PersistentConfig(pins={i: initial[i] for i in range(len(free), n)})
+    return influence_network(rows), build_cover_graph(4), POLICY, pc, initial, Schedule.uniform(seed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_uniform_runs_recompute_a_target_only_after_an_in_neighbour_moves(seed, monkeypatch):
+    case = chained_pins_case(seed)
+    calls = []
+    target_of = dynamics._Kernel.target
+
+    def counted(self, state, i):
+        calls.append(i)
+        return target_of(self, state, i)
+
+    monkeypatch.setattr(dynamics._Kernel, "target", counted)
+    report = assert_run_matches_reference(*case, 2000)
+    free = case[3].free_nodes(case[0].n)
+    updates = len(report.target_log)
+    assert updates > len(free)
+    # each free target is computed once, then again only after its one free
+    # in-neighbour moves; re-aggregating in the stop check would add at least
+    # one more call per update
+    assert len(calls) <= updates + len(free)
 
 
 SHIPPED_SCENARIOS = sorted(
@@ -614,7 +698,6 @@ SHIPPED_SCENARIOS = sorted(
 def test_runs_and_fixed_point_search_do_no_fraction_arithmetic(monkeypatch):
     scenarios = [load_scenario(p) for p in SHIPPED_SCENARIOS]
     assert len(scenarios) == 8
-    # the first pass also builds the per-m tables, which read Borda scores once
     reports = [sc.run() for sc in scenarios]
     fixed = enumerate_fixed_points(GADGET.network, G3, POLICY, GADGET.persistent)
 
@@ -630,11 +713,21 @@ def test_runs_and_fixed_point_search_do_no_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(Fraction, f"__r{op}__", forbidden)
     for op in ("lt", "le", "gt", "ge"):
         monkeypatch.setattr(Fraction, f"__{op}__", forbidden)
+    # the per-m tables are rebuilt under the guard, so they too are built in integers
+    dynamics._id_tables.cache_clear()
     again = [sc.run() for sc in scenarios]
     fixed_again = enumerate_fixed_points(GADGET.network, G3, POLICY, GADGET.persistent)
     monkeypatch.undo()
     assert again == reports
     assert fixed_again == fixed
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_id_tables_hold_doubled_borda_scores_and_dense_ranks(m):
+    scores, rank_ids = dynamics._id_tables(m)
+    space = enumerate_weak_orders(m)
+    assert scores == tuple(tuple(2 * s for s in weak_orders.borda_scores(w)) for w in space)
+    assert rank_ids == {tuple(w.class_index(a) for a in range(m)): k for k, w in enumerate(space)}
 
 
 M3_SWAP = (o("x>y>z"), o("z>y>x"))
