@@ -17,9 +17,18 @@ the least common denominator D_i of its weights to integers W_ij (they sum
 to D_i), and each order's Borda scores are doubled to integers B2, so node
 i's aggregate sum_j W_ij * B2[state_j] is exactly 2*D_i times the Fraction
 aggregate: ties and order are decided by integer equality, with no float and
-no tolerance.  The target is read from the dense ranks of that aggregate,
-a tie margin is the smallest gap between its distinct values over 2*D_i,
-and each step is asked of the move graph by id (`MoveGraph.next_id`).
+no tolerance.  Each order's B2 is packed into one int with a fixed-width lane
+per alternative, B2[a] in the bits from a*lane up.  A lane of an aggregate
+lies between 0 and 2*(m-1)*D_i, and a lane has as many bits as the largest
+such bound of the run needs, so the weighted sum of packed ints never
+carries from one lane into the next: it is the aggregate, one multiply-add
+per in-neighbour.
+The target is read from the dense ranks of the lanes and memoised by the
+packed int, which fixes the lane values and so the target, whatever the row;
+the memo is emptied once it holds TARGET_MEMO_CAP entries, which bounds the
+memory of a long fixed-point search.  A tie margin is the smallest gap
+between distinct lane values over 2*D_i, and each step is asked of the move
+graph by id (`MoveGraph.next_id`).
 A node's target depends on its in-neighbours' states alone, so a run keeps
 one target per node between updates and marks it stale when one of those
 in-neighbours moves: a synchronous step marks after all its reads, a
@@ -38,7 +47,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul, sub
+from operator import itemgetter, sub
 from typing import IO, Iterable, Sequence
 
 from .errors import BudgetExceededError, ScheduleError
@@ -61,6 +70,9 @@ TargetLog = tuple[tuple[int, WeakOrder], ...]
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_ENUM_BUDGET = 10**6
+#: a kernel forgets its memoised projections once it holds this many, so a
+#: long fixed-point search keeps bounded memory
+TARGET_MEMO_CAP = 2**16
 
 
 @dataclass(frozen=True)
@@ -262,45 +274,73 @@ def _id_tables(m: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...
     return tuple(scores), rank_ids
 
 
+@lru_cache(maxsize=None)
+def _packed_scores(m: int, lane: int) -> tuple[int, ...]:
+    """Doubled Borda scores by canonical id, alternative a in the bits from a*lane up."""
+    return tuple(sum(s << a * lane for a, s in enumerate(scores)) for scores in _id_tables(m)[0])
+
+
 class _Kernel:
     """One run compiled to integers over canonical ids (see the module docstring).
 
-    Built per run and dropped with it: `rows[i]` is (in-neighbours, integer
-    weights W_ij, 2*D_i) for each compiled node, and `listeners[j]` lists the
-    compiled nodes whose row reads j; the graph keeps the steps.  `start`
-    gives the kernel the run's state, which `update` then moves in place.
-    `targets[i]` caches node i's target for that state, -1 when stale: a
-    move of j marks every node of `listeners[j]` stale, so a target is
-    recomputed only after one of its in-neighbours has moved.  `target` and
-    `stays` are pure functions of the state they are given.
+    Built per run and dropped with it: `rows[i]` is ((j, W_ij) per
+    in-neighbour, 2*D_i) for each compiled node, and `listeners[j]` lists the
+    compiled nodes whose row reads j; the graph keeps the steps.  `packed[k]`
+    holds order k's doubled Borda scores in one int, alternative a in the
+    `lane` bits from a*lane up, so an aggregate is one int too.  `memo` maps
+    a packed aggregate to its target id, shared by every row, and is emptied
+    when it holds TARGET_MEMO_CAP entries.  `start` gives the kernel the
+    run's state, which `update` then moves in place.  `targets[i]` caches
+    node i's target for that state, -1 when stale: a move of j marks every
+    node of `listeners[j]` stale, so a target is recomputed only after one of
+    its in-neighbours has moved.  `target` and `stays` are pure functions of
+    the state they are given.
     """
 
     def __init__(self, net: InfluenceNetwork, graph: MoveGraph, policy: StepPolicy, nodes: Iterable[int]):
-        self.scores, self.rank_ids = _id_tables(graph.m)
+        m = graph.m
         self.graph = graph
         self.stay_on_ambiguity = policy.allow_no_move_on_ambiguity
-        self.rows: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+        self.rank_ids = _id_tables(m)[1]
+        self.rows: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
         self.listeners: list[list[int]] = [[] for _ in range(net.n)]
         for i in nodes:
             support = net.rows[i]
             d = math.lcm(*(w.denominator for _, w in support))
-            ins = tuple(j for j, _ in support)
-            self.rows[i] = (ins, tuple(w.numerator * (d // w.denominator) for _, w in support), 2 * d)
-            for j in ins:
+            self.rows[i] = (tuple((j, w.numerator * (d // w.denominator)) for j, w in support), 2 * d)
+            for j, _ in support:
                 self.listeners[j].append(i)
+        # a lane of an aggregate lies in 0..2(m-1)*D_i, so lanes never carry
+        lane = ((m - 1) * max((scale for _, scale in self.rows.values()), default=2)).bit_length()
+        self.lane, self.mask, self.shifts = lane, (1 << lane) - 1, range(0, m * lane, lane)
+        self.packed = _packed_scores(m, lane)
+        self.memo: dict[int, int] = {}
         self.state: list[int] = []
         self.targets: list[int] = []
 
-    def aggregate(self, state: Sequence[int], i: int) -> list[int]:
-        """Node i's aggregate times 2*D_i, one integer per alternative."""
-        ins, weights, _ = self.rows[i]
-        scores = self.scores
-        return [sum(map(mul, weights, column)) for column in zip(*[scores[state[j]] for j in ins])]
+    def aggregate(self, state: Sequence[int], i: int) -> int:
+        """Node i's aggregate times 2*D_i, packed: one lane per alternative."""
+        packed = self.packed
+        return sum([w * packed[state[j]] for j, w in self.rows[i][0]])
+
+    def lanes(self, total: int) -> list[int]:
+        """The per-alternative values of a packed aggregate."""
+        mask = self.mask
+        return [total >> shift & mask for shift in self.shifts]
 
     def target(self, state: Sequence[int], i: int) -> int:
         total = self.aggregate(state, i)
-        distinct = sorted(set(total), reverse=True)
-        return self.rank_ids[tuple(map(distinct.index, total))]
+        tau = self.memo.get(total)
+        return self.project(total) if tau is None else tau
+
+    def project(self, total: int) -> int:
+        """The target of a packed aggregate, read from its dense ranks and memoised."""
+        if len(self.memo) >= TARGET_MEMO_CAP:
+            self.memo.clear()
+        lanes = self.lanes(total)
+        distinct = sorted(set(lanes), reverse=True)
+        tau = self.memo[total] = self.rank_ids[tuple(map(distinct.index, lanes))]
+        return tau
 
     def stays(self, state: Sequence[int], i: int) -> bool:
         """True iff node i's step leaves it where it is: at its target, or
@@ -362,10 +402,10 @@ class _Kernel:
         best: tuple[int, int] | None = None  # (gap, 2*D_i)
         for state in states:
             for i in free:
-                distinct = sorted(set(self.aggregate(state, i)))
+                distinct = sorted(set(self.lanes(self.aggregate(state, i))))
                 if len(distinct) < 2:
                     continue
-                gap, scale = min(map(sub, distinct[1:], distinct)), self.rows[i][2]
+                gap, scale = min(map(sub, distinct[1:], distinct)), self.rows[i][1]
                 if best is None or gap * best[1] < best[0] * scale:
                     best = (gap, scale)
         return math.inf if best is None else Fraction(*best)
@@ -373,13 +413,16 @@ class _Kernel:
     def report(self, states: Sequence[tuple[int, ...]], mu: int, logs, free) -> OrbitReport:
         """The OrbitReport of visited `states` whose orbit starts at `mu`."""
         orders = self.graph.orders
-        prefix = tuple(tuple(map(orders.__getitem__, state)) for state in states)
+        if len(states[0]) > 1:
+            prefix = tuple(itemgetter(*state)(orders) for state in states)
+        else:  # itemgetter of one index returns the bare order
+            prefix = tuple(tuple(map(orders.__getitem__, state)) for state in states)
         return OrbitReport(
             mu=mu,
             period=len(states) - mu,
             orbit=prefix[mu:],
             min_margin=self.min_margin(states[mu:], free),
-            target_log=tuple(tuple((i, orders[tau]) for i, tau in log) for log in logs),
+            target_log=tuple([tuple([(i, orders[tau]) for i, tau in log]) for log in logs]),
             prefix=prefix,
         )
 

@@ -103,12 +103,15 @@ def influence_network(
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        coerced = []
-        for w in row:
-            if type(w) is not Fraction and isinstance(w, (float, bool)):
-                raise ValueError(f"row {i} has entry {w!r}, expected a Fraction, an int or a p/q string")
-            coerced.append(w if type(w) is Fraction else Fraction(w))
-        support.append(tuple((j, w) for j, w in enumerate(coerced) if w))
+        pairs = []
+        for j, w in enumerate(row):
+            if type(w) is not Fraction:
+                if isinstance(w, (float, bool)):
+                    raise ValueError(f"row {i} has entry {w!r}, expected a Fraction, an int or a p/q string")
+                w = Fraction(w)
+            if w:
+                pairs.append((j, w))
+        support.append(tuple(pairs))
     return InfluenceNetwork(tuple(support), _names(names, n))
 
 

@@ -689,6 +689,76 @@ def test_uniform_runs_recompute_a_target_only_after_an_in_neighbour_moves(seed, 
     assert len(calls) <= updates + len(free)
 
 
+@pytest.mark.parametrize("schedule", [Schedule.synchronous(), Schedule.sequence([0, 0]), Schedule.uniform(3)],
+                         ids=["sync", "sequence", "uniform"])
+def test_a_one_node_run_reports_one_tuples(schedule):
+    # a single state index must still give a 1-tuple profile in the report
+    report = assert_run_matches_reference(
+        influence_network([[1]]), G3, POLICY, FREE, (o("x>(yz)"),), schedule, 10)
+    assert report.prefix == ((o("x>(yz)"),),)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_lane_at_its_bound_neither_carries_nor_truncates(seed):
+    # node 0 hears three strict pins that share the top alternative 0; after
+    # the perturbation its row has a large LCD D_0, the largest of the run, so
+    # the top lane of its aggregate is 2(m-1)*D_0 and fills the lane's top bit
+    m = 6
+    pins = [parse_order(text, m) for text in ("0>1>2>3>4>5", "0>5>4>3>2>1", "0>3>1>5>2>4")]
+    net = influence_network([[0, "1/3", "1/3", "1/3"], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    net = perturb_weights(net, Fraction(1, 7), seed)
+    pc = PersistentConfig(pins={1 + k: pin for k, pin in enumerate(pins)})
+    graph = build_cover_graph(m)
+    initial = (parse_order("5>4>3>2>1>0", m), *pins)
+    kernel = dynamics._Kernel(net, graph, POLICY, (0,))
+    lanes = kernel.lanes(kernel.aggregate([graph.id_of(w) for w in initial], 0))
+    scale = kernel.rows[0][1]
+    assert scale > 10**6
+    assert lanes[0] == (m - 1) * scale and lanes[0].bit_length() == kernel.lane
+    for schedule in (Schedule.synchronous(), Schedule.sequence([0, 0, 0])):
+        report = assert_run_matches_reference(net, graph, POLICY, pc, initial, schedule, 40)
+        assert report.min_margin != math.inf
+
+
+def counted_projections(monkeypatch):
+    """Patch `_Kernel.project` to record (packed aggregate, memo size after it) per call."""
+    calls = []
+    project = dynamics._Kernel.project
+
+    def counted(self, total):
+        tau = project(self, total)
+        calls.append((total, len(self.memo)))
+        return tau
+
+    monkeypatch.setattr(dynamics._Kernel, "project", counted)
+    return calls
+
+
+def test_the_copier_ring_projects_each_distinct_aggregate_once(monkeypatch):
+    cycle = find_cycle(build_cover_graph(4), 24)
+    sc = build_traveling_wave(120, cycle)
+    calls = counted_projections(monkeypatch)
+    report = sc.run()
+    assert (report.mu, report.period) == (0, 24)
+    aggregates = [total for total, _ in calls]
+    # 120 targets per step, but a copier's aggregate is its predecessor's
+    # packed scores, one of the 24 cycle orders
+    assert len(aggregates) == len(set(aggregates)) <= len(cycle)
+    assert sum(map(len, report.target_log)) == 120 * 24
+
+
+def test_the_projection_memo_stays_under_its_cap(monkeypatch):
+    # node 1 hears node 0 at 1/3 and itself at 2/3: nearly every partial
+    # profile of the m = 6 search gives node 1 a new aggregate
+    net = influence_network([[1, 0], ["1/3", "2/3"]])
+    calls = counted_projections(monkeypatch)
+    budget = 2 * dynamics.TARGET_MEMO_CAP
+    with pytest.raises(BudgetExceededError):
+        enumerate_fixed_points(net, build_cover_graph(6), POLICY, FREE, budget)
+    assert len(calls) > dynamics.TARGET_MEMO_CAP
+    assert max(size for _, size in calls) == dynamics.TARGET_MEMO_CAP
+
+
 SHIPPED_SCENARIOS = sorted(
     p for p in (Path(__file__).resolve().parent.parent / "scenarios").glob("*.json")
     if not p.name.startswith("suite")
@@ -713,8 +783,10 @@ def test_runs_and_fixed_point_search_do_no_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(Fraction, f"__r{op}__", forbidden)
     for op in ("lt", "le", "gt", "ge"):
         monkeypatch.setattr(Fraction, f"__{op}__", forbidden)
-    # the per-m tables are rebuilt under the guard, so they too are built in integers
+    # the per-m tables and packed scores are rebuilt under the guard, so they
+    # too are built in integers
     dynamics._id_tables.cache_clear()
+    dynamics._packed_scores.cache_clear()
     again = [sc.run() for sc in scenarios]
     fixed_again = enumerate_fixed_points(GADGET.network, G3, POLICY, GADGET.persistent)
     monkeypatch.undo()

@@ -133,6 +133,22 @@ def test_dense_float_and_bool_entries_are_rejected_naming_the_row(rows, row):
         influence_network(rows)
 
 
+@pytest.mark.parametrize("zero", [0, "0", "0/5", Fraction(0)], ids=["int", "str", "p/q", "Fraction"])
+def test_dense_zeros_in_every_spelling_are_dropped(zero):
+    net = influence_network([[zero, "1/2", "1/2"], [1, zero, zero], [zero, Fraction(1), 0]])
+    assert net.rows == (((1, F(1, 2)), (2, F(1, 2))), ((0, F(1)),), ((1, F(1)),))
+
+
+@pytest.mark.parametrize("bad", [0.0, 0.5, False, True])
+@pytest.mark.parametrize("column", range(3))
+def test_a_dense_float_or_bool_in_any_column_is_rejected(bad, column):
+    rows = [["1/2", "1/2", 0], ["0", "0", "1"], [1, 0, 0]]
+    rows[1][column] = bad
+    message = f"row 1 has entry {bad!r}, expected a Fraction, an int or a p/q string"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        influence_network(rows)
+
+
 def test_a_network_built_from_lists_equals_the_tuple_one_and_hashes():
     half, one = Fraction(1, 2), Fraction(1)
     from_lists = InfluenceNetwork([[[1, half], [2, half]], [(0, one)], [[0, one]]], ["a", "b", "c"])
