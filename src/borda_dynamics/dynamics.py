@@ -29,11 +29,12 @@ the memo is emptied once it holds TARGET_MEMO_CAP entries, which bounds the
 memory of a long fixed-point search.  A tie margin is the smallest gap
 between distinct lane values over 2*D_i, and each step is asked of the move
 graph by id (`MoveGraph.next_id`).
-A node's target depends on its in-neighbours' states alone, so a run keeps
-one target per node between updates and marks it stale when one of those
-in-neighbours moves: a synchronous step marks after all its reads, a
-sequence step at each move.  The uniform schedule's fixed-point check then
-reads cached targets instead of re-aggregating every free node.
+A node's target depends on its in-neighbours' states alone, so the kernel
+keeps one target per node and marks it stale when an in-neighbour is
+written: a synchronous step writes after all its reads, a sequence step
+each move, the fixed-point search each assignment.  The uniform stop check
+and the search's pruning check read cached targets, so a target is
+recomputed only after an in-neighbour has moved.
 WeakOrders appear again only in the returned OrbitReport.
 `aggregate_scores`, `target`, `is_fixed_point`, `step_sync` and `step_async`
 keep the Fraction arithmetic as the reference path.
@@ -112,11 +113,6 @@ class PersistentConfig:
 
     def free_nodes(self, n: int) -> tuple[int, ...]:
         return tuple(i for i in range(n) if i not in self.pins)
-
-    def check_profile(self, profile: Profile) -> None:
-        for node, order in self.pins.items():
-            if profile[node] != order:
-                raise ValueError(f"profile disagrees with pin at node {node}")
 
 
 @dataclass(frozen=True)
@@ -201,7 +197,7 @@ def step_sync(
 
     Fraction reference path; runs use the integer kernel.
     """
-    _order_ids(graph, enumerate(profile))
+    _state_ids(net.n, persistent, profile, graph)
     return _update(net, graph, policy, persistent.free_nodes(net.n), profile, True)[1]
 
 
@@ -219,7 +215,7 @@ def step_async(
     """
     if i in persistent.pins:
         raise ScheduleError(f"node {i} is pinned and cannot be scheduled")
-    _order_ids(graph, enumerate(profile))
+    _state_ids(net.n, persistent, profile, graph)
     return _update(net, graph, policy, (i,), profile, True)[1]
 
 
@@ -239,8 +235,25 @@ def _update(net, graph, policy, nodes, profile, synchronous):
     return tuple(log), tuple(nxt)
 
 
-def _order_ids(graph: MoveGraph, orders: Iterable[tuple[int, WeakOrder]]) -> dict[int, int]:
-    """Node -> id of its order per (node, order) pair; rejects, by node, an order on another m."""
+def _state_ids(
+    n: int, persistent: PersistentConfig, profile: Profile | None = None, graph: MoveGraph | None = None
+) -> dict[int, int]:
+    """Node -> id on `graph` of each order of `profile`, or of each pin without
+    one ({} without a graph).  Raises ValueError on a pin outside 0..n-1, a
+    profile of other than n orders or off a pin, and an order on another m."""
+    orders = persistent.pins.items()
+    for node, _ in orders:
+        if not 0 <= node < n:
+            raise ValueError(f"pin at node {node}, but the network's nodes are 0..{n - 1}")
+    if profile is not None:
+        if len(profile) != n:
+            raise ValueError(f"profile length {len(profile)}, but the network has {n} nodes")
+        for node, order in orders:
+            if profile[node] != order:
+                raise ValueError(f"profile disagrees with pin at node {node}")
+        orders = enumerate(profile)
+    if graph is None:
+        return {}
     ids = {}
     for node, order in orders:
         try:
@@ -283,21 +296,21 @@ def _packed_scores(m: int, lane: int) -> tuple[int, ...]:
 class _Kernel:
     """One run compiled to integers over canonical ids (see the module docstring).
 
-    Built per run and dropped with it: `rows[i]` is ((j, W_ij) per
+    Built per run or search and dropped with it: `rows[i]` is ((j, W_ij) per
     in-neighbour, 2*D_i) for each compiled node, and `listeners[j]` lists the
     compiled nodes whose row reads j; the graph keeps the steps.  `packed[k]`
     holds order k's doubled Borda scores in one int, alternative a in the
     `lane` bits from a*lane up, so an aggregate is one int too.  `memo` maps
     a packed aggregate to its target id, shared by every row, and is emptied
-    when it holds TARGET_MEMO_CAP entries.  `start` gives the kernel the
-    run's state, which `update` then moves in place.  `targets[i]` caches
-    node i's target for that state, -1 when stale: a move of j marks every
-    node of `listeners[j]` stale, so a target is recomputed only after one of
-    its in-neighbours has moved.  `target` and `stays` are pure functions of
-    the state they are given.
+    when it holds TARGET_MEMO_CAP entries.  The kernel owns one state, which
+    only `write` changes.  `targets[i]` caches node i's target in that state,
+    -1 when stale: `write` marks every listener of a mover stale, so `target`
+    recomputes a target only after one of its in-neighbours has moved, and
+    `settled` asks the graph whether node i's step would leave it in place.
     """
 
-    def __init__(self, net: InfluenceNetwork, graph: MoveGraph, policy: StepPolicy, nodes: Iterable[int]):
+    def __init__(self, net: InfluenceNetwork, graph: MoveGraph, policy: StepPolicy, nodes: Iterable[int],
+                 state: Sequence[int | None]):
         m = graph.m
         self.graph = graph
         self.stay_on_ambiguity = policy.allow_no_move_on_ambiguity
@@ -315,11 +328,11 @@ class _Kernel:
         self.lane, self.mask, self.shifts = lane, (1 << lane) - 1, range(0, m * lane, lane)
         self.packed = _packed_scores(m, lane)
         self.memo: dict[int, int] = {}
-        self.state: list[int] = []
-        self.targets: list[int] = []
+        self.state = list(state)
+        self.targets = [-1] * net.n
 
     def aggregate(self, state: Sequence[int], i: int) -> int:
-        """Node i's aggregate times 2*D_i, packed: one lane per alternative."""
+        """Node i's aggregate in `state` times 2*D_i, packed: one lane per alternative."""
         packed = self.packed
         return sum([w * packed[state[j]] for j, w in self.rows[i][0]])
 
@@ -328,10 +341,16 @@ class _Kernel:
         mask = self.mask
         return [total >> shift & mask for shift in self.shifts]
 
-    def target(self, state: Sequence[int], i: int) -> int:
-        total = self.aggregate(state, i)
-        tau = self.memo.get(total)
-        return self.project(total) if tau is None else tau
+    def target(self, i: int) -> int:
+        """Node i's target in the kernel's state, recomputed only when stale."""
+        tau = self.targets[i]
+        if tau < 0:
+            total = self.aggregate(self.state, i)
+            tau = self.memo.get(total)
+            if tau is None:
+                tau = self.project(total)
+            self.targets[i] = tau
+        return tau
 
     def project(self, total: int) -> int:
         """The target of a packed aggregate, read from its dense ranks and memoised."""
@@ -342,75 +361,59 @@ class _Kernel:
         tau = self.memo[total] = self.rank_ids[tuple(map(distinct.index, lanes))]
         return tau
 
-    def stays(self, state: Sequence[int], i: int) -> bool:
+    def settled(self, i: int) -> bool:
         """True iff node i's step leaves it where it is: at its target, or
         stalled there under no-move-on-ambiguity."""
-        return self.graph.next_id(state[i], self.target(state, i), self.stay_on_ambiguity) == state[i]
-
-    def start(self, state: Sequence[int]) -> None:
-        """Make `state` the run's current state, with every target stale."""
-        self.state = list(state)
-        self.targets = [-1] * len(state)
-
-    def cached_target(self, i: int) -> int:
-        """Node i's target in the current state, recomputed only when stale."""
-        tau = self.targets[i]
-        if tau < 0:
-            tau = self.targets[i] = self.target(self.state, i)
-        return tau
-
-    def settled(self, i: int) -> bool:
-        """`stays` for the current state, read from the cached target."""
         current = self.state[i]
-        return self.graph.next_id(current, self.cached_target(i), self.stay_on_ambiguity) == current
+        return self.graph.next_id(current, self.target(i), self.stay_on_ambiguity) == current
 
-    def update(self, nodes: Sequence[int], synchronous: bool):
-        """Move each of `nodes` in turn one step toward its target.
-
-        A synchronous step reads every target from the state before the
-        step, so its moves are written, and their listeners marked stale,
-        once every node has been read; a sequence step writes each move at
-        once, so later nodes (the mover too, on a self-loop) read it.
-        Returns the target log and the new state.
-        """
-        state, cached_target = self.state, self.cached_target
-        next_id, lazy = self.graph.next_id, self.stay_on_ambiguity
-        log, moves = [], []
-        for i in nodes:
-            tau = cached_target(i)
-            log.append((i, tau))
-            nxt = next_id(state[i], tau, lazy)
-            if nxt != state[i]:
-                moves.append((i, nxt))
-                if not synchronous:
-                    self._write(moves)
-        self._write(moves)
-        return tuple(log), tuple(state)
-
-    def _write(self, moves: list[tuple[int, int]]) -> None:
-        """Apply and clear `moves`, marking each mover's listeners stale."""
+    def write(self, moves: Iterable[tuple[int, int]]) -> None:
+        """Apply `(node, id)` moves, marking each mover's listeners stale."""
         state, targets, listeners = self.state, self.targets, self.listeners
         for i, nxt in moves:
             state[i] = nxt
             for k in listeners[i]:
                 targets[k] = -1
-        moves.clear()
 
-    def min_margin(self, states: Iterable[Sequence[int]], free: Sequence[int]) -> Fraction | float:
-        """Smallest tie margin of any free node's aggregate over `states`:
+    def update(self, nodes: Sequence[int], synchronous: bool):
+        """Move each of `nodes` in turn one step toward its target.
+
+        A synchronous step reads every target from the state before the
+        step, so its moves are written once every node has been read; a
+        sequence step writes each move at once, so later nodes (the mover
+        too, on a self-loop) read it.  Returns the target log and the new
+        state.
+        """
+        state, target, write = self.state, self.target, self.write
+        next_id, lazy = self.graph.next_id, self.stay_on_ambiguity
+        log, moves = [], []
+        for i in nodes:
+            tau = target(i)
+            log.append((i, tau))
+            nxt = next_id(state[i], tau, lazy)
+            if nxt != state[i]:
+                if synchronous:
+                    moves.append((i, nxt))
+                else:
+                    write(((i, nxt),))
+        write(moves)
+        return tuple(log), tuple(state)
+
+    def min_margin(self, states: Iterable[Sequence[int]]) -> Fraction | float:
+        """Smallest tie margin of any compiled node's aggregate over `states`:
         the smallest gap between distinct aggregate values over 2*D_i."""
         best: tuple[int, int] | None = None  # (gap, 2*D_i)
         for state in states:
-            for i in free:
+            for i, (_, scale) in self.rows.items():
                 distinct = sorted(set(self.lanes(self.aggregate(state, i))))
                 if len(distinct) < 2:
                     continue
-                gap, scale = min(map(sub, distinct[1:], distinct)), self.rows[i][1]
+                gap = min(map(sub, distinct[1:], distinct))
                 if best is None or gap * best[1] < best[0] * scale:
                     best = (gap, scale)
         return math.inf if best is None else Fraction(*best)
 
-    def report(self, states: Sequence[tuple[int, ...]], mu: int, logs, free) -> OrbitReport:
+    def report(self, states: Sequence[tuple[int, ...]], mu: int, logs) -> OrbitReport:
         """The OrbitReport of visited `states` whose orbit starts at `mu`."""
         orders = self.graph.orders
         if len(states[0]) > 1:
@@ -421,7 +424,7 @@ class _Kernel:
             mu=mu,
             period=len(states) - mu,
             orbit=prefix[mu:],
-            min_margin=self.min_margin(states[mu:], free),
+            min_margin=self.min_margin(states[mu:]),
             target_log=tuple([tuple([(i, orders[tau]) for i, tau in log]) for log in logs]),
             prefix=prefix,
         )
@@ -445,11 +448,9 @@ def run_until_cycle(
     BudgetExceededError if none is reached within max_steps single-node
     updates.  Every order of `initial` must be on the graph's alternatives.
     """
-    persistent.check_profile(initial)
-    state = tuple(_order_ids(graph, enumerate(initial)).values())
+    state = tuple(_state_ids(net.n, persistent, initial, graph).values())
     free = persistent.free_nodes(net.n)
-    kernel = _Kernel(net, graph, policy, free)
-    kernel.start(state)
+    kernel = _Kernel(net, graph, policy, free, state)
 
     if schedule.kind == "uniform":
         return _run_uniform(kernel, free, state, schedule, max_steps)
@@ -469,7 +470,7 @@ def run_until_cycle(
     for t in range(max_steps + 1):
         first = seen.get(state)
         if first is not None:
-            return kernel.report(list(seen), first, logs, free)
+            return kernel.report(list(seen), first, logs)
         seen[state] = t
         log, state = kernel.update(nodes, synchronous)
         logs.append(log)
@@ -484,7 +485,7 @@ def _run_uniform(kernel: _Kernel, free, state, schedule, max_steps):
     logs = []
     for t in range(max_steps + 1):
         if all(map(kernel.settled, free)):
-            return kernel.report(states, t, logs, free)
+            return kernel.report(states, t, logs)
         if t == max_steps:
             break
         log, state = kernel.update((free[rng.randrange(len(free))],), True)
@@ -498,7 +499,7 @@ def is_fixed_point(net: InfluenceNetwork, persistent: PersistentConfig, profile:
 
     Fraction reference path.
     """
-    persistent.check_profile(profile)
+    _state_ids(net.n, persistent, profile)
     return all(target(net, profile, i) == profile[i] for i in persistent.free_nodes(net.n))
 
 
@@ -520,13 +521,13 @@ def enumerate_fixed_points(
     when the levels up to the first check, which nothing prunes, already
     hold more.
     """
-    pinned = _order_ids(graph, persistent.pins.items())
+    pinned = _state_ids(net.n, persistent, graph=graph)
     free = persistent.free_nodes(net.n)
     orders = graph.orders
-    state: list[int | None] = [pinned.get(i) for i in range(net.n)]
     if not free:
-        return [tuple(orders[k] for k in state)]  # type: ignore[index]
-    kernel = _Kernel(net, graph, policy, free)
+        return [tuple(orders[pinned[i]] for i in range(net.n))]
+    # a free node's None is written before any check reads it
+    kernel = _Kernel(net, graph, policy, free, [pinned.get(i) for i in range(net.n)])
     level = {node: k for k, node in enumerate(free)}
     checks: list[list[int]] = [[] for _ in free]
     for i in free:
@@ -542,6 +543,7 @@ def enumerate_fixed_points(
             raise BudgetExceededError(f"more than {budget} partial profiles tried")
         if nodes:
             break
+    write, settled = kernel.write, kernel.settled
     found = []
     tried = 0
     # one iterator over the order ids per assigned level; no recursion, so
@@ -556,13 +558,13 @@ def enumerate_fixed_points(
         tried += 1
         if tried > budget:
             raise BudgetExceededError(f"more than {budget} partial profiles tried")
-        state[free[k]] = order
-        if not all(kernel.stays(state, i) for i in checks[k]):
+        write(((free[k], order),))
+        if not all(map(settled, checks[k])):
             continue
         if k + 1 < len(free):
             pending.append(iter(space))
         else:
-            found.append(tuple(state))
+            found.append(tuple(kernel.state))
     return [tuple(map(orders.__getitem__, profile)) for profile in found]
 
 

@@ -10,9 +10,10 @@ subset of a chain is a chain, dropping the first order's extra cuts one by
 one and then adding the second's is a path of that length.
 
 The bounded step advances one edge along a shortest path toward a target
-order, breaking ties by smallest canonical id.  `MoveGraph` is the one place
-where orders become ids (`id_of`) and where the step is decided, by id
-(`next_id`).
+order, breaking ties by smallest canonical id.  `MoveGraph(m)` numbers the
+orders of `enumerate_weak_orders(m)` by position, so its ids are canonical
+ids by construction.  It is the one place where orders become ids (`id_of`)
+and where the step is decided, by id (`next_id`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExceededError
-from .weak_orders import MAX_ALTERNATIVES, WeakOrder, enumerate_weak_orders, format_order
+from .weak_orders import MAX_ALTERNATIVES, WeakOrder, _index_map, enumerate_weak_orders, format_order
 
 #: most path extensions one `find_cycle` call may make (about a second)
 FIND_CYCLE_BUDGET = 10**6
@@ -41,20 +42,22 @@ class StepPolicy:
 
 
 class MoveGraph:
-    """Undirected cover graph on all weak orders for a fixed m, by canonical id.
+    """Undirected cover graph on the weak orders for 2 <= m <= 6, by canonical id.
 
     `cuts[i]` is order i's chain of cuts as one bitmask: bit p is set when
     the alternative set with bitmask p is a cut.  Dropping a cut merges two
     adjacent classes, so `adjacency` derives from `cuts`, and the distance of
     two ids is the number of cuts exactly one of them has.  `id_of` is one
-    lookup in a class-sequence -> id dict.  The step rows
-    are the only lazy state: one per target, holding by current id -1 until
-    asked, else the first candidate, plus order_count if ambiguous.
+    lookup in the class-sequence -> canonical id dict of `weak_orders`.  The
+    step rows are the only lazy state: one per target, holding by current id
+    -1 until asked, else the first candidate, plus order_count if ambiguous.
     """
 
-    def __init__(self, m: int, orders: tuple[WeakOrder, ...]):
+    def __init__(self, m: int):
+        if not 2 <= m <= MAX_ALTERNATIVES:
+            raise ValueError(f"move graph supported for 2 <= m <= {MAX_ALTERNATIVES}, got {m}")
         self.m = m
-        self.orders = orders
+        self.orders = orders = enumerate_weak_orders(m)
         self.cuts = tuple(map(_cuts, orders))
         index = {c: i for i, c in enumerate(self.cuts)}
         neighbors: list[list[int]] = [[] for _ in orders]
@@ -66,7 +69,7 @@ class MoveGraph:
                 neighbors[j].append(i)
                 rest &= rest - 1
         self.adjacency = tuple(tuple(sorted(nb)) for nb in neighbors)
-        self._ids = {order.classes: k for k, order in enumerate(orders)}
+        self._ids = _index_map(m)
         self._steps: dict[int, array] = {}
 
     @property
@@ -137,10 +140,8 @@ def _cuts(order: WeakOrder) -> int:
 
 @lru_cache(maxsize=None)
 def build_cover_graph(m: int) -> MoveGraph:
-    """Construct the cover graph for 2 <= m <= 6 (cached; graphs are immutable)."""
-    if not 2 <= m <= MAX_ALTERNATIVES:
-        raise ValueError(f"move graph supported for 2 <= m <= {MAX_ALTERNATIVES}, got {m}")
-    return MoveGraph(m, enumerate_weak_orders(m))
+    """The cover graph on m alternatives, cached (graphs are immutable)."""
+    return MoveGraph(m)
 
 
 def distance(graph: MoveGraph, order1: WeakOrder, order2: WeakOrder) -> int:

@@ -323,6 +323,8 @@ def verify_robustness(sc: ScenarioConfig, trials: int, seed: int) -> Verificatio
     by at most n*eps*(m-1); the factor 2 covers a score pair).  Each trial must
     reproduce the identical target log and the identical orbit.
     """
+    if trials < 1:
+        raise ScenarioBuildError(f"robustness needs at least one trial, got {trials}")
     claim = f"{sc.label}: periodic orbit survives weight perturbations below the margin bound"
     base = sc.run()
     delta = base.min_margin

@@ -218,6 +218,8 @@ MALFORMED = [
     case("verify", suite(label=["wave"]), "entries[0].label", "label-list"),
     case("verify", suite(verifier="robustness", args={"trials": "20", "seed": 7}),
          "entries[0].args.trials", "trials-string"),
+    case("verify", suite(verifier="robustness", args={"trials": 0, "seed": 7}), "entries[0]", "trials-zero"),
+    case("verify", suite(verifier="robustness", args={"trials": -3, "seed": 7}), "entries[0]", "trials-negative"),
     case("verify", suite()["entries"], "document", "suite-list"),
     case("simulate", scenario(alternatives=3), "alternatives", "alternatives-int"),
     case("simulate", scenario(network={"nodes": ["i", "j"], "edges": [

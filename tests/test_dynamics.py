@@ -386,13 +386,13 @@ def test_enumerate_fixed_points_refuses_before_searching_past_its_budget(monkeyp
     # six levels: 13 + 13**2 + ... + 13**6 partial profiles exceed the default
     # budget, and the search is refused before any of them is tried
     checked = []
-    stays = dynamics._Kernel.stays
+    settled = dynamics._Kernel.settled
 
-    def counted(self, state, i):
+    def counted(self, i):
         checked.append(i)
-        return stays(self, state, i)
+        return settled(self, i)
 
-    monkeypatch.setattr(dynamics._Kernel, "stays", counted)
+    monkeypatch.setattr(dynamics._Kernel, "settled", counted)
     with pytest.raises(BudgetExceededError, match="^more than 1000000 partial profiles tried$"):
         enumerate_fixed_points(uniform_net(6), G3, POLICY, FREE)
     assert checked == []
@@ -468,6 +468,65 @@ def test_m4_gadget_fixed_points_are_the_strict_consensus_pairs():
     strict = [w for w in enumerate_weak_orders(4) if w.is_strict]
     assert fixed == [(w, w, rho, antipode(rho)) for w in strict]
     assert len(fixed) == 24
+
+
+def kernel_events(monkeypatch):
+    """Patch `_Kernel.write` and `_Kernel.aggregate` to log, in call order,
+    ("write", node) per move and ("aggregate", node) per target recomputation
+    (an aggregate read from the kernel's own state)."""
+    events = []
+    write, aggregate = dynamics._Kernel.write, dynamics._Kernel.aggregate
+
+    def logged_write(self, moves):
+        moves = list(moves)
+        events.extend(("write", i) for i, _ in moves)
+        write(self, moves)
+
+    def logged_aggregate(self, state, i):
+        if state is self.state:
+            events.append(("aggregate", i))
+        return aggregate(self, state, i)
+
+    monkeypatch.setattr(dynamics._Kernel, "write", logged_write)
+    monkeypatch.setattr(dynamics._Kernel, "aggregate", logged_aggregate)
+    return events
+
+
+M4_GADGET = build_gadget(4, parse_order("x>y>z>u", 4), Fraction(1, 10))
+SEARCHES = {
+    "gadget": (GADGET.network, 3, GADGET.persistent, POLICY),
+    "gadget-stall": GADGET_STALL_CASE,
+    "m4-gadget": (M4_GADGET.network, 4, M4_GADGET.persistent, POLICY),
+    "wave_12": (build_traveling_wave(12, CYCLE4).network, 3, FREE, POLICY),
+    "random-4": (seeded_random_network(4, 5), 3, PersistentConfig(pins={3: o("y>x>z")}), POLICY),
+}
+
+
+@pytest.mark.parametrize("net, m, pc, policy", SEARCHES.values(), ids=SEARCHES.keys())
+def test_the_search_recomputes_a_target_only_after_an_in_neighbour_is_written(net, m, pc, policy, monkeypatch):
+    events = kernel_events(monkeypatch)
+    enumerate_fixed_points(net, build_cover_graph(m), policy, pc)
+    listeners = [[k for k in range(net.n) if j in net.in_neighbors(k)] for j in range(net.n)]
+    heard: dict[int, bool] = {}  # node -> an in-neighbour was written since its last recomputation
+    for kind, i in events:
+        if kind == "write":
+            for k in listeners[i]:
+                heard[k] = True
+        else:
+            assert heard.get(i, True), f"node {i} recomputed with no in-neighbour written"
+            heard[i] = False
+    assert any(kind == "aggregate" for kind, _ in events)
+
+
+def test_the_wave_12_search_aggregates_once_per_in_neighbour_value(monkeypatch):
+    # node k >= 1 is checked at level k and reads node k-1 alone, so its
+    # target is recomputed once per value of node k-1, not once per own value:
+    # per value of node 0, ten nodes once each, node 11 once and node 0 once
+    # per value of node 11, so 13 * (10 + 1 + 13) = 312
+    events = kernel_events(monkeypatch)
+    net = build_traveling_wave(12, CYCLE4).network
+    assert enumerate_fixed_points(net, G3, POLICY, FREE) == [(w,) * 12 for w in SPACE3]
+    assert sum(kind == "aggregate" for kind, _ in events) <= 312
 
 
 def test_uniform_run_stops_at_a_stall():
@@ -672,13 +731,14 @@ def chained_pins_case(seed):
 def test_uniform_runs_recompute_a_target_only_after_an_in_neighbour_moves(seed, monkeypatch):
     case = chained_pins_case(seed)
     calls = []
-    target_of = dynamics._Kernel.target
+    aggregate = dynamics._Kernel.aggregate
 
     def counted(self, state, i):
-        calls.append(i)
-        return target_of(self, state, i)
+        if state is self.state:  # a target, not an orbit margin
+            calls.append(i)
+        return aggregate(self, state, i)
 
-    monkeypatch.setattr(dynamics._Kernel, "target", counted)
+    monkeypatch.setattr(dynamics._Kernel, "aggregate", counted)
     report = assert_run_matches_reference(*case, 2000)
     free = case[3].free_nodes(case[0].n)
     updates = len(report.target_log)
@@ -710,8 +770,9 @@ def test_a_lane_at_its_bound_neither_carries_nor_truncates(seed):
     pc = PersistentConfig(pins={1 + k: pin for k, pin in enumerate(pins)})
     graph = build_cover_graph(m)
     initial = (parse_order("5>4>3>2>1>0", m), *pins)
-    kernel = dynamics._Kernel(net, graph, POLICY, (0,))
-    lanes = kernel.lanes(kernel.aggregate([graph.id_of(w) for w in initial], 0))
+    state = [graph.id_of(w) for w in initial]
+    kernel = dynamics._Kernel(net, graph, POLICY, (0,), state)
+    lanes = kernel.lanes(kernel.aggregate(state, 0))
     scale = kernel.rows[0][1]
     assert scale > 10**6
     assert lanes[0] == (m - 1) * scale and lanes[0].bit_length() == kernel.lane
@@ -822,6 +883,39 @@ ON_G4 = {
 def test_orders_on_another_alternative_count_are_rejected(call, profile, node):
     with pytest.raises(ValueError, match=f"^node {node} has an order on 3 alternatives, "):
         call(profile)
+
+
+ON_SWAP = {
+    "run-sync": lambda pc, p: run_until_cycle(SWAP_NET, G3, POLICY, pc, p, Schedule.synchronous()),
+    "run-sequence": lambda pc, p: run_until_cycle(SWAP_NET, G3, POLICY, pc, p, Schedule.sequence([1])),
+    "run-uniform": lambda pc, p: run_until_cycle(SWAP_NET, G3, POLICY, pc, p, Schedule.uniform(0)),
+    "step-sync": lambda pc, p: step_sync(SWAP_NET, G3, POLICY, pc, p),
+    "step-async": lambda pc, p: step_async(SWAP_NET, G3, POLICY, pc, p, 1),
+    "is-fixed-point": lambda pc, p: is_fixed_point(SWAP_NET, pc, p),
+}
+BAD_PROFILES = {
+    "three-orders": (FREE, (*M3_SWAP, o("(xyz)")), "^profile length 3, but the network has 2 nodes$"),
+    "one-order": (FREE, M3_SWAP[:1], "^profile length 1, but the network has 2 nodes$"),
+    "pin-past-the-end": (PersistentConfig(pins={5: o("x>y>z")}), M3_SWAP,
+                         r"^pin at node 5, but the network's nodes are 0\.\.1$"),
+    "pin-negative": (PersistentConfig(pins={-1: M3_SWAP[1]}), M3_SWAP,
+                     r"^pin at node -1, but the network's nodes are 0\.\.1$"),
+    "pin-mismatch": (PersistentConfig(pins={0: M3_SWAP[1]}), M3_SWAP, "^profile disagrees with pin at node 0$"),
+}
+
+
+@pytest.mark.parametrize("pc, profile, message", BAD_PROFILES.values(), ids=BAD_PROFILES.keys())
+@pytest.mark.parametrize("call", ON_SWAP.values(), ids=ON_SWAP.keys())
+def test_every_entry_point_checks_the_profile_against_the_network_and_pins(call, pc, profile, message):
+    with pytest.raises(ValueError, match=message):
+        call(pc, profile)
+
+
+@pytest.mark.parametrize("node", [5, -1])
+def test_the_fixed_point_search_refuses_a_pin_outside_the_network(node):
+    pc = PersistentConfig(pins={node: o("x>y>z")})
+    with pytest.raises(ValueError, match=rf"^pin at node {node}, but the network's nodes are 0\.\.1$"):
+        enumerate_fixed_points(SWAP_NET, G3, POLICY, pc)
 
 
 # --- persistent config validation -----------------------------------------------------------------

@@ -4,6 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from borda_dynamics import weak_orders
 from borda_dynamics.errors import BudgetExceededError
 from borda_dynamics.move_graph import (
     MoveGraph,
@@ -34,6 +35,20 @@ def test_supported_range():
         build_cover_graph(1)
     with pytest.raises(ValueError):
         build_cover_graph(7)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_a_graph_built_from_m_numbers_its_orders_by_canonical_id(m):
+    graph = MoveGraph(m)
+    assert graph.orders is enumerate_weak_orders(m)
+    assert graph._ids is weak_orders._index_map(m)
+    assert [graph.id_of(w) for w in graph.orders] == [w.canonical_id for w in graph.orders]
+
+
+@pytest.mark.parametrize("m", [1, 7])
+def test_a_graph_outside_the_supported_range_is_refused(m):
+    with pytest.raises(ValueError, match=f"^move graph supported for 2 <= m <= 6, got {m}$"):
+        MoveGraph(m)
 
 
 def test_edge_count_regression():
@@ -207,7 +222,7 @@ def test_step_is_the_smallest_id_neighbour_one_unit_closer_exhaustive(base):
             expected[a, b] = {POLICY: eager, lazy: a if len(closer) > 1 else eager}
     # each policy first, on a graph whose step cache starts empty
     for policies in ((POLICY, lazy), (lazy, POLICY)):
-        graph = MoveGraph(base.m, base.orders)
+        graph = MoveGraph(base.m)
         for (a, b), want in expected.items():
             for policy in policies:
                 moved = step(policy, graph, graph.orders[a], graph.orders[b])
