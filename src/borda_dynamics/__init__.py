@@ -12,7 +12,6 @@ from .dynamics import (
     run_until_cycle,
     step_async,
     step_sync,
-    target,
 )
 from .errors import (
     BudgetExceededError,
@@ -65,7 +64,6 @@ from .weak_orders import (
     enumerate_weak_orders,
     format_order,
     fubini,
-    margin_from_ties,
     parse_order,
     project,
     weak_order,

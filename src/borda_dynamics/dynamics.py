@@ -35,9 +35,10 @@ written: a synchronous step writes after all its reads, a sequence step
 each move, the fixed-point search each assignment.  The uniform stop check
 and the search's pruning check read cached targets, so a target is
 recomputed only after an in-neighbour has moved.
-WeakOrders appear again only in the returned OrbitReport.
-`aggregate_scores`, `target`, `is_fixed_point`, `step_sync` and `step_async`
-keep the Fraction arithmetic as the reference path.
+WeakOrders appear again only in the returned OrbitReport.  `step_sync`,
+`step_async` and `is_fixed_point` run on the same kernel.  `aggregate_scores`
+keeps the paper's exact Fraction aggregate as the definition that reference
+re-drives of a run read.
 """
 
 from __future__ import annotations
@@ -53,16 +54,8 @@ from typing import IO, Iterable, Sequence
 
 from .errors import BudgetExceededError, ScheduleError
 from .influence import InfluenceNetwork
-from .move_graph import MoveGraph, StepPolicy
-from .move_graph import step as graph_step
-from .weak_orders import (
-    WeakOrder,
-    antipode,
-    borda_scores,
-    enumerate_weak_orders,
-    format_order,
-    project,
-)
+from .move_graph import MoveGraph, StepPolicy, build_cover_graph
+from .weak_orders import WeakOrder, antipode, borda_scores, enumerate_weak_orders, format_order
 
 Profile = tuple[WeakOrder, ...]
 
@@ -167,7 +160,7 @@ class OrbitReport:
 def aggregate_scores(net: InfluenceNetwork, profile: Profile, i: int) -> tuple[Fraction, ...]:
     """Weighted average of the in-neighbors' Borda score vectors, exact.
 
-    Fraction reference path; runs use the integer kernel.
+    The paper's definition in Fractions; runs use the integer kernel.
     """
     m = profile[i].m
     totals = [Fraction(0)] * m
@@ -175,14 +168,6 @@ def aggregate_scores(net: InfluenceNetwork, profile: Profile, i: int) -> tuple[F
         for a, s in enumerate(borda_scores(profile[j])):
             totals[a] += w * s
     return tuple(totals)
-
-
-def target(net: InfluenceNetwork, profile: Profile, i: int) -> WeakOrder:
-    """Node i's target order: projection of its aggregated score vector.
-
-    Fraction reference path; runs use the integer kernel.
-    """
-    return project(aggregate_scores(net, profile, i))
 
 
 def step_sync(
@@ -193,12 +178,8 @@ def step_sync(
     profile: Profile,
 ) -> Profile:
     """One synchronous step: every free node moves toward its target, targets
-    taken from the pre-update profile; pinned nodes unchanged.
-
-    Fraction reference path; runs use the integer kernel.
-    """
-    _state_ids(net.n, persistent, profile, graph)
-    return _update(net, graph, policy, persistent.free_nodes(net.n), profile, True)[1]
+    taken from the pre-update profile; pinned nodes unchanged."""
+    return _step(net, graph, policy, persistent, profile, persistent.free_nodes(net.n))
 
 
 def step_async(
@@ -209,38 +190,25 @@ def step_async(
     profile: Profile,
     i: int,
 ) -> Profile:
-    """One asynchronous step: only node i moves.
-
-    Fraction reference path; runs use the integer kernel.
-    """
-    if i in persistent.pins:
-        raise ScheduleError(f"node {i} is pinned and cannot be scheduled")
-    _state_ids(net.n, persistent, profile, graph)
-    return _update(net, graph, policy, (i,), profile, True)[1]
+    """One asynchronous step: only node i moves.  Raises ScheduleError when
+    node i is pinned or not one of the network's nodes."""
+    if i not in persistent.free_nodes(net.n):
+        raise ScheduleError(f"scheduled node {i} is pinned or unknown")
+    return _step(net, graph, policy, persistent, profile, (i,))
 
 
-def _update(net, graph, policy, nodes, profile, synchronous):
-    """Move each of `nodes` in turn one step toward its target (Fraction path).
-
-    A synchronous step reads every target from `profile`; a sequence step
-    reads the profile as the earlier nodes left it.  Returns the target log
-    and the new profile.
-    """
-    log = []
-    nxt = list(profile)
-    for i in nodes:
-        tau = target(net, profile if synchronous else tuple(nxt), i)
-        log.append((i, tau))
-        nxt[i] = graph_step(policy, graph, nxt[i], tau)
-    return tuple(log), tuple(nxt)
+def _step(net, graph, policy, persistent, profile, nodes):
+    """`profile` after one synchronous kernel update of `nodes`."""
+    kernel = _Kernel(net, graph, policy, nodes, _state_ids(net.n, persistent, graph, profile).values())
+    return tuple(map(graph.orders.__getitem__, kernel.update(nodes, True)[1]))
 
 
 def _state_ids(
-    n: int, persistent: PersistentConfig, profile: Profile | None = None, graph: MoveGraph | None = None
+    n: int, persistent: PersistentConfig, graph: MoveGraph, profile: Profile | None = None
 ) -> dict[int, int]:
     """Node -> id on `graph` of each order of `profile`, or of each pin without
-    one ({} without a graph).  Raises ValueError on a pin outside 0..n-1, a
-    profile of other than n orders or off a pin, and an order on another m."""
+    one.  Raises ValueError on a pin outside 0..n-1, a profile of other than n
+    orders or off a pin, and an order on another m."""
     orders = persistent.pins.items()
     for node, _ in orders:
         if not 0 <= node < n:
@@ -252,8 +220,6 @@ def _state_ids(
             if profile[node] != order:
                 raise ValueError(f"profile disagrees with pin at node {node}")
         orders = enumerate(profile)
-    if graph is None:
-        return {}
     ids = {}
     for node, order in orders:
         try:
@@ -448,7 +414,7 @@ def run_until_cycle(
     BudgetExceededError if none is reached within max_steps single-node
     updates.  Every order of `initial` must be on the graph's alternatives.
     """
-    state = tuple(_state_ids(net.n, persistent, initial, graph).values())
+    state = tuple(_state_ids(net.n, persistent, graph, initial).values())
     free = persistent.free_nodes(net.n)
     kernel = _Kernel(net, graph, policy, free, state)
 
@@ -497,10 +463,13 @@ def _run_uniform(kernel: _Kernel, free, state, schedule, max_steps):
 def is_fixed_point(net: InfluenceNetwork, persistent: PersistentConfig, profile: Profile) -> bool:
     """True iff every free node sits at its target (an equilibrium).
 
-    Fraction reference path.
+    Targets are read on the move graph of the first order's m, so an order
+    on another m is refused as at every other entry point.
     """
-    _state_ids(net.n, persistent, profile)
-    return all(target(net, profile, i) == profile[i] for i in persistent.free_nodes(net.n))
+    graph = build_cover_graph(profile[0].m if profile else 2)  # an empty profile has no m; any graph checks it
+    free = persistent.free_nodes(net.n)
+    kernel = _Kernel(net, graph, StepPolicy(), free, _state_ids(net.n, persistent, graph, profile).values())
+    return all(kernel.target(i) == kernel.state[i] for i in free)
 
 
 def enumerate_fixed_points(
@@ -521,7 +490,7 @@ def enumerate_fixed_points(
     when the levels up to the first check, which nothing prunes, already
     hold more.
     """
-    pinned = _state_ids(net.n, persistent, graph=graph)
+    pinned = _state_ids(net.n, persistent, graph)
     free = persistent.free_nodes(net.n)
     orders = graph.orders
     if not free:

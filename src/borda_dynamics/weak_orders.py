@@ -3,8 +3,8 @@
 A weak order is an ordered partition of the alternatives {0, ..., m-1} into
 indifference classes, most preferred class first.  This module provides the
 canonical enumeration of all weak orders, averaged Borda scores, the exact
-projection from score vectors back to orders, antipodes, tie margins, and a
-compact text format ("x>(yz)", "(xyz)", ...).
+projection from score vectors back to orders, antipodes, and a compact text
+format ("x>(yz)", "(xyz)", ...).
 
 All score arithmetic is exact (`fractions.Fraction`); score ties are decided
 by equality, never by tolerance.
@@ -12,7 +12,6 @@ by equality, never by tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,8 +22,6 @@ from typing import Iterable, Sequence
 MAX_ALTERNATIVES = 6
 
 _LETTERS = "xyzu"
-
-Score = Fraction | int
 
 
 def alternative_names(m: int, names: Sequence[str] | None = None) -> tuple[str, ...]:
@@ -167,7 +164,7 @@ def borda_scores(order: WeakOrder) -> tuple[Fraction, ...]:
     return tuple(scores)
 
 
-def project(scores: Sequence[Score]) -> WeakOrder:
+def project(scores: Sequence[Fraction | int]) -> WeakOrder:
     """Sort alternatives by strictly decreasing score; exact ties become one class.
 
     Scores must be exact (int or Fraction); floats are rejected because tie
@@ -193,22 +190,6 @@ def project(scores: Sequence[Score]) -> WeakOrder:
 def antipode(order: WeakOrder) -> WeakOrder:
     """Reverse the class sequence (complete reversal of all strict comparisons)."""
     return WeakOrder(tuple(reversed(order.classes)))
-
-
-def margin_from_ties(scores: Sequence[Score]) -> Fraction | float:
-    """Smallest score gap between alternatives separated in the projected order.
-
-    That is the smallest gap between consecutive distinct scores: ties already
-    realized in the projection lie on a tie hyperplane by construction and are
-    not counted.  When all scores tie there is no separating hyperplane at all
-    and the sentinel ``math.inf`` is returned.  Scores must be exact.
-    """
-    if any(isinstance(s, float) for s in scores):
-        raise TypeError("margins require exact scores (int or Fraction)")
-    distinct = sorted(set(scores))
-    if len(distinct) < 2:
-        return math.inf
-    return min(Fraction(high) - low for low, high in zip(distinct, distinct[1:]))
 
 
 def format_order(order: WeakOrder, names: Sequence[str] | None = None) -> str:

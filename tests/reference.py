@@ -1,0 +1,98 @@
+"""The Fraction re-drive of the paper's definitions: the oracle the kernel is tested against.
+
+A node's target is the projection of its exact aggregate (`aggregate_scores`
+then `weak_orders.project`), a move is `move_graph.step`, and a tie margin is
+the smallest gap between distinct aggregate values.  The module reads only
+those definitions and the package's data types, never the integer kernel
+that `borda_dynamics.dynamics` runs on, so a test that compares the two
+compares the kernel with an independent computation.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+from borda_dynamics.dynamics import aggregate_scores
+from borda_dynamics.move_graph import step as graph_step
+from borda_dynamics.weak_orders import project
+
+
+def target(net, profile, i):
+    """Node i's target order: projection of its aggregated score vector."""
+    return project(aggregate_scores(net, profile, i))
+
+
+def margin_from_ties(scores):
+    """Smallest score gap between alternatives separated in the projected order.
+
+    That is the smallest gap between consecutive distinct scores: ties already
+    realized in the projection lie on a tie hyperplane by construction and are
+    not counted.  When all scores tie there is no separating hyperplane at all
+    and the sentinel ``math.inf`` is returned.  Scores must be exact.
+    """
+    if any(isinstance(s, float) for s in scores):
+        raise TypeError("margins require exact scores (int or Fraction)")
+    distinct = sorted(set(scores))
+    if len(distinct) < 2:
+        return math.inf
+    return min(Fraction(high) - low for low, high in zip(distinct, distinct[1:]))
+
+
+def update(net, graph, policy, profile, nodes, synchronous):
+    """Move each of `nodes` in turn one step toward its target: a synchronous
+    step reads every target from `profile`, a sequence step the profile as
+    the earlier nodes left it.  Returns the target log and the new profile."""
+    nxt, log = list(profile), []
+    for i in nodes:
+        tau = target(net, profile if synchronous else tuple(nxt), i)
+        log.append((i, tau))
+        nxt[i] = graph_step(policy, graph, nxt[i], tau)
+    return tuple(log), tuple(nxt)
+
+
+def step_sync(net, graph, policy, pc, profile):
+    return update(net, graph, policy, profile, pc.free_nodes(net.n), True)[1]
+
+
+def step_async(net, graph, policy, profile, i):
+    return update(net, graph, policy, profile, (i,), True)[1]
+
+
+def is_fixed_point(net, pc, profile):
+    return all(target(net, profile, i) == profile[i] for i in pc.free_nodes(net.n))
+
+
+def reference_run(net, graph, policy, pc, initial, schedule, max_steps):
+    """Re-drive a run on the Fraction path: (mu, period, prefix, target logs,
+    margin), or None where run_until_cycle must raise BudgetExceededError."""
+    free = pc.free_nodes(net.n)
+
+    def margin(states):
+        scores = (aggregate_scores(net, state, i) for state in states for i in free)
+        return min(map(margin_from_ties, scores), default=math.inf)
+
+    prefix, logs = [initial], []
+    if schedule.kind == "uniform":
+        rng = random.Random(schedule.seed)
+        for t in range(max_steps + 1):
+            state = prefix[-1]
+            if all(graph_step(policy, graph, state[i], target(net, state, i)) == state[i] for i in free):
+                return t, 1, prefix, logs, margin([state])
+            if t < max_steps:
+                log, state = update(net, graph, policy, state, (free[rng.randrange(len(free))],), True)
+                logs.append(log)
+                prefix.append(state)
+        return None
+    nodes = free if schedule.kind == "synchronous" else schedule.nodes
+    seen = {}
+    for t in range(max_steps + 1):
+        state = prefix[-1]
+        if state in seen:
+            mu = seen[state]
+            prefix.pop()
+            return mu, t - mu, prefix, logs, margin(prefix[mu:])
+        seen[state] = t
+        log, state = update(net, graph, policy, state, nodes, schedule.kind == "synchronous")
+        logs.append(log)
+        prefix.append(state)
+    return None

@@ -1,3 +1,4 @@
+import ast
 import math
 import random
 import sys
@@ -18,7 +19,6 @@ from borda_dynamics.dynamics import (
     run_until_cycle,
     step_async,
     step_sync,
-    target,
 )
 from borda_dynamics import dynamics, move_graph, weak_orders
 from borda_dynamics.errors import BudgetExceededError, ScheduleError
@@ -26,13 +26,10 @@ from borda_dynamics.influence import influence_network, perturb_weights, seeded_
 from borda_dynamics.move_graph import StepPolicy, build_cover_graph, distance, find_cycle, geodesic_unique
 from borda_dynamics.move_graph import step as graph_step
 from borda_dynamics.scenarios import build_gadget, build_traveling_wave, load_scenario
-from borda_dynamics.weak_orders import (
-    antipode,
-    enumerate_weak_orders,
-    margin_from_ties,
-    parse_order,
-    project,
-)
+from borda_dynamics.weak_orders import antipode, enumerate_weak_orders, parse_order
+
+import reference
+from reference import reference_run, target
 
 G3 = build_cover_graph(3)
 POLICY = StepPolicy()
@@ -130,11 +127,13 @@ def test_step_async_at_target_is_identity():
     assert step_async(net, G3, POLICY, FREE, profile, 0) == profile
 
 
-def test_step_async_rejects_pinned_node():
+@pytest.mark.parametrize("node", [0, 5, -1], ids=["pinned", "past-the-end", "negative"])
+def test_step_async_rejects_pinned_node(node):
+    # node 0 is pinned; 5 and -1 are not nodes of the 2-node network
     net = uniform_net(2)
     pc = PersistentConfig(pins={0: o("(xyz)")})
-    with pytest.raises(ScheduleError):
-        step_async(net, G3, POLICY, pc, (o("(xyz)"), o("x>y>z")), 0)
+    with pytest.raises(ScheduleError, match=f"^scheduled node {node} is pinned or unknown$"):
+        step_async(net, G3, POLICY, pc, (o("(xyz)"), o("x>y>z")), node)
 
 
 # --- runs ------------------------------------------------------------------------------
@@ -162,9 +161,9 @@ def test_run_budget_error_on_tiny_max_steps():
 
 
 def assert_orbit_closed(net, pc, report, policy=POLICY, graph=G3):
-    # re-simulate one lap and compare against the reported orbit
+    # re-simulate one lap on the Fraction reference and compare against the reported orbit
     for t in range(report.period):
-        nxt = step_sync(net, graph, policy, pc, report.orbit[t])
+        nxt = reference.step_sync(net, graph, policy, pc, report.orbit[t])
         assert nxt == report.orbit[(t + 1) % report.period]
 
 
@@ -400,7 +399,8 @@ def test_enumerate_fixed_points_refuses_before_searching_past_its_budget(monkeyp
 
 def brute_force_fixed_points(net, graph, policy, pc):
     """Reference: every assignment of the free nodes, in itertools.product
-    order, kept when one synchronous step leaves it unchanged."""
+    order, kept when one synchronous Fraction reference step leaves it
+    unchanged."""
     free = pc.free_nodes(net.n)
     found = []
     for combo in product(enumerate_weak_orders(graph.m), repeat=len(free)):
@@ -408,7 +408,7 @@ def brute_force_fixed_points(net, graph, policy, pc):
         for node, order in zip(free, combo):
             profile[node] = order
         candidate = tuple(profile)
-        if step_sync(net, graph, policy, pc, candidate) == candidate:
+        if reference.step_sync(net, graph, policy, pc, candidate) == candidate:
             found.append(candidate)
     return found
 
@@ -586,54 +586,6 @@ def test_contrarian_camps_always_leave_an_equilibrium(m, n_free, seed):
 
 # --- the integer kernel against the Fraction reference -------------------------------------
 
-def reference_run(net, graph, policy, pc, initial, schedule, max_steps):
-    """Re-drive a run on the Fraction path (aggregate_scores -> project ->
-    move_graph.step): (mu, period, prefix, target logs, margin), or None where
-    run_until_cycle must raise BudgetExceededError."""
-    free = pc.free_nodes(net.n)
-
-    def tau(view, i):
-        return project(aggregate_scores(net, view, i))
-
-    def update(state, nodes, synchronous):
-        nxt, log = list(state), []
-        for i in nodes:
-            t = tau(state if synchronous else tuple(nxt), i)
-            log.append((i, t))
-            nxt[i] = graph_step(policy, graph, nxt[i], t)
-        return tuple(log), tuple(nxt)
-
-    def margin(states):
-        scores = (aggregate_scores(net, state, i) for state in states for i in free)
-        return min(map(margin_from_ties, scores), default=math.inf)
-
-    prefix, logs = [initial], []
-    if schedule.kind == "uniform":
-        rng = random.Random(schedule.seed)
-        for t in range(max_steps + 1):
-            state = prefix[-1]
-            if all(graph_step(policy, graph, state[i], tau(state, i)) == state[i] for i in free):
-                return t, 1, prefix, logs, margin([state])
-            if t < max_steps:
-                log, state = update(state, (free[rng.randrange(len(free))],), True)
-                logs.append(log)
-                prefix.append(state)
-        return None
-    nodes = free if schedule.kind == "synchronous" else schedule.nodes
-    seen = {}
-    for t in range(max_steps + 1):
-        state = prefix[-1]
-        if state in seen:
-            mu = seen[state]
-            prefix.pop()
-            return mu, t - mu, prefix, logs, margin(prefix[mu:])
-        seen[state] = t
-        log, state = update(state, nodes, schedule.kind == "synchronous")
-        logs.append(log)
-        prefix.append(state)
-    return None
-
-
 KERNEL_MAX_STEPS = 60
 
 
@@ -675,6 +627,16 @@ def kernel_cases(draw):
 @settings(deadline=None, max_examples=300)
 def test_runs_match_the_fraction_reference(case):
     assert_run_matches_reference(*case, KERNEL_MAX_STEPS)
+
+
+@given(kernel_cases())
+@settings(deadline=None, max_examples=200)
+def test_single_steps_and_the_fixed_point_test_match_the_fraction_reference(case):
+    net, graph, policy, pc, profile, _ = case
+    assert step_sync(net, graph, policy, pc, profile) == reference.step_sync(net, graph, policy, pc, profile)
+    for i in pc.free_nodes(net.n):
+        assert step_async(net, graph, policy, pc, profile, i) == reference.step_async(net, graph, policy, profile, i)
+    assert is_fixed_point(net, pc, profile) == reference.is_fixed_point(net, pc, profile)
 
 
 def assert_run_matches_reference(net, graph, policy, pc, initial, schedule, max_steps):
@@ -826,18 +788,33 @@ SHIPPED_SCENARIOS = sorted(
 )
 
 
+def single_steps(scenarios):
+    """step_sync, step_async of every free node and is_fixed_point, on each
+    scenario's initial profile and on the first state of its orbit."""
+    results = []
+    for sc, report in scenarios:
+        graph = build_cover_graph(sc.m)
+        for profile in (sc.initial, report.orbit[0]):
+            results.append(step_sync(sc.network, graph, sc.policy, sc.persistent, profile))
+            results.extend(step_async(sc.network, graph, sc.policy, sc.persistent, profile, i)
+                           for i in sc.persistent.free_nodes(sc.network.n))
+            results.append(is_fixed_point(sc.network, sc.persistent, profile))
+    return results
+
+
 def test_runs_and_fixed_point_search_do_no_fraction_arithmetic(monkeypatch):
     scenarios = [load_scenario(p) for p in SHIPPED_SCENARIOS]
     assert len(scenarios) == 8
     reports = [sc.run() for sc in scenarios]
     fixed = enumerate_fixed_points(GADGET.network, G3, POLICY, GADGET.persistent)
+    steps = single_steps(zip(scenarios, reports))
+    assert True in steps and False in steps  # both fixed and unfixed profiles are tested
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the Fraction reference path was used")
 
-    for owner, name in [(dynamics, "aggregate_scores"), (dynamics, "target"), (dynamics, "project"),
-                        (weak_orders, "project"), (weak_orders, "margin_from_ties"),
-                        (dynamics, "graph_step"), (move_graph, "step")]:
+    for owner, name in [(dynamics, "aggregate_scores"), (weak_orders, "borda_scores"),
+                        (weak_orders, "project"), (move_graph, "step")]:
         monkeypatch.setattr(owner, name, forbidden)
     for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
         monkeypatch.setattr(Fraction, f"__{op}__", forbidden)
@@ -850,9 +827,30 @@ def test_runs_and_fixed_point_search_do_no_fraction_arithmetic(monkeypatch):
     dynamics._packed_scores.cache_clear()
     again = [sc.run() for sc in scenarios]
     fixed_again = enumerate_fixed_points(GADGET.network, G3, POLICY, GADGET.persistent)
+    steps_again = single_steps(zip(scenarios, reports))
     monkeypatch.undo()
     assert again == reports
     assert fixed_again == fixed
+    assert steps_again == steps
+
+
+def test_the_reference_reads_no_kernel():
+    # the oracle takes from `dynamics` only the Fraction aggregate and data
+    # types, and no module that runs the kernel, so comparing the package
+    # with it never compares the kernel with itself
+    allowed = {"aggregate_scores", "Camps", "OrbitReport", "PersistentConfig", "Profile", "Schedule"}
+    modules = {"borda_dynamics.dynamics", "borda_dynamics.move_graph", "borda_dynamics.weak_orders"}
+    for node in ast.walk(ast.parse(Path(reference.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported = [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported = [(alias.name, None) for alias in node.names]
+        else:
+            continue
+        for module, name in imported:
+            if module.split(".")[0] == "borda_dynamics":
+                assert module in modules, module
+                assert module != "borda_dynamics.dynamics" or name in allowed, name
 
 
 @pytest.mark.parametrize("m", range(2, 7))
@@ -877,11 +875,21 @@ ON_G4 = {
         SWAP_NET, G4, POLICY, PersistentConfig(pins=dict(enumerate(p)))),
 }
 
+#: (call, profile, message) per case; `is_fixed_point` takes its graph from the first order's m
+REJECTED = {
+    f"{name}-{key}": (call, profile, f"node {node} has an order on 3 alternatives, but the move graph is on 4")
+    for name, call in ON_G4.items()
+    for key, (profile, node) in {"m3": (M3_SWAP, 0), "m3-m4-mix": (M3_M4_MIX, 1)}.items()
+}
+REJECTED["is-fixed-point-m4-first"] = (lambda p: is_fixed_point(SWAP_NET, FREE, p), M3_M4_MIX,
+                                       "node 1 has an order on 3 alternatives, but the move graph is on 4")
+REJECTED["is-fixed-point-m3-first"] = (lambda p: is_fixed_point(SWAP_NET, FREE, p), M3_M4_MIX[::-1],
+                                       "node 1 has an order on 4 alternatives, but the move graph is on 3")
 
-@pytest.mark.parametrize("profile, node", [(M3_SWAP, 0), (M3_M4_MIX, 1)], ids=["m3", "m3-m4-mix"])
-@pytest.mark.parametrize("call", ON_G4.values(), ids=ON_G4.keys())
-def test_orders_on_another_alternative_count_are_rejected(call, profile, node):
-    with pytest.raises(ValueError, match=f"^node {node} has an order on 3 alternatives, "):
+
+@pytest.mark.parametrize("call, profile, message", REJECTED.values(), ids=REJECTED.keys())
+def test_orders_on_another_alternative_count_are_rejected(call, profile, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call(profile)
 
 

@@ -12,11 +12,12 @@ from borda_dynamics.weak_orders import (
     enumerate_weak_orders,
     format_order,
     fubini,
-    margin_from_ties,
     parse_order,
     project,
     weak_order,
 )
+
+from reference import margin_from_ties
 
 
 def o(text, m=3):
