@@ -35,7 +35,7 @@ def main() -> None:
         net = seeded_random_network(n, seed=rng.randint(0, 2**31))
         initial = tuple(rng.choice(space) for _ in range(n))
         report = run_until_cycle(
-            net, graph, policy, PersistentConfig.none(), initial, Schedule.synchronous()
+            net, graph, policy, PersistentConfig(), initial, Schedule.synchronous()
         )
         tally[(report.mu, report.period)] += 1
         periods[report.period] += 1

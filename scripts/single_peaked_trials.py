@@ -36,7 +36,7 @@ def main() -> None:
         sc = ScenarioConfig(
             m=args.m,
             network=net,
-            persistent=PersistentConfig.none(),
+            persistent=PersistentConfig(),
             initial=initial,
             schedule=Schedule.synchronous(),
             label=f"sp_trial_{trial}",

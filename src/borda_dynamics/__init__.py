@@ -1,7 +1,6 @@
 """Bounded Borda preference dynamics on weighted influence networks."""
 
 from .dynamics import (
-    Camps,
     OrbitReport,
     PersistentConfig,
     Profile,

@@ -55,7 +55,7 @@ from typing import IO, Iterable, Sequence
 from .errors import BudgetExceededError, ScheduleError
 from .influence import InfluenceNetwork
 from .move_graph import MoveGraph, StepPolicy, build_cover_graph
-from .weak_orders import WeakOrder, antipode, borda_scores, enumerate_weak_orders, format_order
+from .weak_orders import WeakOrder, borda_scores, enumerate_weak_orders, format_order
 
 Profile = tuple[WeakOrder, ...]
 
@@ -69,40 +69,15 @@ DEFAULT_ENUM_BUDGET = 10**6
 TARGET_MEMO_CAP = 2**16
 
 
-@dataclass(frozen=True)
-class Camps:
-    """Two persistent camps pinned to a base order and its antipode."""
-
-    plus: tuple[int, ...]
-    minus: tuple[int, ...]
-    base: WeakOrder
-
-
 @dataclass
 class PersistentConfig:
-    """Pinned nodes with their constant orders, optionally organized as camps."""
+    """Pinned nodes with their constant orders.
+
+    The pins are the whole persistent configuration: contrarian camps are
+    pins that hold exactly two orders, each the antipode of the other.
+    """
 
     pins: dict[int, WeakOrder] = field(default_factory=dict)
-    camps: Camps | None = None
-
-    def __post_init__(self):
-        if self.camps is not None:
-            camp_nodes = set(self.camps.plus) | set(self.camps.minus)
-            if set(self.camps.plus) & set(self.camps.minus):
-                raise ValueError("camps overlap")
-            if camp_nodes != set(self.pins):
-                raise ValueError("camps must cover exactly the pinned nodes")
-            flipped = antipode(self.camps.base)
-            for p in self.camps.plus:
-                if self.pins[p] != self.camps.base:
-                    raise ValueError(f"node {p} not pinned to the camp base order")
-            for p in self.camps.minus:
-                if self.pins[p] != flipped:
-                    raise ValueError(f"node {p} not pinned to the antipodal order")
-
-    @classmethod
-    def none(cls) -> "PersistentConfig":
-        return cls({})
 
     def free_nodes(self, n: int) -> tuple[int, ...]:
         return tuple(i for i in range(n) if i not in self.pins)
@@ -559,11 +534,11 @@ def margin_text(margin: Fraction | float) -> str:
 def report_to_json_dict(
     report: OrbitReport,
     node_names: Sequence[str],
-    alt_names: Sequence[str] | None = None,
-    label: str | None = None,
+    alt_names: Sequence[str] | None,
+    label: str,
 ) -> dict:
     """Structured orbit report: mu, period, margin as p/q, orbit in text form."""
-    doc = {
+    return {
         "mu": report.mu,
         "period": report.period,
         "min_margin": margin_text(report.min_margin),
@@ -571,7 +546,5 @@ def report_to_json_dict(
             {name: format_order(w, alt_names) for name, w in zip(node_names, state)}
             for state in report.orbit
         ],
+        "label": label,
     }
-    if label is not None:
-        doc["label"] = label
-    return doc

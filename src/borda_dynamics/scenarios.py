@@ -19,7 +19,6 @@ from typing import Sequence
 
 from .dynamics import (
     DEFAULT_MAX_STEPS,
-    Camps,
     OrbitReport,
     PersistentConfig,
     Profile,
@@ -97,7 +96,7 @@ def build_traveling_wave(ell: int, h_cycle: Sequence[WeakOrder]) -> ScenarioConf
     return ScenarioConfig(
         m=m,
         network=net,
-        persistent=PersistentConfig.none(),
+        persistent=PersistentConfig(),
         initial=initial,
         schedule=Schedule.synchronous(),
         label=f"traveling_wave_l{ell}_k{k}",
@@ -129,9 +128,7 @@ def build_gadget(
         ((3, one),),
     )
     net = InfluenceNetwork(rows, ("i", "j", "p", "q"))
-    persistent = PersistentConfig(
-        pins={2: rho, 3: flipped}, camps=Camps(plus=(2,), minus=(3,), base=rho)
-    )
+    persistent = PersistentConfig(pins={2: rho, 3: flipped})
     free_init = initial_free or (rho, flipped)
     initial = (free_init[0], free_init[1], rho, flipped)
     return ScenarioConfig(
@@ -301,7 +298,6 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
     net = _parse_network(_field(doc, "network", "", dict), "network")
 
     pins: dict[int, WeakOrder] = {}
-    camps = None
     pdoc = _field(doc, "persistent", "", dict, {})
     for k, pin in enumerate(_field(pdoc, "pins", "persistent", list, [])):
         ppath = f"persistent.pins[{k}]"
@@ -314,9 +310,7 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
     if cdoc is not None:
         cpath = "persistent.camps"
         base = _parse_order_at(_field(cdoc, "rho", cpath, object), m, alt_names, f"{cpath}.rho")
-        flipped = antipode(base)
-        plus, minus = [], []
-        for side, key, order in ((plus, "plus", base), (minus, "minus", flipped)):
+        for key, order in (("plus", base), ("minus", antipode(base))):
             for name in _field(cdoc, key, cpath, list):
                 idx = _node(net.names, name, f"{cpath}.{key}")
                 if idx in pins and pins[idx] != order:
@@ -325,12 +319,6 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
                         f"node {name!r} pinned to a different order than its camp",
                     )
                 pins[idx] = order
-                side.append(idx)
-        camps = Camps(plus=tuple(plus), minus=tuple(minus), base=base)
-    try:
-        persistent = PersistentConfig(pins, camps)
-    except ValueError as exc:
-        raise ScenarioFormatError("persistent", str(exc)) from None
 
     states: list[WeakOrder | None] = [None] * net.n
     for name, text in _field(doc, "initial", "", dict).items():
@@ -360,7 +348,7 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
     return ScenarioConfig(
         m=m,
         network=net,
-        persistent=persistent,
+        persistent=PersistentConfig(pins),
         initial=tuple(states),  # type: ignore[arg-type]
         schedule=schedule,
         policy=policy,
@@ -377,7 +365,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
 
 def with_pins(sc: ScenarioConfig, new_pins: dict[int, WeakOrder]) -> ScenarioConfig:
-    """Copy of a scenario with some pinned nodes re-pinned (camps dropped)."""
+    """Copy of a scenario with some pinned nodes re-pinned."""
     unknown = [i for i in new_pins if i not in sc.persistent.pins]
     if unknown:
         raise ScenarioBuildError(f"nodes {unknown} are not pinned in the base scenario")
@@ -388,7 +376,7 @@ def with_pins(sc: ScenarioConfig, new_pins: dict[int, WeakOrder]) -> ScenarioCon
         initial[node] = order
     return replace(
         sc,
-        persistent=PersistentConfig(pins, camps=None),
+        persistent=PersistentConfig(pins),
         initial=tuple(initial),
         label=f"{sc.label}_repinned",
     )

@@ -41,6 +41,7 @@ from .scenarios import (
 from .weak_orders import (
     WeakOrder,
     alternative_names,
+    antipode,
     enumerate_weak_orders,
     format_order,
 )
@@ -65,10 +66,6 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    if isinstance(value, frozenset):
-        return sorted(value)
     return value
 
 
@@ -148,6 +145,9 @@ def verify_traveling_wave(sc: ScenarioConfig, expected_k: int) -> VerificationOu
 def verify_forced_even_period(sc: ScenarioConfig) -> VerificationOutcome:
     """Contrarian camps on a period-2 closed free class force an even period.
 
+    The camps are read off the pins: the hypothesis holds when the pinned
+    nodes hold exactly two distinct orders, each the antipode of the other.
+
     Simulates the configured initial profile first and, if needed, sweeps all
     initial assignments on the closed class.  Passes when some run has an
     even period greater than 1 with positive orbit margin.
@@ -163,7 +163,8 @@ def verify_forced_even_period(sc: ScenarioConfig) -> VerificationOutcome:
     """
     claim = f"{sc.label}: contrarian camps force an even period > 1"
     pc = sc.persistent
-    if pc.camps is None:
+    orders = set(pc.pins.values())
+    if len(orders) != 2 or orders != {antipode(w) for w in orders}:
         return _hypothesis_not_met(claim, "no contrarian camps configured")
     free = pc.free_nodes(sc.network.n)
     structure = class_structure(sc.network, free)
@@ -549,8 +550,8 @@ def _build_from_spec(doc: dict, path: str) -> ScenarioConfig:
 
 
 def _verifier_args(doc: dict, path: str, verifier: Callable, sc: ScenarioConfig) -> dict:
-    """Convert a suite entry's args (type-checking those annotated `int` or
-    `bool`) and bind them to the verifier's signature."""
+    """Convert a suite entry's args (type-checking those annotated `int`) and
+    bind them to the verifier's signature."""
     signature = inspect.signature(verifier, eval_str=True)
     args = {}
     for key, value in doc.items():
@@ -569,8 +570,8 @@ def _verifier_args(doc: dict, path: str, verifier: Callable, sc: ScenarioConfig)
             if any(type(a) is not int for a in axis) or sorted(axis) != list(range(sc.m)):
                 raise ScenarioFormatError(f"{path}.axis", f"expected all {sc.m} alternatives, got {raw!r}")
             args[key] = tuple(axis)
-        elif param is not None and param.annotation in (int, bool):
-            args[key] = _field(doc, key, path, param.annotation)
+        elif param is not None and param.annotation is int:
+            args[key] = _field(doc, key, path, int)
         else:
             args[key] = value
     try:
@@ -596,7 +597,10 @@ def load_suite(path: str | Path) -> list[SuiteEntry]:
     doc = _read_json(path)
     entries = []
     labels = set()
-    for k, entry in enumerate(_field(doc, "entries", "", list, [])):
+    manifest = _field(doc, "entries", "", list)
+    if not manifest:
+        raise ScenarioFormatError("entries", "expected at least one entry")
+    for k, entry in enumerate(manifest):
         epath = f"entries[{k}]"
         label = _field(entry, "label", epath, str, f"entry_{k}")
         if label in labels:

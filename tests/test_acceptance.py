@@ -44,7 +44,7 @@ from borda_dynamics.weak_orders import (
 G3 = build_cover_graph(3)
 G4 = build_cover_graph(4)
 POLICY = StepPolicy()
-FREE = PersistentConfig.none()
+FREE = PersistentConfig()
 RHO = parse_order("x>y>z", 3)
 CYCLE4 = find_cycle(G3, 4)
 

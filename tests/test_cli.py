@@ -221,6 +221,10 @@ MALFORMED = [
     case("verify", suite(verifier="robustness", args={"trials": 0, "seed": 7}), "entries[0]", "trials-zero"),
     case("verify", suite(verifier="robustness", args={"trials": -3, "seed": 7}), "entries[0]", "trials-negative"),
     case("verify", suite()["entries"], "document", "suite-list"),
+    case("verify", scenario(), "entries", "suite-is-a-scenario"),
+    case("verify", {}, "entries", "suite-empty-object"),
+    case("verify", {"entries": []}, "entries", "suite-no-entries"),
+    case("verify", suite(expect="maybe"), "entries[0].expect", "expect-maybe"),
     case("simulate", scenario(alternatives=3), "alternatives", "alternatives-int"),
     case("simulate", scenario(network={"nodes": ["i", "j"], "edges": [
         {"from": ["j"], "to": "i", "weight": "1"}]}), "network.edges[0].from", "edge-from-list"),
@@ -228,6 +232,13 @@ MALFORMED = [
     case("simulate", scenario(m=7), "m", "m-7"),
     case("simulate", scenario(variant={"kind": "A", "schedule": "seq:[i,p]"}), "variant.schedule",
          "seq-pinned-node"),
+    case("simulate", scenario(variant={"kind": "A", "schedule": "seq:[]"}), "variant.schedule", "seq-empty"),
+    case("simulate", scenario(variant={"kind": "A", "schedule": "uniform:x"}), "variant.schedule",
+         "uniform-seed-not-integer"),
+    case("simulate", scenario(network={"nodes": ["i", "i"], "edges": []}), "network.nodes", "node-twice"),
+    case("simulate", scenario(persistent={"pins": [{"node": "p", "order": "x>y>z"},
+                                                   {"node": "p", "order": "z>y>x"}]}),
+         "persistent.pins[1].node", "pin-twice-conflicting"),
     case("verify", suite(verifier="unreachable_persistence",
                          scenario=str(SCENARIOS / "unreachable_pins.json"),
                          args={"alt_pins": {"a": "(xyz)"}}), "entries[0]", "alt-pins-free-node"),

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from borda_dynamics.dynamics import (
-    Camps,
     PersistentConfig,
     Schedule,
     aggregate_scores,
@@ -33,7 +32,7 @@ from reference import reference_run, target
 
 G3 = build_cover_graph(3)
 POLICY = StepPolicy()
-FREE = PersistentConfig.none()
+FREE = PersistentConfig()
 SPACE3 = enumerate_weak_orders(3)
 CYCLE4 = find_cycle(G3, 4)
 
@@ -570,7 +569,7 @@ def test_contrarian_camps_always_leave_an_equilibrium(m, n_free, seed):
     rank = {base: 1, tied: 0, flipped: -1}
     net = seeded_random_network(n_free + 2, seed)
     plus, minus = n_free, n_free + 1
-    pc = PersistentConfig(pins={plus: base, minus: flipped}, camps=Camps((plus,), (minus,), base))
+    pc = PersistentConfig(pins={plus: base, minus: flipped})
     profile = (base,) * n_free + (base, flipped)
     for _ in range(2 * n_free + 1):
         nxt = tuple(target(net, profile, i) for i in range(n_free)) + (base, flipped)
@@ -838,7 +837,7 @@ def test_the_reference_reads_no_kernel():
     # the oracle takes from `dynamics` only the Fraction aggregate and data
     # types, and no module that runs the kernel, so comparing the package
     # with it never compares the kernel with itself
-    allowed = {"aggregate_scores", "Camps", "OrbitReport", "PersistentConfig", "Profile", "Schedule"}
+    allowed = {"aggregate_scores", "OrbitReport", "PersistentConfig", "Profile", "Schedule"}
     modules = {"borda_dynamics.dynamics", "borda_dynamics.move_graph", "borda_dynamics.weak_orders"}
     for node in ast.walk(ast.parse(Path(reference.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
@@ -924,18 +923,6 @@ def test_the_fixed_point_search_refuses_a_pin_outside_the_network(node):
     pc = PersistentConfig(pins={node: o("x>y>z")})
     with pytest.raises(ValueError, match=rf"^pin at node {node}, but the network's nodes are 0\.\.1$"):
         enumerate_fixed_points(SWAP_NET, G3, POLICY, pc)
-
-
-# --- persistent config validation -----------------------------------------------------------------
-
-def test_camps_must_match_pins():
-    base = o("x>y>z")
-    with pytest.raises(ValueError):
-        PersistentConfig(pins={0: base, 1: base}, camps=Camps((0,), (1,), base))
-    pc = PersistentConfig(
-        pins={0: base, 1: antipode(base)}, camps=Camps((0,), (1,), base)
-    )
-    assert pc.free_nodes(4) == (2, 3)
 
 
 @given(st.integers(min_value=0, max_value=10**6))

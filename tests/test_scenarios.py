@@ -69,7 +69,6 @@ def test_gadget_builder_layout():
     assert sc.network.weights[1][0] == Fraction(9, 10)
     assert sc.network.weights[1][3] == Fraction(1, 10)
     assert sc.persistent.pins == {2: rho, 3: antipode(rho)}
-    assert sc.persistent.camps.base == rho
     assert sc.initial[:2] == (rho, antipode(rho))
 
 
@@ -213,7 +212,6 @@ def test_camps_build_pins():
     doc["persistent"] = {"camps": {"plus": ["p"], "minus": ["q"], "rho": "x>y>z"}}
     sc = parse_scenario(doc)
     assert sc.persistent.pins == {2: o("x>y>z"), 3: o("z>y>x")}
-    assert sc.persistent.camps.plus == (2,)
 
 
 def test_camp_conflicting_pin_rejected():

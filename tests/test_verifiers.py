@@ -9,7 +9,13 @@ from borda_dynamics.dynamics import PersistentConfig, Schedule, enumerate_fixed_
 from borda_dynamics.errors import ScenarioFormatError
 from borda_dynamics.influence import influence_network, perturb_weights, seeded_random_network
 from borda_dynamics.move_graph import build_cover_graph, find_cycle
-from borda_dynamics.scenarios import ScenarioConfig, build_gadget, build_traveling_wave, load_scenario
+from borda_dynamics.scenarios import (
+    ScenarioConfig,
+    build_gadget,
+    build_traveling_wave,
+    load_scenario,
+    parse_scenario,
+)
 from borda_dynamics.verifiers import (
     enumerate_single_peaked,
     is_single_peaked,
@@ -69,7 +75,7 @@ def test_traveling_wave_hypothesis_recheck():
     sc = ScenarioConfig(
         m=3,
         network=net,
-        persistent=PersistentConfig.none(),
+        persistent=PersistentConfig(),
         initial=(RHO, o("z>y>x")),
         schedule=Schedule.synchronous(),
         label="not_a_ring",
@@ -136,6 +142,39 @@ def test_single_camp_gadget_is_hypothesis_not_met(scenario_dir):
     assert not outcome.evidence["hypothesis_met"]
 
 
+def pins(**orders):
+    return [{"node": node, "order": order} for node, order in orders.items()]
+
+
+CONTRARIAN = {"pins": pins(p="x>y>z", q="z>y>x")}
+
+
+@pytest.mark.parametrize("persistent, met", [
+    pytest.param(CONTRARIAN, True, id="contrarian-pins"),
+    pytest.param({"pins": pins(p="x>y>z", q="x>y>z")}, False, id="one-order"),
+    pytest.param({"pins": pins(p="x>y>z", q="z>y>x", r="y>x>z")}, False, id="third-order"),
+    pytest.param({"pins": pins(p="(xyz)", q="(xyz)")}, False, id="all-tied"),
+    pytest.param({"camps": {"plus": ["p"], "minus": ["q"], "rho": "x>y>z"}, "pins": pins(r="z>y>x")},
+                 True, id="camps-and-antipodal-pin"),
+])
+def test_forced_even_period_reads_the_camps_off_the_pins(scenario_dir, persistent, met):
+    # the gadget with its persistent section replaced; a pinned node the
+    # gadget lacks joins it as an isolated self-loop
+    doc = json.loads((scenario_dir / "gadget.json").read_text())
+    doc["persistent"] = persistent
+    for pin in persistent.get("pins", []):
+        if pin["node"] not in doc["network"]["nodes"]:
+            doc["network"]["nodes"].append(pin["node"])
+            doc["network"]["edges"].append({"from": pin["node"], "to": pin["node"], "weight": "1"})
+    evidence = verify_forced_even_period(parse_scenario(doc)).evidence
+    assert evidence["hypothesis_met"] is met
+    if not met:
+        assert evidence["reason"] == "no contrarian camps configured"
+    if persistent is CONTRARIAN:
+        gadget = verify_forced_even_period(load_scenario(scenario_dir / "gadget.json"))
+        assert evidence == gadget.evidence
+
+
 def test_forced_even_period_requires_period_two_class():
     # three free nodes on a directed triangle have class period 3
     rows = [
@@ -146,11 +185,7 @@ def test_forced_even_period_requires_period_two_class():
         ["0", "0", "0", "0", "1"],
     ]
     net = influence_network(rows, ["a", "b", "c", "p", "q"])
-    from borda_dynamics.dynamics import Camps
-
-    pc = PersistentConfig(
-        pins={3: RHO, 4: o("z>y>x")}, camps=Camps((3,), (4,), RHO)
-    )
+    pc = PersistentConfig(pins={3: RHO, 4: o("z>y>x")})
     sc = ScenarioConfig(
         m=3,
         network=net,
@@ -234,7 +269,7 @@ def test_robustness_not_certifiable_without_active_hyperplane():
     sc = ScenarioConfig(
         m=3,
         network=net,
-        persistent=PersistentConfig.none(),
+        persistent=PersistentConfig(),
         initial=(o("(xyz)"),) * 3,
         schedule=Schedule.synchronous(),
         label="all_tied_consensus",
@@ -359,7 +394,7 @@ def test_single_peaked_seeded_trials_tally():
         sc = ScenarioConfig(
             m=3,
             network=net,
-            persistent=PersistentConfig.none(),
+            persistent=PersistentConfig(),
             initial=tuple(rng.choice(domain) for _ in range(n)),
             schedule=Schedule.synchronous(),
             label=f"sp_trial_{trial}",
