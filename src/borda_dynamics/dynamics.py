@@ -35,6 +35,11 @@ written: a synchronous step writes after all its reads, a sequence step
 each move, the fixed-point search each assignment.  The uniform stop check
 and the search's pruning check read cached targets, so a target is
 recomputed only after an in-neighbour has moved.
+The search assigns free nodes one level each.  A level is solved when its
+node hears only pins and earlier levels, with no self-loop: its target is
+fixed as the level opens, so the level tries only the ids that target's
+step leaves in place (`MoveGraph.resting_ids`), yet counts every order
+against the budget.
 WeakOrders appear again only in the returned OrbitReport.  `step_sync`,
 `step_async` and `is_fixed_point` run on the same kernel.  `aggregate_scores`
 keeps the paper's exact Fraction aggregate as the definition that reference
@@ -460,10 +465,13 @@ def enumerate_fixed_points(
 
     Free nodes are assigned in index order.  Node i is checked as soon as it
     and its free in-neighbours all have states, which fixes its target, and a
-    failed check prunes every completion.  Raises BudgetExceededError once
-    more than `budget` partial profiles have been tried, and before searching
-    when the levels up to the first check, which nothing prunes, already
-    hold more.
+    failed check prunes every completion.  A level whose node hears only
+    pins and earlier levels, with no self-loop, is solved: it tries only the
+    ids its node's target leaves in place, but counts every order as tried
+    when it opens, so the budget reads as if each had been.  Raises
+    BudgetExceededError once more than `budget` partial profiles have been
+    tried, and before searching when the levels up to the first check, which
+    nothing prunes, already hold more.
     """
     pinned = _state_ids(net.n, persistent, graph)
     free = persistent.free_nodes(net.n)
@@ -487,26 +495,38 @@ def enumerate_fixed_points(
             raise BudgetExceededError(f"more than {budget} partial profiles tried")
         if nodes:
             break
+    # solved levels (see the module docstring); a self-loop reads level k itself, so is never solved
+    solved = [max(level.get(j, -1) for j in net.in_neighbors(i)) < k for k, i in enumerate(free)]
     write, settled = kernel.write, kernel.settled
     found = []
     tried = 0
+
+    def opened(k):
+        """The ids level k tries.  A solved level counts all of `space` as it
+        opens; it holds at least its target, so the budget check follows."""
+        nonlocal tried
+        if not solved[k]:
+            return iter(space)
+        tried += len(space)
+        return iter(graph.resting_ids(kernel.target(free[k]), kernel.stay_on_ambiguity))
+
     # one iterator over the order ids per assigned level; no recursion, so
     # thousands of free nodes cannot exhaust the call stack
-    pending = [iter(space)]
+    pending = [opened(0)]
     while pending:
         k = len(pending) - 1
         order = next(pending[-1], None)
         if order is None:
             pending.pop()
             continue
-        tried += 1
+        tried += not solved[k]
         if tried > budget:
             raise BudgetExceededError(f"more than {budget} partial profiles tried")
         write(((free[k], order),))
         if not all(map(settled, checks[k])):
             continue
         if k + 1 < len(free):
-            pending.append(iter(space))
+            pending.append(opened(k + 1))
         else:
             found.append(tuple(kernel.state))
     return [tuple(map(orders.__getitem__, profile)) for profile in found]

@@ -13,7 +13,8 @@ The bounded step advances one edge along a shortest path toward a target
 order, breaking ties by smallest canonical id.  `MoveGraph(m)` numbers the
 orders of `enumerate_weak_orders(m)` by position, so its ids are canonical
 ids by construction.  It is the one place where orders become ids (`id_of`)
-and where the step is decided, by id (`next_id`).
+and where the step is decided, by id (`next_id`), along with the ids that
+step leaves in place (`resting_ids`).
 """
 
 from __future__ import annotations
@@ -117,6 +118,14 @@ class MoveGraph:
             candidates = [v for v in self.adjacency[current] if (cuts[v] ^ goal).bit_count() == want]
             first = row[current] = candidates[0] + len(row) * (len(candidates) > 1)
         return first if first < len(row) else (current if stay_on_ambiguity else first - len(row))
+
+    def resting_ids(self, target: int, stay_on_ambiguity: bool) -> tuple[int, ...]:
+        """The ids, ascending, whose step toward `target` leaves them in place:
+        `target` alone, or under `stay_on_ambiguity` also every id with
+        several neighbours one unit closer."""
+        if not stay_on_ambiguity:
+            return (target,)
+        return tuple(x for x in range(self.order_count) if self.next_id(x, target, True) == x)
 
     @property
     def distance_table(self) -> tuple[tuple[int, ...], ...]:

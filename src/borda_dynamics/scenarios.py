@@ -269,6 +269,8 @@ def _parse_network(doc, path: str) -> InfluenceNetwork:
         epath = f"{path}.edges[{k}]"
         src, dst = end(edge, epath, "from"), end(edge, epath, "to")
         weight = _parse_weight(_field(edge, "weight", epath, object), f"{epath}.weight")
+        if weight < 0:
+            raise ScenarioFormatError(f"{epath}.weight", f"weights must be nonnegative, got {weight}")
         if src in incoming[dst]:
             raise ScenarioFormatError(epath, f"duplicate edge {names[src]}->{names[dst]}")
         incoming[dst][src] = weight

@@ -439,8 +439,19 @@ GADGET = build_gadget(3, o("x>y>z"), Fraction(1, 10))
 GADGET_STALL_CASE = (GADGET.network, 3, GADGET.persistent, StepPolicy(allow_no_move_on_ambiguity=True))
 
 
+#: a pin p feeding free node a, which feeds free node b: both levels solved
+PATH_ROWS = [[0, 0, 1], [1, 0, 0], [0, 0, 1]]
+#: the same path with a self-loop on b, whose level is then not solved
+LOOP_ROWS = [[0, 0, 1], ["1/2", "1/2", 0], [0, 0, 1]]
+PATH_PINS = PersistentConfig(pins={2: o("x>y>z")})
+
+
 @given(fixed_point_cases())
 @example(GADGET_STALL_CASE)
+@example((influence_network(PATH_ROWS), 3, PATH_PINS, POLICY))
+@example((influence_network(PATH_ROWS), 3, PATH_PINS, StepPolicy(allow_no_move_on_ambiguity=True)))
+@example((influence_network(LOOP_ROWS), 3, PATH_PINS, POLICY))
+@example((influence_network(LOOP_ROWS), 3, PATH_PINS, StepPolicy(allow_no_move_on_ambiguity=True)))
 @settings(deadline=None, max_examples=150)
 def test_fixed_point_search_matches_brute_force(case):
     net, m, pc, policy = case
@@ -526,6 +537,29 @@ def test_the_wave_12_search_aggregates_once_per_in_neighbour_value(monkeypatch):
     net = build_traveling_wave(12, CYCLE4).network
     assert enumerate_fixed_points(net, G3, POLICY, FREE) == [(w,) * 12 for w in SPACE3]
     assert sum(kind == "aggregate" for kind, _ in events) <= 312
+
+
+def m4_gadget_search(budget=dynamics.DEFAULT_ENUM_BUDGET):
+    sc = M4_GADGET
+    return enumerate_fixed_points(sc.network, build_cover_graph(4), sc.policy, sc.persistent, budget)
+
+
+def test_the_m4_gadget_search_tries_node_j_at_its_target_alone(monkeypatch):
+    # node j hears node i and a pin, so its level is solved and it takes its
+    # target alone: node j's target is recomputed once per value of node i,
+    # and node i's once per write of node j, so 75 + 75 = 150 (trying all 75
+    # orders of node j recomputes node i's target 5,649 times)
+    events = kernel_events(monkeypatch)
+    assert len(m4_gadget_search()) == 24  # the strict-consensus pairs, as above
+    assert sum(kind == "aggregate" for kind, _ in events) <= 150
+
+
+def test_a_solved_level_counts_all_its_orders_against_the_budget():
+    # nothing is checked on node i's level, so each of its 75 orders opens
+    # node j's solved level, which counts 75 though it tries one: 75 + 75 * 75
+    assert len(m4_gadget_search(budget=5700)) == 24
+    with pytest.raises(BudgetExceededError, match="^more than 5699 partial profiles tried$"):
+        m4_gadget_search(budget=5699)
 
 
 def test_uniform_run_stops_at_a_stall():

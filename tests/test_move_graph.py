@@ -229,6 +229,17 @@ def test_step_is_the_smallest_id_neighbour_one_unit_closer_exhaustive(base):
                 assert moved == graph.orders[want[policy]], (a, b, policy)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("lazy", [False, True], ids=["default", "no-move-on-ambiguity"])
+def test_resting_ids_are_the_ids_the_step_leaves_in_place(m, lazy):
+    graph = MoveGraph(m)
+    ids = range(graph.order_count)
+    for t in ids:
+        assert graph.resting_ids(t, lazy) == tuple(x for x in ids if graph.next_id(x, t, lazy) == x), t
+    # from m = 3 on, some ids stall short of their target under no-move-on-ambiguity
+    assert (max(len(graph.resting_ids(t, lazy)) for t in ids) > 1) == (lazy and m > 2)
+
+
 M4_ON_G3 = {
     "distance-first": lambda w: distance(G3, w, o("x>y>z")),
     "distance-second": lambda w: distance(G3, o("x>y>z"), w),

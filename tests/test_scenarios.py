@@ -154,6 +154,17 @@ def test_float_weights_rejected():
     assert field_error(doc) == "network.edges[1].weight"
 
 
+def test_negative_weights_rejected_with_field_path():
+    # the row still sums to 1, so only the sign check can name the edge
+    doc = minimal_doc()
+    doc["network"]["nodes"].append("c")
+    doc["network"]["edges"] += [{"from": "c", "to": "a", "weight": "-1/10"},
+                                {"from": "c", "to": "c", "weight": "1"}]
+    doc["network"]["edges"][0]["weight"] = "11/10"
+    doc["initial"]["c"] = "x>y>z"
+    assert field_error(doc) == "network.edges[2].weight"
+
+
 def test_row_sum_validation_addresses_edges():
     doc = minimal_doc()
     doc["network"]["edges"][0]["weight"] = "1/2"
