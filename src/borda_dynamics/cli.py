@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .dynamics import report_to_json_dict, write_trajectory_csv
@@ -85,7 +86,9 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later `main` call."""
     parser = argparse.ArgumentParser(
         prog="borda-dynamics",
         description="Bounded Borda preference dynamics on influence networks",
@@ -122,8 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioFormatError, ScenarioBuildError, ScheduleError) as exc:

@@ -11,13 +11,13 @@ super-step) always terminate with a cycle.  Seeded uniform-random schedules
 are stochastic, so they report convergence to a fixed point or raise a budget
 error; no period is claimed for them.
 
-Runs and the fixed-point search execute on an integer kernel compiled per
-run.  A state is the tuple of its orders' canonical ids.  Row i is scaled by
-the least common denominator D_i of its weights to integers W_ij (they sum
-to D_i), and each order's Borda scores are doubled to integers B2, so node
-i's aggregate sum_j W_ij * B2[state_j] is exactly 2*D_i times the Fraction
-aggregate: ties and order are decided by integer equality, with no float and
-no tolerance.  Each order's B2 is packed into one int with a fixed-width lane
+Runs, their replay and the fixed-point search execute on an integer kernel
+compiled per run.  A state is the tuple of its orders' canonical ids.  Row
+i is scaled by the least common denominator D_i of its weights to integers
+W_ij (they sum to D_i), and each order's Borda scores are doubled to
+integers B2, so node i's aggregate sum_j W_ij * B2[state_j] is exactly
+2*D_i times the Fraction aggregate: ties and order are decided by integer
+equality, with no float and no tolerance.  Each order's B2 is packed into one int with a fixed-width lane
 per alternative, B2[a] in the bits from a*lane up.  A lane of an aggregate
 lies between 0 and 2*(m-1)*D_i, and a lane has as many bits as the largest
 such bound of the run needs, so the weighted sum of packed ints never
@@ -41,9 +41,11 @@ fixed as the level opens, so the level tries only the ids that target's
 step leaves in place (`MoveGraph.resting_ids`), yet counts every order
 against the budget.
 WeakOrders appear again only in the returned OrbitReport.  `step_sync`,
-`step_async` and `is_fixed_point` run on the same kernel.  `aggregate_scores`
-keeps the paper's exact Fraction aggregate as the definition that reference
-re-drives of a run read.
+`step_async` and `is_fixed_point` run on the same kernel, and so does
+`reproduces`, the replay: it drives a report's schedule on another network
+and compares each step's target log in ids, building no report.
+`aggregate_scores` keeps the paper's exact Fraction aggregate as the
+definition that reference re-drives of a run read.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter, sub
-from typing import IO, Iterable, Sequence
+from itertools import count, repeat
+from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, ScheduleError
 from .influence import InfluenceNetwork
@@ -396,24 +399,15 @@ def run_until_cycle(
     """
     state = tuple(_state_ids(net.n, persistent, graph, initial).values())
     free = persistent.free_nodes(net.n)
+    steps = _steps(schedule, free)
     kernel = _Kernel(net, graph, policy, free, state)
 
     if schedule.kind == "uniform":
-        return _run_uniform(kernel, free, state, schedule, max_steps)
-
-    if schedule.kind == "synchronous":
-        nodes, synchronous = free, True
-    elif schedule.kind == "sequence":
-        bad = [i for i in schedule.nodes if i not in free]
-        if bad:
-            raise ScheduleError(f"scheduled nodes {bad} are pinned or unknown")
-        nodes, synchronous = schedule.nodes, False
-    else:
-        raise ScheduleError(f"unknown schedule kind {schedule.kind!r}")
+        return _run_uniform(kernel, free, state, steps, max_steps)
 
     seen: dict[tuple[int, ...], int] = {}  # state -> time of first visit, in visit order
     logs = []
-    for t in range(max_steps + 1):
+    for t, (nodes, synchronous) in zip(range(max_steps + 1), steps):
         first = seen.get(state)
         if first is not None:
             return kernel.report(list(seen), first, logs)
@@ -423,10 +417,27 @@ def run_until_cycle(
     raise BudgetExceededError(f"no cycle within {max_steps} steps")
 
 
-def _run_uniform(kernel: _Kernel, free, state, schedule, max_steps):
-    if not free:
-        raise ScheduleError("uniform schedule needs at least one free node")
-    rng = random.Random(schedule.seed)
+def _steps(schedule: Schedule, free: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """The schedule's steps, each as `_Kernel.update`'s (nodes, synchronous):
+    all free nodes at once, the sequence in turn, or one seeded uniform draw.
+    Raises ScheduleError on a sequence naming a pinned or unknown node, a
+    uniform schedule with no free node, and an unknown kind."""
+    if schedule.kind == "synchronous":
+        return repeat((free, True))
+    if schedule.kind == "sequence":
+        bad = [i for i in schedule.nodes if i not in free]
+        if bad:
+            raise ScheduleError(f"scheduled nodes {bad} are pinned or unknown")
+        return repeat((schedule.nodes, False))
+    if schedule.kind == "uniform":
+        if not free:
+            raise ScheduleError("uniform schedule needs at least one free node")
+        rng = random.Random(schedule.seed)
+        return (((free[rng.randrange(len(free))],), True) for _ in count())
+    raise ScheduleError(f"unknown schedule kind {schedule.kind!r}")
+
+
+def _run_uniform(kernel: _Kernel, free, state, steps, max_steps):
     states = [state]
     logs = []
     for t in range(max_steps + 1):
@@ -434,10 +445,41 @@ def _run_uniform(kernel: _Kernel, free, state, schedule, max_steps):
             return kernel.report(states, t, logs)
         if t == max_steps:
             break
-        log, state = kernel.update((free[rng.randrange(len(free))],), True)
+        log, state = kernel.update(*next(steps))
         logs.append(log)
         states.append(state)
     raise BudgetExceededError(f"no fixed point within {max_steps} asynchronous updates")
+
+
+def reproduces(
+    net: InfluenceNetwork,
+    graph: MoveGraph,
+    policy: StepPolicy,
+    persistent: PersistentConfig,
+    schedule: Schedule,
+    report: OrbitReport,
+) -> bool:
+    """True iff `run_until_cycle` on `net` from `report.prefix[0]` would give
+    `report`'s mu, period, prefix and target logs; `report` must come from a
+    run with the same graph, policy, pins and schedule.
+
+    The schedule's steps run on the kernel until a step's target log differs,
+    in ids, from the report's.  Equal logs from an equal start visit equal
+    states, so a deterministic run repeats at the same step.  A uniform run
+    must also end with every free node settled; it cannot stop earlier, since
+    from a settled state equal logs move nothing and the report's run would
+    have stopped there.
+    """
+    free = persistent.free_nodes(net.n)
+    state = _state_ids(net.n, persistent, graph, report.prefix[0]).values()
+    steps = _steps(schedule, free)
+    kernel = _Kernel(net, graph, policy, free, state)
+    id_of = graph.id_of
+    for expected, (nodes, synchronous) in zip(report.target_log, steps):
+        log, _ = kernel.update(nodes, synchronous)
+        if log != tuple([(i, id_of(order)) for i, order in expected]):
+            return False
+    return schedule.kind != "uniform" or all(map(kernel.settled, free))
 
 
 def is_fixed_point(net: InfluenceNetwork, persistent: PersistentConfig, profile: Profile) -> bool:

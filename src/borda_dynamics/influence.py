@@ -292,28 +292,43 @@ def verify_minus_one_mode(
 def perturb_weights(net: InfluenceNetwork, eps: Fraction, seed: int) -> InfluenceNetwork:
     """Seeded perturbation with identical support, exact row sums, entries within eps.
 
-    Per row, signed rational deltas are drawn for the support entries, centered
-    to sum to zero, and scaled so every entry stays positive and moves by at
-    most eps; single-entry rows are forced and stay unchanged.
+    Per row, one draw r in -10**6..10**6 is taken per support entry, a
+    single entry too; the draws are centered to sum to zero and scaled so
+    every entry stays positive and moves by at most eps.  Single-entry rows
+    are forced and stay unchanged.  The arithmetic is in integers: a row of
+    k entries has deltas k*r - sum(r) over the shared denominator k*10**6,
+    the scale is one p/q, and each new weight is one Fraction.  eps is a
+    Fraction, an int or a "p/q" string; a float or bool is refused.
     """
+    if isinstance(eps, (float, bool)):
+        raise ValueError(f"eps {eps!r} must be exact: a Fraction, an int or a p/q string")
     eps = Fraction(eps)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    ep, eq = eps.numerator, eps.denominator
     rng = random.Random(seed)
     denom = 10**6
     rows = []
     for row in net.rows:
-        draws = [Fraction(rng.randint(-denom, denom), denom) for _ in row]
-        if eps == 0 or len(row) < 2:
+        draws = [rng.randint(-denom, denom) for _ in row]
+        k, total = len(row), sum(draws)
+        deltas = [k * r - total for r in draws]
+        if not ep or k < 2 or not any(deltas):
             rows.append(row)
             continue
-        mean = sum(draws) / len(draws)
-        deltas = [d - mean for d in draws]
-        if all(d == 0 for d in deltas):
-            rows.append(row)
-            continue
-        scale = min(min(eps, w / 2) / abs(d) for (_, w), d in zip(row, deltas) if d != 0)
-        rows.append(tuple((j, w + scale * d) for (j, w), d in zip(row, deltas)))
+        # scale = min over d != 0 of min(eps, w/2) * k*denom / |d|, kept as p/q
+        p, q = None, 1
+        for (_, w), d in zip(row, deltas):
+            if d:
+                a, b = w.numerator, w.denominator
+                cap_p, cap_q = (ep, eq) if ep * 2 * b <= a * eq else (a, 2 * b)
+                cand_p, cand_q = cap_p * k * denom, cap_q * abs(d)
+                if p is None or cand_p * q < p * cand_q:
+                    p, q = cand_p, cand_q
+        # w + (p/q) * d / (k*denom), over one denominator
+        q *= k * denom
+        rows.append(tuple((j, Fraction(w.numerator * q + w.denominator * p * d, w.denominator * q))
+                          for (j, w), d in zip(row, deltas)))
     return InfluenceNetwork(tuple(rows), net.names)
 
 

@@ -2,10 +2,12 @@
 
 A node's target is the projection of its exact aggregate (`aggregate_scores`
 then `weak_orders.project`), a move is `move_graph.step`, and a tie margin is
-the smallest gap between distinct aggregate values.  The module reads only
-those definitions and the package's data types, never the integer kernel
-that `borda_dynamics.dynamics` runs on, so a test that compares the two
-compares the kernel with an independent computation.
+the smallest gap between distinct aggregate values.  A weight perturbation
+is the mean-centred Fraction formula, and a robustness check runs every
+trial in full.  The module reads only those definitions and the package's
+data types, never the integer kernel that `borda_dynamics.dynamics` runs
+on, so a test that compares the two compares the kernel with an
+independent computation.
 """
 
 import math
@@ -13,7 +15,7 @@ import random
 from fractions import Fraction
 
 from borda_dynamics.dynamics import aggregate_scores
-from borda_dynamics.move_graph import step as graph_step
+from borda_dynamics.move_graph import build_cover_graph, step as graph_step
 from borda_dynamics.weak_orders import project
 
 
@@ -96,3 +98,70 @@ def reference_run(net, graph, policy, pc, initial, schedule, max_steps):
         logs.append(log)
         prefix.append(state)
     return None
+
+
+class BudgetExceeded(Exception):
+    """A reference run hit its step budget, where the package raises BudgetExceededError."""
+
+
+def perturb_weights(net, eps, seed):
+    """Per row, one draw in -10**6..10**6 per support entry over 10**6, centred on
+    the row's mean and scaled so every entry stays positive and moves by at most
+    eps; single-entry rows keep their weight.  The result has the given
+    network's type, so the oracle imports nothing more of the package."""
+    eps = Fraction(eps)
+    rng = random.Random(seed)
+    denom = 10**6
+    rows = []
+    for row in net.rows:
+        draws = [Fraction(rng.randint(-denom, denom), denom) for _ in row]
+        if eps == 0 or len(row) < 2:
+            rows.append(row)
+            continue
+        mean = sum(draws) / len(draws)
+        deltas = [d - mean for d in draws]
+        if all(d == 0 for d in deltas):
+            rows.append(row)
+            continue
+        scale = min(min(eps, w / 2) / abs(d) for (_, w), d in zip(row, deltas) if d != 0)
+        rows.append(tuple((j, w + scale * d) for (j, w), d in zip(row, deltas)))
+    return type(net)(tuple(rows), net.names)
+
+
+def robustness_evidence(sc, trials, seed):
+    """The evidence of `verify_robustness` with every trial re-driven in full
+    on the Fraction path, or None where its hypothesis is not met.  Raises
+    BudgetExceeded where a run would raise BudgetExceededError."""
+    graph = build_cover_graph(sc.m)
+
+    def run(net):
+        result = reference_run(net, graph, sc.policy, sc.persistent, sc.initial, sc.schedule, sc.max_steps)
+        if result is None:
+            raise BudgetExceeded
+        return result
+
+    mu, period, prefix, logs, delta = run(sc.network)
+    if delta == 0 or delta == math.inf:
+        return None
+    eps_star = Fraction(delta) / (2 * (sc.m - 1) * sc.network.n)
+    divergence = None
+    for t in range(trials):
+        mu_t, period_t, prefix_t, logs_t, _ = run(perturb_weights(sc.network, eps_star / 2, seed + t))
+        if (mu_t, period_t) != (mu, period) or prefix_t != prefix:
+            step = next((k for k, (a, b) in enumerate(zip(prefix_t, prefix)) if a != b),
+                        min(len(prefix_t), len(prefix)))
+            divergence = {"trial": t, "first_divergence_step": step}
+            break
+        if logs_t != logs:
+            divergence = {"trial": t, "first_divergence_step": "target log"}
+            break
+    return {
+        "hypothesis_met": True,
+        "delta": str(Fraction(delta)),
+        "eps_star": eps_star,
+        "eps_used": eps_star / 2,
+        "trials": trials,
+        "mu": mu,
+        "period": period,
+        "divergence": divergence,
+    }

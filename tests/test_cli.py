@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from borda_dynamics import cli
+
 CLI = [sys.executable, "-m", "borda_dynamics"]
 
 
@@ -367,14 +369,35 @@ def test_verify_output_is_byte_identical(scenario_dir):
 
 
 # criterion 14: verify output stays byte-identical while the behaviour is kept
-@pytest.mark.parametrize("name, digest", [
-    ("suite_default.json", "9c6e24b111691c49c737064625ec3ab1f84f0ce3c454706a21dde58cdecad24a"),
-    ("suite_controls.json", "07e95870aa396c96e0f2adf7950ccdacf4f297ca06b318c62396e62a81f9bd37"),
-])
+VERIFY_DIGESTS = {
+    "suite_default.json": "9c6e24b111691c49c737064625ec3ab1f84f0ce3c454706a21dde58cdecad24a",
+    "suite_controls.json": "07e95870aa396c96e0f2adf7950ccdacf4f297ca06b318c62396e62a81f9bd37",
+}
+
+
+@pytest.mark.parametrize("name, digest", VERIFY_DIGESTS.items())
 def test_verify_stdout_digest_is_frozen(scenario_dir, name, digest):
     proc = subprocess.run(CLI + ["verify", str(scenario_dir / name)], capture_output=True)
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_main_calls_in_one_process_share_the_parser(scenario_dir, capsys):
+    simulate = ["simulate", str(scenario_dir / "gadget.json"), "--csv", "-"]
+    assert cli.main(simulate) == 0
+    first = capsys.readouterr().out
+    for bad in (["simulate"], ["simulate", "a.json", "--nope"], ["nope"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(bad)
+        assert exit_info.value.code == 2
+    capsys.readouterr()
+    assert cli.main(simulate) == 0
+    assert capsys.readouterr().out == first
+    assert cli.build_parser() is cli.build_parser()
+    for name, digest in VERIFY_DIGESTS.items():
+        for _ in range(2):
+            assert cli.main(["verify", str(scenario_dir / name)]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name, digest", [

@@ -690,6 +690,40 @@ def assert_run_matches_reference(net, graph, policy, pc, initial, schedule, max_
     return report
 
 
+#: node 0 starts at (xyz), which the antipodal pins at 1/2 each hold it at, and
+#: any perturbation of its row moves its target: a uniform run stops at once,
+#: a perturbed one does not, with no logged step to tell them apart
+TIE_START = (
+    influence_network([[0, "1/2", "1/2"], [0, 1, 0], [0, 0, 1]]), G3, POLICY,
+    PersistentConfig(pins={1: o("x>y>z"), 2: o("z>y>x")}), (o("(xyz)"), o("x>y>z"), o("z>y>x")),
+    Schedule.uniform(0),
+)
+
+
+@given(kernel_cases(), st.sampled_from([Fraction(0), Fraction(1, 480), Fraction(1, 40), Fraction(1, 4)]),
+       st.integers(0, 10**6))
+@example(TIE_START, Fraction(1, 40), 1)
+@settings(deadline=None, max_examples=300)
+def test_a_replay_reproduces_exactly_when_the_perturbed_run_does(case, eps, seed):
+    """Networks of 1 to 6 nodes on m = 2..6 with weights k/total, k in 0..3,
+    some perturbed once already; synchronous, sequence and uniform schedules,
+    with and without pins, under both step policies; the replayed network is
+    `perturb_weights` of it with eps in {0, 1/480, 1/40, 1/4} and any seed."""
+    net, graph, policy, pc, initial, schedule = case
+    try:
+        base = run_until_cycle(net, graph, policy, pc, initial, schedule, KERNEL_MAX_STEPS)
+    except BudgetExceededError:
+        return
+    perturbed = perturb_weights(net, eps, seed)
+    try:
+        rep = run_until_cycle(perturbed, graph, policy, pc, initial, schedule, KERNEL_MAX_STEPS)
+        same = all(getattr(rep, key) == getattr(base, key) for key in ("mu", "period", "prefix", "target_log"))
+    except BudgetExceededError:
+        same = False
+    assert dynamics.reproduces(perturbed, graph, policy, pc, schedule, base) == same
+    assert dynamics.reproduces(net, graph, policy, pc, schedule, base)
+
+
 def test_a_sequence_step_reads_a_self_loop_move():
     # node 0 hears itself and a pin at 1/2 each; its first target (xyz) moves
     # it to x>(yz), which changes its own second target within the step

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from borda_dynamics import cli
 from borda_dynamics.influence import (
@@ -19,6 +19,8 @@ from borda_dynamics.influence import (
     verify_minus_one_mode,
 )
 from borda_dynamics.scenarios import load_scenario
+
+import reference
 
 
 def support_only_network(n, arcs):
@@ -417,6 +419,37 @@ def test_perturb_rejects_negative_eps():
     net = influence_network(GADGET_ROWS)
     with pytest.raises(ValueError):
         perturb_weights(net, Fraction(-1, 10), seed=0)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.0, True, False])
+def test_perturb_refuses_a_float_or_bool_eps(eps):
+    # 0.1 would perturb by its binary value and True would act as eps = 1
+    net = influence_network(GADGET_ROWS)
+    with pytest.raises(ValueError, match="must be exact"):
+        perturb_weights(net, eps, seed=3)
+
+
+def test_perturb_takes_an_int_or_string_eps_as_its_fraction():
+    net = influence_network(GADGET_ROWS)
+    assert perturb_weights(net, 1, seed=3) == perturb_weights(net, Fraction(1), seed=3)
+    assert perturb_weights(net, "1/10", seed=3) == perturb_weights(net, Fraction(1, 10), seed=3)
+
+
+PERTURB_EPS = [Fraction(0), Fraction(1, 480), Fraction(1, 10), Fraction(1), Fraction(7, 3)]
+
+
+@given(weight_rows(), st.sampled_from(PERTURB_EPS), st.integers(0, 10**6), st.booleans())
+@example([["0", "1", "0"], ["1/2", "0", "1/2"], ["1/3", "1/3", "1/3"]], Fraction(7, 3), 7, False)
+@example([["1"]], Fraction(1, 10), 0, False)
+@settings(deadline=None, max_examples=300)
+def test_integer_perturbation_equals_the_fraction_formula(rows, eps, seed, perturbed):
+    """Networks of 1 to 6 nodes with weights k/total, k in 0..3 (so rows of one
+    entry occur), optionally perturbed once before so denominators reach about
+    10**6; eps in {0, 1/480, 1/10, 1, 7/3}; any seed."""
+    net = influence_network(rows)
+    if perturbed:
+        net = reference.perturb_weights(net, Fraction(1, 7), seed + 1)
+    assert perturb_weights(net, eps, seed).rows == reference.perturb_weights(net, eps, seed).rows
 
 
 # --- export -------------------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from borda_dynamics.dynamics import PersistentConfig, Schedule, enumerate_fixed_points, run_until_cycle
-from borda_dynamics.errors import ScenarioFormatError
+from borda_dynamics.errors import BudgetExceededError, ScenarioFormatError
 from borda_dynamics.influence import influence_network, perturb_weights, seeded_random_network
-from borda_dynamics.move_graph import build_cover_graph, find_cycle
+from borda_dynamics.move_graph import StepPolicy, build_cover_graph, find_cycle
 from borda_dynamics.scenarios import (
     ScenarioConfig,
     build_gadget,
@@ -16,6 +17,7 @@ from borda_dynamics.scenarios import (
     load_scenario,
     parse_scenario,
 )
+from borda_dynamics import verifiers
 from borda_dynamics.verifiers import (
     enumerate_single_peaked,
     is_single_peaked,
@@ -28,7 +30,9 @@ from borda_dynamics.verifiers import (
     verify_traveling_wave,
     verify_unreachable_persistence,
 )
-from borda_dynamics.weak_orders import format_order, parse_order
+from borda_dynamics.weak_orders import enumerate_weak_orders, format_order, parse_order
+
+import reference
 
 G3 = build_cover_graph(3)
 RHO = parse_order("x>y>z", 3)
@@ -277,6 +281,76 @@ def test_robustness_not_certifiable_without_active_hyperplane():
     outcome = verify_robustness(sc, trials=5, seed=0)
     assert not outcome.passed
     assert not outcome.evidence["hypothesis_met"]
+
+
+def random_robustness_case(seed):
+    """A scenario with 2 to 5 nodes, m = 3 (m = 4 one time in four), weights
+    k/total with k in 0..3, random pins, schedule and step policy, and a
+    robustness call of 1 to 8 trials."""
+    rng = random.Random(seed)
+    m = 4 if rng.random() < 0.25 else 3
+    n = rng.randint(2, 5)
+    rows = []
+    for i in range(n):
+        raw = [rng.choice([0, 0, 1, 2, 3]) for _ in range(n)]
+        if not any(raw):
+            raw[(i + 1) % n] = 1
+        rows.append([Fraction(w, sum(raw)) for w in raw])
+    space = enumerate_weak_orders(m)
+    initial = tuple(rng.choice(space) for _ in range(n))
+    pins = {i: initial[i] for i in rng.sample(range(n), rng.randint(0, n - 1))}
+    free = [i for i in range(n) if i not in pins]
+    kind = ("synchronous", "sequence", "uniform")[seed % 3]
+    if kind == "synchronous":
+        schedule = Schedule.synchronous()
+    elif kind == "sequence":
+        schedule = Schedule.sequence(rng.choice(free) for _ in range(rng.randint(1, 6)))
+    else:
+        schedule = Schedule.uniform(rng.randrange(2**31))
+    sc = ScenarioConfig(m, influence_network(rows), PersistentConfig(pins=pins), initial, schedule,
+                        StepPolicy(allow_no_move_on_ambiguity=rng.random() < 0.5),
+                        label=f"case_{seed}", max_steps=200)
+    return sc, rng.randint(1, 8), rng.randrange(10**6)
+
+
+def test_robustness_evidence_equals_running_every_trial_in_full():
+    # the replay skips the full run of a reproducing trial; the evidence must
+    # be that of the loop that runs every trial on the Fraction path
+    kinds = Counter()
+    for case in range(240):
+        sc, trials, seed = random_robustness_case(case)
+        try:
+            expected = reference.robustness_evidence(sc, trials, seed)
+        except reference.BudgetExceeded:
+            with pytest.raises(BudgetExceededError):
+                verify_robustness(sc, trials, seed)
+            continue
+        outcome = verify_robustness(sc, trials, seed)
+        if expected is None:
+            assert not outcome.passed and not outcome.evidence["hypothesis_met"]
+            continue
+        assert outcome.evidence == expected, case
+        assert outcome.passed == (expected["divergence"] is None)
+        divergence = expected["divergence"]
+        kinds["held" if divergence is None else type(divergence["first_divergence_step"]).__name__] += 1
+    # trials that hold, diverge in state (an int step) and diverge in the target log only
+    assert min(kinds["held"], kinds["int"], kinds["str"]) >= 10, kinds
+
+
+@pytest.mark.parametrize("held", [0, 1, 4])
+def test_trials_that_replay_are_passed_over_until_one_diverges(monkeypatch, held):
+    # i hears the antipodal pins at 1/2 each, so every true perturbation breaks
+    # its three-way tie at step 0; k copies a pin, which makes the margin 1.
+    # The first `held` trials keep the weights, so they replay
+    net = influence_network([[0, 0, "1/2", "1/2"], [0, 0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    sc = ScenarioConfig(3, net, PersistentConfig(pins={2: o("x>y>z"), 3: o("z>y>x")}),
+                        (o("z>y>x"), o("z>y>x"), o("x>y>z"), o("z>y>x")), Schedule.synchronous(), label="tie")
+    perturb = verifiers.perturb_weights
+    monkeypatch.setattr(verifiers, "perturb_weights",
+                        lambda net, eps, seed: net if seed < 100 + held else perturb(net, eps, seed))
+    outcome = verify_robustness(sc, trials=held + 2, seed=100)
+    assert outcome.evidence["hypothesis_met"]
+    assert outcome.evidence["divergence"]["trial"] == held
 
 
 @pytest.mark.xfail(strict=True, reason=(
