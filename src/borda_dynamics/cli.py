@@ -1,10 +1,10 @@
 """Command line interface: enumerate, simulate, verify, export-dot.
 
 Exit codes: 0 success, 1 verification failure, 2 input error (a missing file,
-a bad argument, or a `ScenarioFormatError`, `ScenarioBuildError` or
-`ScheduleError`), 3 step budget exceeded.  Any other exception is a bug and
-shows as a traceback.  All output is deterministic byte-for-byte given the
-same inputs and seeds.
+an output path that cannot be written, a bad argument, or a
+`ScenarioFormatError`, `ScenarioBuildError` or `ScheduleError`), 3 step
+budget exceeded.  Any other exception is a bug and shows as a traceback.  All
+output is deterministic byte-for-byte given the same inputs and seeds.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from functools import cache
-from pathlib import Path
 
 from .dynamics import report_to_json_dict, write_trajectory_csv
 from .errors import BudgetExceededError, ScenarioBuildError, ScenarioFormatError, ScheduleError
@@ -29,11 +29,26 @@ EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 
 
+class OutputError(Exception):
+    """An output path that cannot be written: an input error, not a failed claim."""
+
+
+@contextmanager
+def _output(path: str, newline: str | None = None):
+    """`path` opened for writing; an OSError on it becomes an OutputError naming it."""
+    try:
+        with open(path, "w", newline=newline) as handle:
+            yield handle
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        with _output(path) as handle:
+            handle.write(text)
 
 
 def _dump_json(doc) -> str:
@@ -65,7 +80,7 @@ def cmd_simulate(args) -> int:
         if args.csv == "-":
             write_trajectory_csv(report, sc.network.names, sys.stdout, sc.alt_names)
         else:
-            with open(args.csv, "w", newline="") as handle:
+            with _output(args.csv, newline="") as handle:
                 write_trajectory_csv(report, sc.network.names, handle, sc.alt_names)
     return EXIT_OK
 
@@ -128,7 +143,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioFormatError, ScenarioBuildError, ScheduleError) as exc:
+    except (ScenarioFormatError, ScenarioBuildError, ScheduleError, OutputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except FileNotFoundError as exc:

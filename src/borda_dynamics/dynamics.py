@@ -17,24 +17,22 @@ i is scaled by the least common denominator D_i of its weights to integers
 W_ij (they sum to D_i), and each order's Borda scores are doubled to
 integers B2, so node i's aggregate sum_j W_ij * B2[state_j] is exactly
 2*D_i times the Fraction aggregate: ties and order are decided by integer
-equality, with no float and no tolerance.  Each order's B2 is packed into one int with a fixed-width lane
-per alternative, B2[a] in the bits from a*lane up.  A lane of an aggregate
-lies between 0 and 2*(m-1)*D_i, and a lane has as many bits as the largest
-such bound of the run needs, so the weighted sum of packed ints never
-carries from one lane into the next: it is the aggregate, one multiply-add
-per in-neighbour.
-The target is read from the dense ranks of the lanes and memoised by the
-packed int, which fixes the lane values and so the target, whatever the row;
-the memo is emptied once it holds TARGET_MEMO_CAP entries, which bounds the
-memory of a long fixed-point search.  A tie margin is the smallest gap
-between distinct lane values over 2*D_i, and each step is asked of the move
-graph by id (`MoveGraph.next_id`).
-A node's target depends on its in-neighbours' states alone, so the kernel
-keeps one target per node and marks it stale when an in-neighbour is
-written: a synchronous step writes after all its reads, a sequence step
-each move, the fixed-point search each assignment.  The uniform stop check
-and the search's pruning check read cached targets, so a target is
-recomputed only after an in-neighbour has moved.
+equality, with no float and no tolerance.  Each order's B2 is packed into
+one int with a lane per alternative, B2[a] in the bits from a*lane up.  A
+lane of an aggregate lies in 0..2*(m-1)*D_i and has as many bits as the
+largest such bound of the run needs, so the weighted sum of packed ints
+never carries from one lane into the next: it is the aggregate.
+The aggregate is linear in each in-neighbour's scores, so the kernel keeps
+each node's packed aggregate, its total, in the current state: writing
+node j from order a to b adds W_kj * (packed[b] - packed[a]) to the total
+of each listener k, exactly, and after each write a total is a real
+state's aggregate, within the lane bounds.  No read sums a row.  A target
+is read from the dense ranks of a total's lanes, a tie margin is the
+smallest gap between distinct lanes over 2*D_i, and both are memoised by
+the total, which fixes them whatever the row; each memo is emptied at
+TARGET_MEMO_CAP entries, which bounds a long search's memory.  The orbit
+margin walks the orbit by writes, and each step is asked of the move graph
+by id (`MoveGraph.next_id`).
 The search assigns free nodes one level each.  A level is solved when its
 node hears only pins and earlier levels, with no self-loop: its target is
 fixed as the level opens, so the level tries only the ids that target's
@@ -246,44 +244,37 @@ class _Kernel:
     """One run compiled to integers over canonical ids (see the module docstring).
 
     Built per run or search and dropped with it: `rows[i]` is ((j, W_ij) per
-    in-neighbour, 2*D_i) for each compiled node, and `listeners[j]` lists the
-    compiled nodes whose row reads j; the graph keeps the steps.  `packed[k]`
-    holds order k's doubled Borda scores in one int, alternative a in the
-    `lane` bits from a*lane up, so an aggregate is one int too.  `memo` maps
-    a packed aggregate to its target id, shared by every row, and is emptied
-    when it holds TARGET_MEMO_CAP entries.  The kernel owns one state, which
-    only `write` changes.  `targets[i]` caches node i's target in that state,
-    -1 when stale: `write` marks every listener of a mover stale, so `target`
-    recomputes a target only after one of its in-neighbours has moved, and
-    `settled` asks the graph whether node i's step would leave it in place.
+    in-neighbour, 2*D_i) for each compiled node, `listeners[j]` holds (k,
+    W_kj) per compiled node k whose row reads j, and the graph keeps the
+    steps.  `packed[k]` is order k's doubled Borda scores in one int, lane by
+    lane.  The kernel owns one state, which only `write` changes, and
+    `totals[i]` is node i's packed aggregate in it.  `memo` maps a total to
+    its target id and `gaps` to its smallest lane gap.
     """
 
     def __init__(self, net: InfluenceNetwork, graph: MoveGraph, policy: StepPolicy, nodes: Iterable[int],
-                 state: Sequence[int | None]):
+                 state: Iterable[int]):
         m = graph.m
         self.graph = graph
         self.stay_on_ambiguity = policy.allow_no_move_on_ambiguity
         self.rank_ids = _id_tables(m)[1]
         self.rows: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
-        self.listeners: list[list[int]] = [[] for _ in range(net.n)]
+        self.listeners: list[list[tuple[int, int]]] = [[] for _ in range(net.n)]
         for i in nodes:
             support = net.rows[i]
             d = math.lcm(*(w.denominator for _, w in support))
             self.rows[i] = (tuple((j, w.numerator * (d // w.denominator)) for j, w in support), 2 * d)
-            for j, _ in support:
-                self.listeners[j].append(i)
+            for j, w in self.rows[i][0]:
+                self.listeners[j].append((i, w))
         # a lane of an aggregate lies in 0..2(m-1)*D_i, so lanes never carry
         lane = ((m - 1) * max((scale for _, scale in self.rows.values()), default=2)).bit_length()
         self.lane, self.mask, self.shifts = lane, (1 << lane) - 1, range(0, m * lane, lane)
-        self.packed = _packed_scores(m, lane)
+        self.packed = packed = _packed_scores(m, lane)
         self.memo: dict[int, int] = {}
-        self.state = list(state)
-        self.targets = [-1] * net.n
-
-    def aggregate(self, state: Sequence[int], i: int) -> int:
-        """Node i's aggregate in `state` times 2*D_i, packed: one lane per alternative."""
-        packed = self.packed
-        return sum([w * packed[state[j]] for j, w in self.rows[i][0]])
+        self.gaps: dict[int, int] = {}
+        self.state = state = list(state)
+        self.totals = [sum([w * packed[state[j]] for j, w in self.rows[i][0]]) if i in self.rows else 0
+                       for i in range(net.n)]
 
     def lanes(self, total: int) -> list[int]:
         """The per-alternative values of a packed aggregate."""
@@ -291,15 +282,9 @@ class _Kernel:
         return [total >> shift & mask for shift in self.shifts]
 
     def target(self, i: int) -> int:
-        """Node i's target in the kernel's state, recomputed only when stale."""
-        tau = self.targets[i]
-        if tau < 0:
-            total = self.aggregate(self.state, i)
-            tau = self.memo.get(total)
-            if tau is None:
-                tau = self.project(total)
-            self.targets[i] = tau
-        return tau
+        """Node i's target in the kernel's state."""
+        tau = self.memo.get(self.totals[i])
+        return self.project(self.totals[i]) if tau is None else tau
 
     def project(self, total: int) -> int:
         """The target of a packed aggregate, read from its dense ranks and memoised."""
@@ -310,19 +295,28 @@ class _Kernel:
         tau = self.memo[total] = self.rank_ids[tuple(map(distinct.index, lanes))]
         return tau
 
+    def gap(self, total: int) -> int:
+        """The smallest gap between distinct lanes of a packed aggregate (0 if none), memoised."""
+        if len(self.gaps) >= TARGET_MEMO_CAP:
+            self.gaps.clear()
+        distinct = sorted(set(self.lanes(total)))
+        gap = self.gaps[total] = min(map(sub, distinct[1:], distinct), default=0)
+        return gap
+
     def settled(self, i: int) -> bool:
         """True iff node i's step leaves it where it is: at its target, or
         stalled there under no-move-on-ambiguity."""
-        current = self.state[i]
-        return self.graph.next_id(current, self.target(i), self.stay_on_ambiguity) == current
+        current, tau = self.state[i], self.target(i)
+        return tau == current or self.graph.next_id(current, tau, self.stay_on_ambiguity) == current
 
     def write(self, moves: Iterable[tuple[int, int]]) -> None:
-        """Apply `(node, id)` moves, marking each mover's listeners stale."""
-        state, targets, listeners = self.state, self.targets, self.listeners
-        for i, nxt in moves:
-            state[i] = nxt
-            for k in listeners[i]:
-                targets[k] = -1
+        """Apply `(node, id)` moves, adding each one's score delta to its listeners' totals."""
+        state, totals, listeners, packed = self.state, self.totals, self.listeners, self.packed
+        for j, nxt in moves:
+            delta = packed[nxt] - packed[state[j]]
+            state[j] = nxt
+            for k, w in listeners[j]:
+                totals[k] += w * delta
 
     def update(self, nodes: Sequence[int], synchronous: bool):
         """Move each of `nodes` in turn one step toward its target.
@@ -333,14 +327,16 @@ class _Kernel:
         too, on a self-loop) read it.  Returns the target log and the new
         state.
         """
-        state, target, write = self.state, self.target, self.write
+        state, totals, memo, project, write = self.state, self.totals, self.memo, self.project, self.write
         next_id, lazy = self.graph.next_id, self.stay_on_ambiguity
         log, moves = [], []
         for i in nodes:
-            tau = target(i)
+            tau = memo.get(totals[i])
+            if tau is None:
+                tau = project(totals[i])
             log.append((i, tau))
-            nxt = next_id(state[i], tau, lazy)
-            if nxt != state[i]:
+            current = state[i]
+            if current != tau and (nxt := next_id(current, tau, lazy)) != current:
                 if synchronous:
                     moves.append((i, nxt))
                 else:
@@ -348,22 +344,25 @@ class _Kernel:
         write(moves)
         return tuple(log), tuple(state)
 
-    def min_margin(self, states: Iterable[Sequence[int]]) -> Fraction | float:
-        """Smallest tie margin of any compiled node's aggregate over `states`:
-        the smallest gap between distinct aggregate values over 2*D_i."""
+    def min_margin(self, orbit: Sequence[tuple[int, ...]]) -> Fraction | float:
+        """Smallest tie margin of any compiled node's aggregate over the
+        `orbit` states: the smallest gap between distinct aggregate values
+        over 2*D_i.  The kernel must be at orbit[0]; it reaches each later
+        state by writes, so it ends at orbit[-1]."""
         best: tuple[int, int] | None = None  # (gap, 2*D_i)
-        for state in states:
+        gaps, totals, gap_of, write = self.gaps, self.totals, self.gap, self.write
+        for before, state in zip((orbit[0], *orbit), orbit):
+            write([(j, b) for j, (a, b) in enumerate(zip(before, state)) if a != b])
             for i, (_, scale) in self.rows.items():
-                distinct = sorted(set(self.lanes(self.aggregate(state, i))))
-                if len(distinct) < 2:
-                    continue
-                gap = min(map(sub, distinct[1:], distinct))
-                if best is None or gap * best[1] < best[0] * scale:
+                gap = gaps.get(totals[i])
+                if gap is None:
+                    gap = gap_of(totals[i])
+                if gap and (best is None or gap * best[1] < best[0] * scale):
                     best = (gap, scale)
         return math.inf if best is None else Fraction(*best)
 
     def report(self, states: Sequence[tuple[int, ...]], mu: int, logs) -> OrbitReport:
-        """The OrbitReport of visited `states` whose orbit starts at `mu`."""
+        """The OrbitReport of visited `states` with the orbit from `mu`; the kernel is at states[mu]."""
         orders = self.graph.orders
         if len(states[0]) > 1:
             prefix = tuple(itemgetter(*state)(orders) for state in states)
@@ -438,8 +437,7 @@ def _steps(schedule: Schedule, free: tuple[int, ...]) -> Iterator[tuple[tuple[in
 
 
 def _run_uniform(kernel: _Kernel, free, state, steps, max_steps):
-    states = [state]
-    logs = []
+    states, logs = [state], []
     for t in range(max_steps + 1):
         if all(map(kernel.settled, free)):
             return kernel.report(states, t, logs)
@@ -520,8 +518,8 @@ def enumerate_fixed_points(
     orders = graph.orders
     if not free:
         return [tuple(orders[pinned[i]] for i in range(net.n))]
-    # a free node's None is written before any check reads it
-    kernel = _Kernel(net, graph, policy, free, [pinned.get(i) for i in range(net.n)])
+    # unassigned free nodes sit at id 0, so every total is a real state's
+    kernel = _Kernel(net, graph, policy, free, [pinned.get(i, 0) for i in range(net.n)])
     level = {node: k for k, node in enumerate(free)}
     checks: list[list[int]] = [[] for _ in free]
     for i in free:

@@ -115,6 +115,29 @@ def test_simulate_uniform_schedule_converges(scenario_dir, tmp_path):
     assert out["orbit"][0]["i"] == out["orbit"][0]["j"]
 
 
+#: every option that names an output file: the argv before its path
+OUTPUT_OPTIONS = {
+    "verify-out": ("verify", "suite_controls.json", "--out"),
+    "simulate-report": ("simulate", "gadget.json", "--report"),
+    "simulate-csv": ("simulate", "gadget.json", "--csv"),
+    "enumerate-out": ("enumerate", "3", "--out"),
+}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_OPTIONS.values(), ids=OUTPUT_OPTIONS.keys())
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_an_unwritable_output_path_is_an_input_error_naming_it(scenario_dir, tmp_path, argv, where):
+    # exit 1 would read as "claims failed", and "missing file" as a missing input
+    command, subject, option = argv
+    if command != "enumerate":
+        subject = str(scenario_dir / subject)
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    proc = run_cli(command, subject, option, str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"input error: cannot write {out}: ")
+
+
 # --- verify ---------------------------------------------------------------------------
 
 def test_verify_default_suite(scenario_dir):

@@ -480,26 +480,52 @@ def test_m4_gadget_fixed_points_are_the_strict_consensus_pairs():
     assert len(fixed) == 24
 
 
-def kernel_events(monkeypatch):
-    """Patch `_Kernel.write` and `_Kernel.aggregate` to log, in call order,
-    ("write", node) per move and ("aggregate", node) per target recomputation
-    (an aggregate read from the kernel's own state)."""
-    events = []
-    write, aggregate = dynamics._Kernel.write, dynamics._Kernel.aggregate
+class KernelWork:
+    """The work of every kernel built while it is installed, counted by
+    patching `_Kernel` once each is built: `reads` of packed scores (a write
+    takes two, and a row summed on read takes one per in-neighbour),
+    `updates` of totals (one per mover-listener pair), and the nodes
+    `written` and totals `projected`, in order."""
 
-    def logged_write(self, moves):
-        moves = list(moves)
-        events.extend(("write", i) for i, _ in moves)
-        write(self, moves)
+    def __init__(self, monkeypatch):
+        self.reads = self.updates = 0
+        self.written, self.projected = [], []
+        work = self
+        init, write, project = dynamics._Kernel.__init__, dynamics._Kernel.write, dynamics._Kernel.project
 
-    def logged_aggregate(self, state, i):
-        if state is self.state:
-            events.append(("aggregate", i))
-        return aggregate(self, state, i)
+        class Packed(tuple):
+            def __getitem__(self, k):
+                work.reads += 1
+                return tuple.__getitem__(self, k)
 
-    monkeypatch.setattr(dynamics._Kernel, "write", logged_write)
-    monkeypatch.setattr(dynamics._Kernel, "aggregate", logged_aggregate)
-    return events
+        class Totals(list):
+            def __setitem__(self, k, value):
+                work.updates += 1
+                list.__setitem__(self, k, value)
+
+        def counted_init(kernel, *args):
+            init(kernel, *args)
+            kernel.packed, kernel.totals = Packed(kernel.packed), Totals(kernel.totals)
+
+        def counted_write(kernel, moves):
+            moves = list(moves)
+            work.written.extend(j for j, _ in moves)
+            write(kernel, moves)
+
+        def counted_project(kernel, total):
+            work.projected.append(total)
+            return project(kernel, total)
+
+        monkeypatch.setattr(dynamics._Kernel, "__init__", counted_init)
+        monkeypatch.setattr(dynamics._Kernel, "write", counted_write)
+        monkeypatch.setattr(dynamics._Kernel, "project", counted_project)
+
+    def assert_no_row_is_summed_on_read(self):
+        assert self.reads == 2 * len(self.written)
+
+    def listener_pairs(self, net, free):
+        """Mover-listener pairs of the writes: the free nodes that hear each mover."""
+        return sum(sum(j in net.in_neighbors(k) for k in free) for j in self.written)
 
 
 M4_GADGET = build_gadget(4, parse_order("x>y>z>u", 4), Fraction(1, 10))
@@ -514,29 +540,29 @@ SEARCHES = {
 
 @pytest.mark.parametrize("net, m, pc, policy", SEARCHES.values(), ids=SEARCHES.keys())
 def test_the_search_recomputes_a_target_only_after_an_in_neighbour_is_written(net, m, pc, policy, monkeypatch):
-    events = kernel_events(monkeypatch)
+    # a total changes only by the delta of a written in-neighbour, and a
+    # target is projected only from a total the memo has not seen
+    work = KernelWork(monkeypatch)
     enumerate_fixed_points(net, build_cover_graph(m), policy, pc)
-    listeners = [[k for k in range(net.n) if j in net.in_neighbors(k)] for j in range(net.n)]
-    heard: dict[int, bool] = {}  # node -> an in-neighbour was written since its last recomputation
-    for kind, i in events:
-        if kind == "write":
-            for k in listeners[i]:
-                heard[k] = True
-        else:
-            assert heard.get(i, True), f"node {i} recomputed with no in-neighbour written"
-            heard[i] = False
-    assert any(kind == "aggregate" for kind, _ in events)
+    assert work.written
+    work.assert_no_row_is_summed_on_read()
+    assert work.updates == work.listener_pairs(net, pc.free_nodes(net.n))
+    assert len(work.projected) == len(set(work.projected))
 
 
 def test_the_wave_12_search_aggregates_once_per_in_neighbour_value(monkeypatch):
-    # node k >= 1 is checked at level k and reads node k-1 alone, so its
-    # target is recomputed once per value of node k-1, not once per own value:
-    # per value of node 0, ten nodes once each, node 11 once and node 0 once
-    # per value of node 11, so 13 * (10 + 1 + 13) = 312
-    events = kernel_events(monkeypatch)
+    # node k >= 1 reads node k-1 alone, so its level is solved and it is
+    # written once per value of node k-1, at its target: each of node 0's 13
+    # orders is written, then nodes 1 to 11 once each, and every write
+    # updates the one total that hears it, so 13 * 12 = 156 updates (summing
+    # a row per stale read took 312); every total is one of the 13 orders'
+    # packed scores, so at most 13 are projected
+    work = KernelWork(monkeypatch)
     net = build_traveling_wave(12, CYCLE4).network
     assert enumerate_fixed_points(net, G3, POLICY, FREE) == [(w,) * 12 for w in SPACE3]
-    assert sum(kind == "aggregate" for kind, _ in events) <= 312
+    work.assert_no_row_is_summed_on_read()
+    assert work.updates <= 13 * 12
+    assert len(work.projected) <= 13
 
 
 def m4_gadget_search(budget=dynamics.DEFAULT_ENUM_BUDGET):
@@ -546,12 +572,15 @@ def m4_gadget_search(budget=dynamics.DEFAULT_ENUM_BUDGET):
 
 def test_the_m4_gadget_search_tries_node_j_at_its_target_alone(monkeypatch):
     # node j hears node i and a pin, so its level is solved and it takes its
-    # target alone: node j's target is recomputed once per value of node i,
-    # and node i's once per write of node j, so 75 + 75 = 150 (trying all 75
-    # orders of node j recomputes node i's target 5,649 times)
-    events = kernel_events(monkeypatch)
+    # target alone: each of node i's 75 orders is written once and node j's
+    # target once after it, each write updating the one other free node's
+    # total, so 75 + 75 = 150 updates and at most as many projections
+    # (trying all 75 orders of node j would write node j 5,625 times)
+    work = KernelWork(monkeypatch)
     assert len(m4_gadget_search()) == 24  # the strict-consensus pairs, as above
-    assert sum(kind == "aggregate" for kind, _ in events) <= 150
+    work.assert_no_row_is_summed_on_read()
+    assert work.updates <= 150
+    assert len(work.projected) <= 150
 
 
 def test_a_solved_level_counts_all_its_orders_against_the_budget():
@@ -672,6 +701,34 @@ def test_single_steps_and_the_fixed_point_test_match_the_fraction_reference(case
     assert is_fixed_point(net, pc, profile) == reference.is_fixed_point(net, pc, profile)
 
 
+@given(kernel_cases(), st.data())
+@settings(deadline=None, max_examples=200)
+def test_every_total_is_its_rows_aggregate_after_any_writes(case, data):
+    """Networks of 1 to 6 nodes on m = 2..6 with weights k/total, k in 0..3,
+    some perturbed to row LCDs D_i of order 10^6, any pins but one, either
+    step policy.  A kernel at the case's initial state takes up to 8
+    synchronous or sequence updates of any free nodes, or one at the
+    search's start (free nodes at id 0) up to 8 writes of any free node to
+    any id.  After each, every free node's total equals sum_j W_ij *
+    packed[state_j] summed anew, and its lanes are 2*D_i times the Fraction
+    aggregate of the kernel's state."""
+    net, graph, policy, pc, initial, _ = case
+    free = pc.free_nodes(net.n)
+    search = data.draw(st.booleans(), label="search")
+    start = [0 if search and i in free else graph.id_of(w) for i, w in enumerate(initial)]
+    kernel = dynamics._Kernel(net, graph, policy, free, start)
+    for _ in range(data.draw(st.integers(0, 8), label="operations")):
+        if search:
+            kernel.write([(data.draw(st.sampled_from(free)), data.draw(st.integers(0, graph.order_count - 1)))])
+        else:
+            kernel.update(data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=6)), data.draw(st.booleans()))
+        profile = tuple(graph.orders[k] for k in kernel.state)
+        for i in free:
+            d = math.lcm(*(w.denominator for _, w in net.rows[i]))
+            assert kernel.totals[i] == sum(int(w * d) * kernel.packed[kernel.state[j]] for j, w in net.rows[i])
+            assert kernel.lanes(kernel.totals[i]) == [2 * d * a for a in aggregate_scores(net, profile, i)]
+
+
 def assert_run_matches_reference(net, graph, policy, pc, initial, schedule, max_steps):
     """run_until_cycle equals reference_run; returns the report (None on a budget error)."""
     expected = reference_run(net, graph, policy, pc, initial, schedule, max_steps)
@@ -738,7 +795,7 @@ def test_a_sequence_step_reads_a_self_loop_move():
 
 def chained_pins_case(seed):
     """A uniform run on 24 nodes with 5 free ones, each reading 3 pins and the
-    free node before it, so that every move makes exactly one free target stale."""
+    free node before it, so that every move changes exactly one free total."""
     rng = random.Random(seed)
     n, free = 24, (0, 1, 2, 3, 4)
     rows = []
@@ -759,23 +816,17 @@ def chained_pins_case(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_uniform_runs_recompute_a_target_only_after_an_in_neighbour_moves(seed, monkeypatch):
     case = chained_pins_case(seed)
-    calls = []
-    aggregate = dynamics._Kernel.aggregate
-
-    def counted(self, state, i):
-        if state is self.state:  # a target, not an orbit margin
-            calls.append(i)
-        return aggregate(self, state, i)
-
-    monkeypatch.setattr(dynamics._Kernel, "aggregate", counted)
+    work = KernelWork(monkeypatch)
     report = assert_run_matches_reference(*case, 2000)
     free = case[3].free_nodes(case[0].n)
     updates = len(report.target_log)
     assert updates > len(free)
-    # each free target is computed once, then again only after its one free
-    # in-neighbour moves; re-aggregating in the stop check would add at least
-    # one more call per update
-    assert len(calls) <= updates + len(free)
+    # each move updates the total of the one free node that hears the mover,
+    # and a target is projected once per free node, then again only after
+    # its total has changed; re-aggregating in the stop check would read rows
+    work.assert_no_row_is_summed_on_read()
+    assert work.updates == len(work.written) <= updates
+    assert len(work.projected) <= work.updates + len(free)
 
 
 @pytest.mark.parametrize("schedule", [Schedule.synchronous(), Schedule.sequence([0, 0]), Schedule.uniform(3)],
@@ -801,7 +852,7 @@ def test_a_lane_at_its_bound_neither_carries_nor_truncates(seed):
     initial = (parse_order("5>4>3>2>1>0", m), *pins)
     state = [graph.id_of(w) for w in initial]
     kernel = dynamics._Kernel(net, graph, POLICY, (0,), state)
-    lanes = kernel.lanes(kernel.aggregate(state, 0))
+    lanes = kernel.lanes(kernel.totals[0])
     scale = kernel.rows[0][1]
     assert scale > 10**6
     assert lanes[0] == (m - 1) * scale and lanes[0].bit_length() == kernel.lane
@@ -847,6 +898,31 @@ def test_the_projection_memo_stays_under_its_cap(monkeypatch):
         enumerate_fixed_points(net, build_cover_graph(6), POLICY, FREE, budget)
     assert len(calls) > dynamics.TARGET_MEMO_CAP
     assert max(size for _, size in calls) == dynamics.TARGET_MEMO_CAP
+
+
+def test_the_gap_memo_stays_under_its_cap(monkeypatch):
+    # each state of a 24-node copier ring on a 24-cycle of m = 4 orders holds
+    # all 24 orders, so the orbit margin reads 24 distinct totals 24 times
+    # each: the memo computes each gap once, and a memo capped at 8 entries
+    # is emptied as it fills, without changing the margin
+    sc = build_traveling_wave(24, find_cycle(build_cover_graph(4), 24))
+    calls = []  # (total, memo size after it) per computed gap
+    gap = dynamics._Kernel.gap
+
+    def counted(self, total):
+        result = gap(self, total)
+        calls.append((total, len(self.gaps)))
+        return result
+
+    monkeypatch.setattr(dynamics._Kernel, "gap", counted)
+    report = sc.run()
+    assert (report.mu, report.period) == (0, 24)
+    assert len(calls) == len({total for total, _ in calls}) == 24
+    calls.clear()
+    monkeypatch.setattr(dynamics, "TARGET_MEMO_CAP", 8)
+    assert sc.run().min_margin == report.min_margin
+    assert len(calls) > 24
+    assert max(size for _, size in calls) == 8
 
 
 SHIPPED_SCENARIOS = sorted(
