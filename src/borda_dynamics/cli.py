@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from functools import cache
 
 from .dynamics import report_to_json_dict, write_trajectory_csv
@@ -34,8 +34,11 @@ class OutputError(Exception):
 
 
 @contextmanager
-def _output(path: str, newline: str | None = None):
-    """`path` opened for writing; an OSError on it becomes an OutputError naming it."""
+def _output(path: str | None, newline: str | None = None):
+    """stdout for no path or '-', else `path` opened for writing; an OSError on it is an OutputError."""
+    if path is None or path == "-":
+        yield sys.stdout
+        return
     try:
         with open(path, "w", newline=newline) as handle:
             yield handle
@@ -44,11 +47,8 @@ def _output(path: str, newline: str | None = None):
 
 
 def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with _output(path) as handle:
-            handle.write(text)
+    with _output(path) as handle:
+        handle.write(text)
 
 
 def _dump_json(doc) -> str:
@@ -75,13 +75,13 @@ def cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
     report = sc.run()
     doc = report_to_json_dict(report, sc.network.names, sc.alt_names, label=sc.label)
-    _write(args.report, _dump_json(doc))
-    if args.csv is not None:
-        if args.csv == "-":
-            write_trajectory_csv(report, sc.network.names, sys.stdout, sc.alt_names)
-        else:
-            with _output(args.csv, newline="") as handle:
-                write_trajectory_csv(report, sc.network.names, handle, sc.alt_names)
+    with ExitStack() as stack:
+        # every output is opened before any is written, so an unwritable path fails before any output
+        out = stack.enter_context(_output(args.report))
+        trajectory = None if args.csv is None else stack.enter_context(_output(args.csv, newline=""))
+        out.write(_dump_json(doc))
+        if trajectory is not None:
+            write_trajectory_csv(report, sc.network.names, trajectory, sc.alt_names)
     return EXIT_OK
 
 

@@ -17,22 +17,22 @@ i is scaled by the least common denominator D_i of its weights to integers
 W_ij (they sum to D_i), and each order's Borda scores are doubled to
 integers B2, so node i's aggregate sum_j W_ij * B2[state_j] is exactly
 2*D_i times the Fraction aggregate: ties and order are decided by integer
-equality, with no float and no tolerance.  Each order's B2 is packed into
-one int with a lane per alternative, B2[a] in the bits from a*lane up.  A
-lane of an aggregate lies in 0..2*(m-1)*D_i and has as many bits as the
-largest such bound of the run needs, so the weighted sum of packed ints
-never carries from one lane into the next: it is the aggregate.
-The aggregate is linear in each in-neighbour's scores, so the kernel keeps
-each node's packed aggregate, its total, in the current state: writing
-node j from order a to b adds W_kj * (packed[b] - packed[a]) to the total
-of each listener k, exactly, and after each write a total is a real
-state's aggregate, within the lane bounds.  No read sums a row.  A target
-is read from the dense ranks of a total's lanes, a tie margin is the
-smallest gap between distinct lanes over 2*D_i, and both are memoised by
-the total, which fixes them whatever the row; each memo is emptied at
-TARGET_MEMO_CAP entries, which bounds a long search's memory.  The orbit
-margin walks the orbit by writes, and each step is asked of the move graph
-by id (`MoveGraph.next_id`).
+equality, with no float and no tolerance.  Order k is packed into one int
+with a field per pair p = (a, b), a < b: B2[a] - B2[b] + 2(m-1), in the bits
+from p*field up.  Node i's row sum holds 2*D_i*(agg[a] - agg[b]) +
+2(m-1)*D_i in field p; a lift at compile time centres every node's fields
+on beta = 2(m-1)*max D_i, so they lie in 0..2*beta and, a power of two
+wide, never carry into each other.  The aggregate is linear in each
+in-neighbour's scores, so the kernel keeps each node's packed aggregate,
+its total, in the current state: writing node j from order a to b adds
+W_kj * (packed[b] - packed[a]) to the total of each listener k, exactly,
+and after each write a total is a real state's aggregate, within the field
+bounds.  No read sums a row.  A target is read from the total's guard bits
+by one dict lookup (see `_Kernel`); a tie margin is the smallest nonzero
+|field - beta| over 2*D_i, memoised by the total in a memo emptied at
+TARGET_MEMO_CAP entries.
+The orbit margin walks the orbit by writes, and each step is asked of the
+move graph by id (`MoveGraph.next_id`).
 The search assigns free nodes one level each.  A level is solved when its
 node hears only pins and earlier levels, with no self-loop: its target is
 fixed as the level opens, so the level tries only the ids that target's
@@ -54,8 +54,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter, sub
-from itertools import count, repeat
+from operator import itemgetter, mul
+from itertools import combinations, count, repeat
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, ScheduleError
@@ -70,8 +70,8 @@ TargetLog = tuple[tuple[int, WeakOrder], ...]
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_ENUM_BUDGET = 10**6
-#: a kernel forgets its memoised projections once it holds this many, so a
-#: long fixed-point search keeps bounded memory
+#: a kernel forgets its memoised tie gaps once it holds this many, so a long
+#: orbit's margin keeps bounded memory
 TARGET_MEMO_CAP = 2**16
 
 
@@ -211,33 +211,46 @@ def _state_ids(
     return ids
 
 
-@lru_cache(maxsize=None)
-def _id_tables(m: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
-    """Doubled Borda scores by canonical id, and dense-rank tuple -> canonical id.
+def _guard_key(total: int, c1: int, c2: int, guards: int) -> int:
+    """The guard bits of a packed aggregate's pair fields (see `_Kernel`)."""
+    return (total + c1 & guards) | (total + c2 & guards) >> 1
 
-    A class of c alternatives above `below` others occupies the ranks below
-    to below + c - 1, so each of its alternatives scores their average, and
-    the doubled score 2*below + c - 1 is an integer.  The dense rank of an
-    alternative is the index of its class, so an aggregate projects to the
-    order whose class indices are its dense ranks.
+
+def _guards(m: int, field: int, beta: int) -> tuple[int, int, int, int]:
+    """(C1, C2, G) of `_guard_key` for `field`-bit fields centred on `beta`, and a 1 in every field."""
+    ones = sum(1 << p * field for p in range(m * (m - 1) // 2))
+    top = 1 << field - 1
+    return (top - beta) * ones, (top - beta - 1) * ones, top * ones, ones
+
+
+@lru_cache(maxsize=None)
+def _pair_tables(m: int, field: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Packed pair fields by canonical id (see the module docstring), and guard key -> canonical id.
+
+    A class of c alternatives above `below` others averages the ranks
+    below..below + c - 1: doubled, 2*below + c - 1.  `signs[a]` is +1 in the
+    fields of the pairs that open with a and -1 in those that close with it.
+    An order's own scores project to it (criterion 02), so its key is that of
+    every aggregate that projects to it.  Raises RuntimeError if two orders
+    share a key.
     """
-    scores, rank_ids = [], {}
-    for k, order in enumerate(enumerate_weak_orders(m)):
-        doubled, ranks = [0] * m, [0] * m
-        below = m
-        for index, cls in enumerate(order.classes):
+    c1, c2, guards, ones = _guards(m, field, 2 * (m - 1))
+    signs = [0] * m
+    for p, (a, b) in enumerate(combinations(range(m), 2)):
+        signs[a] += 1 << p * field
+        signs[b] -= 1 << p * field
+    packed = []
+    for order in enumerate_weak_orders(m):
+        doubled, below = [0] * m, m
+        for cls in order.classes:
             below -= len(cls)
             for a in cls:
-                doubled[a], ranks[a] = 2 * below + len(cls) - 1, index
-        scores.append(tuple(doubled))
-        rank_ids[tuple(ranks)] = k
-    return tuple(scores), rank_ids
-
-
-@lru_cache(maxsize=None)
-def _packed_scores(m: int, lane: int) -> tuple[int, ...]:
-    """Doubled Borda scores by canonical id, alternative a in the bits from a*lane up."""
-    return tuple(sum(s << a * lane for a, s in enumerate(scores)) for scores in _id_tables(m)[0])
+                doubled[a] = 2 * below + len(cls) - 1
+        packed.append(sum(map(mul, doubled, signs), 2 * (m - 1) * ones))
+    keys = {_guard_key(total, c1, c2, guards): k for k, total in enumerate(packed)}
+    if len(keys) != len(packed):
+        raise RuntimeError(f"two orders on {m} alternatives share a guard key")
+    return tuple(packed), keys
 
 
 class _Kernel:
@@ -246,10 +259,13 @@ class _Kernel:
     Built per run or search and dropped with it: `rows[i]` is ((j, W_ij) per
     in-neighbour, 2*D_i) for each compiled node, `listeners[j]` holds (k,
     W_kj) per compiled node k whose row reads j, and the graph keeps the
-    steps.  `packed[k]` is order k's doubled Borda scores in one int, lane by
-    lane.  The kernel owns one state, which only `write` changes, and
-    `totals[i]` is node i's packed aggregate in it.  `memo` maps a total to
-    its target id and `gaps` to its smallest lane gap.
+    steps.  `packed[k]` is order k's pair fields.  The kernel owns one state,
+    which only `write` changes, and `totals[i]` is node i's packed aggregate
+    in it.  A field's top bit 2^top exceeds beta, so adding C1 (2^top - beta
+    per field) sets it in field (a, b) iff agg[a] >= agg[b], C2 (one less)
+    iff agg[a] > agg[b], and neither carries out: `keys` maps these guard
+    bits, ((t + C1) & G) | ((t + C2) & G) >> 1 for G the top bits, to the
+    target id.  `gaps` maps a total to its smallest nonzero |field - beta|.
     """
 
     def __init__(self, net: InfluenceNetwork, graph: MoveGraph, policy: StepPolicy, nodes: Iterable[int],
@@ -257,7 +273,6 @@ class _Kernel:
         m = graph.m
         self.graph = graph
         self.stay_on_ambiguity = policy.allow_no_move_on_ambiguity
-        self.rank_ids = _id_tables(m)[1]
         self.rows: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
         self.listeners: list[list[tuple[int, int]]] = [[] for _ in range(net.n)]
         for i in nodes:
@@ -266,41 +281,30 @@ class _Kernel:
             self.rows[i] = (tuple((j, w.numerator * (d // w.denominator)) for j, w in support), 2 * d)
             for j, w in self.rows[i][0]:
                 self.listeners[j].append((i, w))
-        # a lane of an aggregate lies in 0..2(m-1)*D_i, so lanes never carry
-        lane = ((m - 1) * max((scale for _, scale in self.rows.values()), default=2)).bit_length()
-        self.lane, self.mask, self.shifts = lane, (1 << lane) - 1, range(0, m * lane, lane)
-        self.packed = packed = _packed_scores(m, lane)
-        self.memo: dict[int, int] = {}
+        self.beta = beta = (m - 1) * max((scale for _, scale in self.rows.values()), default=2)
+        field = 1 << ((2 * beta).bit_length() - 1).bit_length()
+        self.mask, self.shifts = (1 << field) - 1, range(0, m * (m - 1) // 2 * field, field)
+        self.packed, self.keys = _pair_tables(m, field)
+        self.c1, self.c2, self.guards, ones = _guards(m, field, beta)
         self.gaps: dict[int, int] = {}
         self.state = state = list(state)
-        self.totals = [sum([w * packed[state[j]] for j, w in self.rows[i][0]]) if i in self.rows else 0
-                       for i in range(net.n)]
-
-    def lanes(self, total: int) -> list[int]:
-        """The per-alternative values of a packed aggregate."""
-        mask = self.mask
-        return [total >> shift & mask for shift in self.shifts]
+        # node i's row centres its fields on (m-1)*2*D_i: lift them to beta once
+        self.totals = [0] * net.n
+        for i, (row, scale) in self.rows.items():
+            self.totals[i] = sum([w * self.packed[state[j]] for j, w in row]) + (beta - (m - 1) * scale) * ones
 
     def target(self, i: int) -> int:
         """Node i's target in the kernel's state."""
-        tau = self.memo.get(self.totals[i])
-        return self.project(self.totals[i]) if tau is None else tau
-
-    def project(self, total: int) -> int:
-        """The target of a packed aggregate, read from its dense ranks and memoised."""
-        if len(self.memo) >= TARGET_MEMO_CAP:
-            self.memo.clear()
-        lanes = self.lanes(total)
-        distinct = sorted(set(lanes), reverse=True)
-        tau = self.memo[total] = self.rank_ids[tuple(map(distinct.index, lanes))]
-        return tau
+        return self.keys[_guard_key(self.totals[i], self.c1, self.c2, self.guards)]
 
     def gap(self, total: int) -> int:
-        """The smallest gap between distinct lanes of a packed aggregate (0 if none), memoised."""
+        """The smallest nonzero |field - beta| of a packed aggregate (0 if none),
+        2*D_i times its smallest gap between distinct scores; memoised."""
         if len(self.gaps) >= TARGET_MEMO_CAP:
             self.gaps.clear()
-        distinct = sorted(set(self.lanes(total)))
-        gap = self.gaps[total] = min(map(sub, distinct[1:], distinct), default=0)
+        beta, mask = self.beta, self.mask
+        gap = self.gaps[total] = min(filter(None, [abs((total >> shift & mask) - beta) for shift in self.shifts]),
+                                     default=0)
         return gap
 
     def settled(self, i: int) -> bool:
@@ -327,13 +331,13 @@ class _Kernel:
         too, on a self-loop) read it.  Returns the target log and the new
         state.
         """
-        state, totals, memo, project, write = self.state, self.totals, self.memo, self.project, self.write
+        state, totals, keys, write = self.state, self.totals, self.keys, self.write
+        c1, c2, guards = self.c1, self.c2, self.guards
         next_id, lazy = self.graph.next_id, self.stay_on_ambiguity
         log, moves = [], []
         for i in nodes:
-            tau = memo.get(totals[i])
-            if tau is None:
-                tau = project(totals[i])
+            total = totals[i]
+            tau = keys[(total + c1 & guards) | (total + c2 & guards) >> 1]  # `_guard_key`, inline
             log.append((i, tau))
             current = state[i]
             if current != tau and (nxt := next_id(current, tau, lazy)) != current:

@@ -127,13 +127,16 @@ OUTPUT_OPTIONS = {
 @pytest.mark.parametrize("argv", OUTPUT_OPTIONS.values(), ids=OUTPUT_OPTIONS.keys())
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])
 def test_an_unwritable_output_path_is_an_input_error_naming_it(scenario_dir, tmp_path, argv, where):
-    # exit 1 would read as "claims failed", and "missing file" as a missing input
+    # exit 1 would read as "claims failed", and "missing file" as a missing input;
+    # every output is opened before any is written, so the report that
+    # `simulate --csv` sends to stdout is not left behind either
     command, subject, option = argv
     if command != "enumerate":
         subject = str(scenario_dir / subject)
     out = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
     proc = run_cli(command, subject, option, str(out))
     assert proc.returncode == 2
+    assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"input error: cannot write {out}: ")
 

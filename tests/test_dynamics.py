@@ -3,7 +3,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -485,13 +485,13 @@ class KernelWork:
     patching `_Kernel` once each is built: `reads` of packed scores (a write
     takes two, and a row summed on read takes one per in-neighbour),
     `updates` of totals (one per mover-listener pair), and the nodes
-    `written` and totals `projected`, in order."""
+    `written`, in order."""
 
     def __init__(self, monkeypatch):
         self.reads = self.updates = 0
-        self.written, self.projected = [], []
+        self.written = []
         work = self
-        init, write, project = dynamics._Kernel.__init__, dynamics._Kernel.write, dynamics._Kernel.project
+        init, write = dynamics._Kernel.__init__, dynamics._Kernel.write
 
         class Packed(tuple):
             def __getitem__(self, k):
@@ -512,13 +512,8 @@ class KernelWork:
             work.written.extend(j for j, _ in moves)
             write(kernel, moves)
 
-        def counted_project(kernel, total):
-            work.projected.append(total)
-            return project(kernel, total)
-
         monkeypatch.setattr(dynamics._Kernel, "__init__", counted_init)
         monkeypatch.setattr(dynamics._Kernel, "write", counted_write)
-        monkeypatch.setattr(dynamics._Kernel, "project", counted_project)
 
     def assert_no_row_is_summed_on_read(self):
         assert self.reads == 2 * len(self.written)
@@ -539,15 +534,13 @@ SEARCHES = {
 
 
 @pytest.mark.parametrize("net, m, pc, policy", SEARCHES.values(), ids=SEARCHES.keys())
-def test_the_search_recomputes_a_target_only_after_an_in_neighbour_is_written(net, m, pc, policy, monkeypatch):
-    # a total changes only by the delta of a written in-neighbour, and a
-    # target is projected only from a total the memo has not seen
+def test_the_search_changes_a_total_only_when_an_in_neighbour_is_written(net, m, pc, policy, monkeypatch):
+    # a total changes only by the delta of a written in-neighbour
     work = KernelWork(monkeypatch)
     enumerate_fixed_points(net, build_cover_graph(m), policy, pc)
     assert work.written
     work.assert_no_row_is_summed_on_read()
     assert work.updates == work.listener_pairs(net, pc.free_nodes(net.n))
-    assert len(work.projected) == len(set(work.projected))
 
 
 def test_the_wave_12_search_aggregates_once_per_in_neighbour_value(monkeypatch):
@@ -555,14 +548,12 @@ def test_the_wave_12_search_aggregates_once_per_in_neighbour_value(monkeypatch):
     # written once per value of node k-1, at its target: each of node 0's 13
     # orders is written, then nodes 1 to 11 once each, and every write
     # updates the one total that hears it, so 13 * 12 = 156 updates (summing
-    # a row per stale read took 312); every total is one of the 13 orders'
-    # packed scores, so at most 13 are projected
+    # a row per stale read took 312)
     work = KernelWork(monkeypatch)
     net = build_traveling_wave(12, CYCLE4).network
     assert enumerate_fixed_points(net, G3, POLICY, FREE) == [(w,) * 12 for w in SPACE3]
     work.assert_no_row_is_summed_on_read()
     assert work.updates <= 13 * 12
-    assert len(work.projected) <= 13
 
 
 def m4_gadget_search(budget=dynamics.DEFAULT_ENUM_BUDGET):
@@ -574,13 +565,12 @@ def test_the_m4_gadget_search_tries_node_j_at_its_target_alone(monkeypatch):
     # node j hears node i and a pin, so its level is solved and it takes its
     # target alone: each of node i's 75 orders is written once and node j's
     # target once after it, each write updating the one other free node's
-    # total, so 75 + 75 = 150 updates and at most as many projections
-    # (trying all 75 orders of node j would write node j 5,625 times)
+    # total, so 75 + 75 = 150 updates (trying all 75 orders of node j would
+    # write node j 5,625 times)
     work = KernelWork(monkeypatch)
     assert len(m4_gadget_search()) == 24  # the strict-consensus pairs, as above
     work.assert_no_row_is_summed_on_read()
     assert work.updates <= 150
-    assert len(work.projected) <= 150
 
 
 def test_a_solved_level_counts_all_its_orders_against_the_budget():
@@ -710,13 +700,18 @@ def test_every_total_is_its_rows_aggregate_after_any_writes(case, data):
     synchronous or sequence updates of any free nodes, or one at the
     search's start (free nodes at id 0) up to 8 writes of any free node to
     any id.  After each, every free node's total equals sum_j W_ij *
-    packed[state_j] summed anew, and its lanes are 2*D_i times the Fraction
-    aggregate of the kernel's state."""
+    packed[state_j] summed anew and lifted to beta, and it is exactly its
+    pair fields, field (a, b) being 2*D_i*(agg[a] - agg[b]) + beta for the
+    Fraction aggregate of the kernel's state."""
     net, graph, policy, pc, initial, _ = case
     free = pc.free_nodes(net.n)
     search = data.draw(st.booleans(), label="search")
     start = [0 if search and i in free else graph.id_of(w) for i, w in enumerate(initial)]
     kernel = dynamics._Kernel(net, graph, policy, free, start)
+    # a power of two wide, so runs of many row LCDs share a few (m, field) tables
+    width = kernel.mask.bit_length()
+    assert width & width - 1 == 0 and (2 * kernel.beta).bit_length() <= width
+    ones = sum(1 << shift for shift in kernel.shifts)
     for _ in range(data.draw(st.integers(0, 8), label="operations")):
         if search:
             kernel.write([(data.draw(st.sampled_from(free)), data.draw(st.integers(0, graph.order_count - 1)))])
@@ -725,8 +720,17 @@ def test_every_total_is_its_rows_aggregate_after_any_writes(case, data):
         profile = tuple(graph.orders[k] for k in kernel.state)
         for i in free:
             d = math.lcm(*(w.denominator for _, w in net.rows[i]))
-            assert kernel.totals[i] == sum(int(w * d) * kernel.packed[kernel.state[j]] for j, w in net.rows[i])
-            assert kernel.lanes(kernel.totals[i]) == [2 * d * a for a in aggregate_scores(net, profile, i)]
+            row_sum = sum(int(w * d) * kernel.packed[kernel.state[j]] for j, w in net.rows[i])
+            assert kernel.totals[i] == row_sum + (kernel.beta - 2 * (graph.m - 1) * d) * ones
+            fields = pair_fields(kernel, kernel.totals[i])
+            assert kernel.totals[i] == sum(f << shift for f, shift in zip(fields, kernel.shifts))
+            agg = aggregate_scores(net, profile, i)
+            assert fields == [2 * d * (agg[a] - agg[b]) + kernel.beta for a, b in combinations(range(graph.m), 2)]
+
+
+def pair_fields(kernel, total):
+    """The fields of a packed total, pair (a, b), a < b, in `combinations` order."""
+    return [total >> shift & kernel.mask for shift in kernel.shifts]
 
 
 def assert_run_matches_reference(net, graph, policy, pc, initial, schedule, max_steps):
@@ -755,6 +759,36 @@ TIE_START = (
     PersistentConfig(pins={1: o("x>y>z"), 2: o("z>y>x")}), (o("(xyz)"), o("x>y>z"), o("z>y>x")),
     Schedule.uniform(0),
 )
+#: nodes 0 and 1 copy strict pins at weight 1, the run's largest D, so pair
+#: (0, 5) of node 0 sits at 2*beta and of node 1 at 0
+COPIERS = (
+    influence_network([[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]]), build_cover_graph(6), POLICY,
+    PersistentConfig(pins={2: parse_order("0>1>2>3>4>5", 6), 3: parse_order("5>1>2>3>4>0", 6)}),
+    (parse_order("(012345)", 6), parse_order("(012345)", 6), parse_order("0>1>2>3>4>5", 6),
+     parse_order("5>1>2>3>4>0", 6)),
+    Schedule.synchronous(),
+)
+
+
+@given(kernel_cases())
+@example(TIE_START)
+@example(COPIERS)
+@settings(deadline=None, max_examples=300)
+def test_every_target_is_the_projection_of_the_fraction_aggregate(case):
+    """Networks of 1 to 6 nodes on m = 2..6 with weights k/total, k in 0..3,
+    some perturbed to row LCDs D_i of order 10^6, any pins but one, either
+    step policy; the examples add a cancellation tie (antipodal pins at 1/2
+    each) and pair fields at 0 and 2*beta.  At the case's initial state and
+    after each of 3 synchronous updates, every free node's target read from
+    its guard bits is `weak_orders.project` of its Fraction aggregate."""
+    net, graph, policy, pc, initial, _ = case
+    free = pc.free_nodes(net.n)
+    kernel = dynamics._Kernel(net, graph, policy, free, map(graph.id_of, initial))
+    for _ in range(4):
+        profile = tuple(map(graph.orders.__getitem__, kernel.state))
+        for i in free:
+            assert graph.orders[kernel.target(i)] == weak_orders.project(aggregate_scores(net, profile, i))
+        kernel.update(free, True)
 
 
 @given(kernel_cases(), st.sampled_from([Fraction(0), Fraction(1, 480), Fraction(1, 40), Fraction(1, 4)]),
@@ -814,19 +848,17 @@ def chained_pins_case(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_uniform_runs_recompute_a_target_only_after_an_in_neighbour_moves(seed, monkeypatch):
+def test_uniform_runs_change_a_total_only_when_an_in_neighbour_moves(seed, monkeypatch):
     case = chained_pins_case(seed)
     work = KernelWork(monkeypatch)
     report = assert_run_matches_reference(*case, 2000)
     free = case[3].free_nodes(case[0].n)
     updates = len(report.target_log)
     assert updates > len(free)
-    # each move updates the total of the one free node that hears the mover,
-    # and a target is projected once per free node, then again only after
-    # its total has changed; re-aggregating in the stop check would read rows
+    # each move updates the total of the one free node that hears the mover;
+    # re-aggregating in the stop check would read rows
     work.assert_no_row_is_summed_on_read()
     assert work.updates == len(work.written) <= updates
-    assert len(work.projected) <= work.updates + len(free)
 
 
 @pytest.mark.parametrize("schedule", [Schedule.synchronous(), Schedule.sequence([0, 0]), Schedule.uniform(3)],
@@ -838,66 +870,30 @@ def test_a_one_node_run_reports_one_tuples(schedule):
     assert report.prefix == ((o("x>(yz)"),),)
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["at-2beta", "at-0"])
 @pytest.mark.parametrize("seed", range(3))
-def test_a_lane_at_its_bound_neither_carries_nor_truncates(seed):
-    # node 0 hears three strict pins that share the top alternative 0; after
-    # the perturbation its row has a large LCD D_0, the largest of the run, so
-    # the top lane of its aggregate is 2(m-1)*D_0 and fills the lane's top bit
+def test_a_lane_at_its_bound_neither_carries_nor_truncates(seed, reverse):
+    # node 0 hears three strict pins that rank alternative 0 top and 5 bottom
+    # (reversed: 0 bottom and 5 top); after the perturbation its row has a
+    # large LCD D_0, the largest of the run, so beta = 2(m-1)*D_0 and the
+    # field of pair (0, 5) is beta +- 2(m-1)*D_0: 2*beta, or 0, the field's bounds
     m = 6
-    pins = [parse_order(text, m) for text in ("0>1>2>3>4>5", "0>5>4>3>2>1", "0>3>1>5>2>4")]
+    pins = [parse_order(text, m) for text in ("0>1>2>3>4>5", "0>4>3>2>1>5", "0>2>4>1>3>5")]
+    start = parse_order("5>4>3>2>1>0", m)
+    if reverse:
+        pins, start = [antipode(pin) for pin in pins], antipode(start)
     net = influence_network([[0, "1/3", "1/3", "1/3"], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     net = perturb_weights(net, Fraction(1, 7), seed)
     pc = PersistentConfig(pins={1 + k: pin for k, pin in enumerate(pins)})
     graph = build_cover_graph(m)
-    initial = (parse_order("5>4>3>2>1>0", m), *pins)
-    state = [graph.id_of(w) for w in initial]
-    kernel = dynamics._Kernel(net, graph, POLICY, (0,), state)
-    lanes = kernel.lanes(kernel.totals[0])
-    scale = kernel.rows[0][1]
-    assert scale > 10**6
-    assert lanes[0] == (m - 1) * scale and lanes[0].bit_length() == kernel.lane
+    initial = (start, *pins)
+    kernel = dynamics._Kernel(net, graph, POLICY, (0,), map(graph.id_of, initial))
+    assert kernel.rows[0][1] > 10**6
+    assert pair_fields(kernel, kernel.totals[0])[4] == (0 if reverse else 2 * kernel.beta)
+    assert graph.orders[kernel.target(0)] == weak_orders.project(aggregate_scores(net, initial, 0))
     for schedule in (Schedule.synchronous(), Schedule.sequence([0, 0, 0])):
         report = assert_run_matches_reference(net, graph, POLICY, pc, initial, schedule, 40)
         assert report.min_margin != math.inf
-
-
-def counted_projections(monkeypatch):
-    """Patch `_Kernel.project` to record (packed aggregate, memo size after it) per call."""
-    calls = []
-    project = dynamics._Kernel.project
-
-    def counted(self, total):
-        tau = project(self, total)
-        calls.append((total, len(self.memo)))
-        return tau
-
-    monkeypatch.setattr(dynamics._Kernel, "project", counted)
-    return calls
-
-
-def test_the_copier_ring_projects_each_distinct_aggregate_once(monkeypatch):
-    cycle = find_cycle(build_cover_graph(4), 24)
-    sc = build_traveling_wave(120, cycle)
-    calls = counted_projections(monkeypatch)
-    report = sc.run()
-    assert (report.mu, report.period) == (0, 24)
-    aggregates = [total for total, _ in calls]
-    # 120 targets per step, but a copier's aggregate is its predecessor's
-    # packed scores, one of the 24 cycle orders
-    assert len(aggregates) == len(set(aggregates)) <= len(cycle)
-    assert sum(map(len, report.target_log)) == 120 * 24
-
-
-def test_the_projection_memo_stays_under_its_cap(monkeypatch):
-    # node 1 hears node 0 at 1/3 and itself at 2/3: nearly every partial
-    # profile of the m = 6 search gives node 1 a new aggregate
-    net = influence_network([[1, 0], ["1/3", "2/3"]])
-    calls = counted_projections(monkeypatch)
-    budget = 2 * dynamics.TARGET_MEMO_CAP
-    with pytest.raises(BudgetExceededError):
-        enumerate_fixed_points(net, build_cover_graph(6), POLICY, FREE, budget)
-    assert len(calls) > dynamics.TARGET_MEMO_CAP
-    assert max(size for _, size in calls) == dynamics.TARGET_MEMO_CAP
 
 
 def test_the_gap_memo_stays_under_its_cap(monkeypatch):
@@ -964,10 +960,9 @@ def test_runs_and_fixed_point_search_do_no_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(Fraction, f"__r{op}__", forbidden)
     for op in ("lt", "le", "gt", "ge"):
         monkeypatch.setattr(Fraction, f"__{op}__", forbidden)
-    # the per-m tables and packed scores are rebuilt under the guard, so they
-    # too are built in integers
-    dynamics._id_tables.cache_clear()
-    dynamics._packed_scores.cache_clear()
+    # the per-(m, field) tables are rebuilt under the guard, so they too are
+    # built in integers
+    dynamics._pair_tables.cache_clear()
     again = [sc.run() for sc in scenarios]
     fixed_again = enumerate_fixed_points(GADGET.network, G3, POLICY, GADGET.persistent)
     steps_again = single_steps(zip(scenarios, reports))
@@ -997,11 +992,20 @@ def test_the_reference_reads_no_kernel():
 
 
 @pytest.mark.parametrize("m", range(2, 7))
-def test_id_tables_hold_doubled_borda_scores_and_dense_ranks(m):
-    scores, rank_ids = dynamics._id_tables(m)
+def test_pair_tables_pack_doubled_score_differences_and_key_each_order_once(m):
     space = enumerate_weak_orders(m)
-    assert scores == tuple(tuple(2 * s for s in weak_orders.borda_scores(w)) for w in space)
-    assert rank_ids == {tuple(w.class_index(a) for a in range(m)): k for k, w in enumerate(space)}
+    pairs = list(combinations(range(m), 2))
+    # the narrowest field a kernel uses on m alternatives, and a wide one
+    for field in (1 << ((4 * (m - 1)).bit_length() - 1).bit_length(), 64):
+        packed, keys = dynamics._pair_tables(m, field)
+        mask = (1 << field) - 1
+        for k, w in enumerate(space):
+            b = weak_orders.borda_scores(w)
+            assert packed[k] >> len(pairs) * field == 0
+            assert [packed[k] >> p * field & mask for p in range(len(pairs))] == [
+                2 * (b[x] - b[y]) + 2 * (m - 1) for x, y in pairs]
+        # the key dict is a bijection onto the ids
+        assert sorted(keys.values()) == list(range(len(space)))
 
 
 M3_SWAP = (o("x>y>z"), o("z>y>x"))

@@ -17,7 +17,7 @@ from borda_dynamics.scenarios import (
     load_scenario,
     parse_scenario,
 )
-from borda_dynamics import verifiers
+from borda_dynamics import dynamics, verifiers
 from borda_dynamics.verifiers import (
     enumerate_single_peaked,
     is_single_peaked,
@@ -253,6 +253,18 @@ def test_robustness_with_twenty_trials(sc, delta, eps_star):
     assert outcome.evidence["delta"] == delta
     assert outcome.evidence["eps_star"] == eps_star
     assert outcome.evidence["divergence"] is None
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_a_robustness_check_builds_few_pair_tables(m):
+    # each trial perturbs the gadget's weights to new row LCDs, so a new beta,
+    # but a kernel's field is a power of two wide, so the trials share a few
+    # of the process-wide (m, field) tables
+    rho = enumerate_weak_orders(m)[0]
+    assert rho.is_strict
+    dynamics._pair_tables.cache_clear()
+    assert verify_robustness(build_gadget(m, rho, Fraction(1, 10)), trials=20, seed=7).passed
+    assert dynamics._pair_tables.cache_info().currsize <= 2
 
 
 def test_oversized_perturbation_is_allowed_to_diverge():
