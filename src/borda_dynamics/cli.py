@@ -1,7 +1,7 @@
 """Command line interface: enumerate, simulate, verify, export-dot.
 
 Exit codes: 0 success, 1 verification failure, 2 input error (a missing file,
-an output path that cannot be written, a bad argument, or a
+an output that cannot be written, stdout included, a bad argument, or a
 `ScenarioFormatError`, `ScenarioBuildError` or `ScheduleError`), 3 step
 budget exceeded.  Any other exception is a bug and shows as a traceback.  All
 output is deterministic byte-for-byte given the same inputs and seeds.
@@ -10,7 +10,10 @@ output is deterministic byte-for-byte given the same inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
+import stat
 import sys
 from contextlib import ExitStack, contextmanager
 from functools import cache
@@ -34,21 +37,35 @@ class OutputError(Exception):
 
 
 @contextmanager
-def _output(path: str | None, newline: str | None = None):
-    """stdout for no path or '-', else `path` opened for writing; an OSError on it is an OutputError."""
-    if path is None or path == "-":
-        yield sys.stdout
-        return
+def _refused(path: str | None):
+    """An OSError inside is an OutputError naming `path`, or stdout for no path
+    or '-', which is then pointed at devnull so that its flush at exit passes."""
     try:
-        with open(path, "w", newline=newline) as handle:
-            yield handle
+        yield
     except OSError as exc:
+        if path in (None, "-"):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            path = "stdout"
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write(path: str | None, text: str) -> None:
-    with _output(path) as handle:
-        handle.write(text)
+def _write(*outputs: tuple[str | None, str, str | None]) -> None:
+    """Write each (path, text, newline) to stdout for no path or '-', else to
+    the file at `path`.  Every file is opened without truncating it before
+    any is written, so a path that cannot be opened leaves every output as
+    it was; a regular file is truncated just before it is written."""
+    with ExitStack() as stack:
+        handles = []
+        for path, _, newline in outputs:
+            with _refused(path):
+                handles.append(sys.stdout if path in (None, "-") else
+                               stack.enter_context(open(path, "a", newline=newline)))
+        for (path, text, _), handle in zip(outputs, handles):
+            with _refused(path):
+                if handle is not sys.stdout and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                    handle.truncate(0)
+                handle.write(text)
+                handle.flush()
 
 
 def _dump_json(doc) -> str:
@@ -58,7 +75,7 @@ def _dump_json(doc) -> str:
 def cmd_enumerate(args) -> int:
     graph = build_cover_graph(args.m)
     if args.dot:
-        _write(args.out, move_graph_to_dot(graph))
+        _write((args.out, move_graph_to_dot(graph), None))
         return EXIT_OK
     lines = ["id,order,scores,antipode,degree"]
     for k, w in enumerate(graph.orders):
@@ -67,7 +84,7 @@ def cmd_enumerate(args) -> int:
             f"{k},{format_order(w)},{scores},"
             f"{format_order(antipode(w))},{graph.degree(w)}"
         )
-    _write(args.out, "\n".join(lines) + "\n")
+    _write((args.out, "\n".join(lines) + "\n", None))
     return EXIT_OK
 
 
@@ -75,29 +92,28 @@ def cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
     report = sc.run()
     doc = report_to_json_dict(report, sc.network.names, sc.alt_names, label=sc.label)
-    with ExitStack() as stack:
-        # every output is opened before any is written, so an unwritable path fails before any output
-        out = stack.enter_context(_output(args.report))
-        trajectory = None if args.csv is None else stack.enter_context(_output(args.csv, newline=""))
-        out.write(_dump_json(doc))
-        if trajectory is not None:
-            write_trajectory_csv(report, sc.network.names, trajectory, sc.alt_names)
+    outputs = [(args.report, _dump_json(doc), None)]
+    if args.csv is not None:
+        trajectory = io.StringIO()
+        write_trajectory_csv(report, sc.network.names, trajectory, sc.alt_names)
+        outputs.append((args.csv, trajectory.getvalue(), ""))
+    _write(*outputs)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     entries = load_suite(args.suite)
     results, all_matched = run_suite(entries)
-    _write(args.out, _dump_json(results))
+    _write((args.out, _dump_json(results), None))
     return EXIT_OK if all_matched else EXIT_VERIFY_FAILED
 
 
 def cmd_export_dot(args) -> int:
     if args.move_graph is not None:
-        _write(args.out, move_graph_to_dot(build_cover_graph(args.move_graph)))
+        _write((args.out, move_graph_to_dot(build_cover_graph(args.move_graph)), None))
     else:
         sc = load_scenario(args.scenario)
-        _write(args.out, network_to_dot(sc.network))
+        _write((args.out, network_to_dot(sc.network), None))
     return EXIT_OK
 
 

@@ -3,47 +3,40 @@
 Each free node aggregates its in-neighbors' Borda score vectors with its
 exact row weights, projects the aggregate back to a weak order (its target),
 and moves at most one cover-graph edge toward that target.  Pinned nodes
-never move.  Runs are iterated until the state revisits itself, which yields
-the exact transient length and period.
-
-Deterministic schedules (synchronous, or a fixed node sequence applied as one
-super-step) always terminate with a cycle.  Seeded uniform-random schedules
-are stochastic, so they report convergence to a fixed point or raise a budget
+never move.  Deterministic schedules (synchronous, or a fixed node sequence
+applied as one super-step) run until the state revisits itself, which yields
+the exact transient length and period.  Seeded uniform-random schedules are
+stochastic, so they report convergence to a fixed point or raise a budget
 error; no period is claimed for them.
 
-Runs, their replay and the fixed-point search execute on an integer kernel
-compiled per run.  A state is the tuple of its orders' canonical ids.  Row
-i is scaled by the least common denominator D_i of its weights to integers
-W_ij (they sum to D_i), and each order's Borda scores are doubled to
-integers B2, so node i's aggregate sum_j W_ij * B2[state_j] is exactly
-2*D_i times the Fraction aggregate: ties and order are decided by integer
-equality, with no float and no tolerance.  Order k is packed into one int
-with a field per pair p = (a, b), a < b: B2[a] - B2[b] + 2(m-1), in the bits
-from p*field up.  Node i's row sum holds 2*D_i*(agg[a] - agg[b]) +
-2(m-1)*D_i in field p; a lift at compile time centres every node's fields
-on beta = 2(m-1)*max D_i, so they lie in 0..2*beta and, a power of two
-wide, never carry into each other.  The aggregate is linear in each
-in-neighbour's scores, so the kernel keeps each node's packed aggregate,
-its total, in the current state: writing node j from order a to b adds
-W_kj * (packed[b] - packed[a]) to the total of each listener k, exactly,
-and after each write a total is a real state's aggregate, within the field
-bounds.  No read sums a row.  A target is read from the total's guard bits
-by one dict lookup (see `_Kernel`); a tie margin is the smallest nonzero
-|field - beta| over 2*D_i, memoised by the total in a memo emptied at
-TARGET_MEMO_CAP entries.
-The orbit margin walks the orbit by writes, and each step is asked of the
-move graph by id (`MoveGraph.next_id`).
-The search assigns free nodes one level each.  A level is solved when its
-node hears only pins and earlier levels, with no self-loop: its target is
-fixed as the level opens, so the level tries only the ids that target's
-step leaves in place (`MoveGraph.resting_ids`), yet counts every order
-against the budget.
-WeakOrders appear again only in the returned OrbitReport.  `step_sync`,
-`step_async` and `is_fixed_point` run on the same kernel, and so does
-`reproduces`, the replay: it drives a report's schedule on another network
-and compares each step's target log in ids, building no report.
-`aggregate_scores` keeps the paper's exact Fraction aggregate as the
-definition that reference re-drives of a run read.
+Every entry point compiles one integer kernel, `_Kernel`, from (network,
+graph, policy, pins, profile) and runs on it.  A state is the tuple of its
+orders' canonical ids.  Row i is scaled by the least common denominator D_i
+of its weights to integers W_ij, and Borda scores are doubled to integers
+B2, so node i's aggregate sum_j W_ij * B2[state_j] is exactly 2*D_i times
+the Fraction aggregate: ties are decided by integer equality, with no float
+and no tolerance.  Order k is packed into one int with a field per pair p =
+(a, b), a < b: B2[a] - B2[b] + 2(m-1), in the bits from p*field up.  Node
+i's packed aggregate, its total, holds 2*D_i*(agg[a] - agg[b]) in field p,
+lifted once to centre every node's fields on beta = 2(m-1)*max D_i; fields
+then lie in 0..2*beta and, a power of two wide, never carry into each
+other.  The aggregate is linear in each in-neighbour's scores, so writing
+node j from order a to b adds W_kj * (packed[b] - packed[a]) to the total
+of each listener k, exactly, and no read sums a row.  A target is read from
+the total's guard bits by one dict lookup; a tie margin is the smallest
+nonzero |field - beta| over 2*D_i, memoised by the total in a memo emptied
+at TARGET_MEMO_CAP entries.
+
+A run is one kernel loop, `_Kernel.run`, that yields the visited states, mu
+and the target logs in ids: `run_ids` returns them as they are, and
+`run_until_cycle` reads them into an OrbitReport, the one place WeakOrders
+appear again, with the orbit margin, which walks the orbit by writes.  The
+fixed-point search assigns free nodes one level each.  A level is solved
+when its node hears only pins and earlier levels, with no self-loop: its
+target is fixed as the level opens, so the level tries only the ids that
+target's step leaves in place (`MoveGraph.resting_ids`), yet counts every
+order against the budget.  `aggregate_scores` keeps the paper's exact
+Fraction aggregate as the definition that reference re-drives of a run read.
 """
 
 from __future__ import annotations
@@ -56,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter, mul
 from itertools import combinations, count, repeat
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 from .errors import BudgetExceededError, ScheduleError
 from .influence import InfluenceNetwork
@@ -160,7 +153,8 @@ def step_sync(
 ) -> Profile:
     """One synchronous step: every free node moves toward its target, targets
     taken from the pre-update profile; pinned nodes unchanged."""
-    return _step(net, graph, policy, persistent, profile, persistent.free_nodes(net.n))
+    kernel = _Kernel(net, graph, policy, persistent, profile)
+    return tuple(map(graph.orders.__getitem__, kernel.update(kernel.free, True)[1]))
 
 
 def step_async(
@@ -172,43 +166,11 @@ def step_async(
     i: int,
 ) -> Profile:
     """One asynchronous step: only node i moves.  Raises ScheduleError when
-    node i is pinned or not one of the network's nodes."""
+    node i is pinned or not one of the network's nodes, before the profile is read."""
     if i not in persistent.free_nodes(net.n):
         raise ScheduleError(f"scheduled node {i} is pinned or unknown")
-    return _step(net, graph, policy, persistent, profile, (i,))
-
-
-def _step(net, graph, policy, persistent, profile, nodes):
-    """`profile` after one synchronous kernel update of `nodes`."""
-    kernel = _Kernel(net, graph, policy, nodes, _state_ids(net.n, persistent, graph, profile).values())
-    return tuple(map(graph.orders.__getitem__, kernel.update(nodes, True)[1]))
-
-
-def _state_ids(
-    n: int, persistent: PersistentConfig, graph: MoveGraph, profile: Profile | None = None
-) -> dict[int, int]:
-    """Node -> id on `graph` of each order of `profile`, or of each pin without
-    one.  Raises ValueError on a pin outside 0..n-1, a profile of other than n
-    orders or off a pin, and an order on another m."""
-    orders = persistent.pins.items()
-    for node, _ in orders:
-        if not 0 <= node < n:
-            raise ValueError(f"pin at node {node}, but the network's nodes are 0..{n - 1}")
-    if profile is not None:
-        if len(profile) != n:
-            raise ValueError(f"profile length {len(profile)}, but the network has {n} nodes")
-        for node, order in orders:
-            if profile[node] != order:
-                raise ValueError(f"profile disagrees with pin at node {node}")
-        orders = enumerate(profile)
-    ids = {}
-    for node, order in orders:
-        try:
-            ids[node] = graph.id_of(order)
-        except ValueError:
-            raise ValueError(f"node {node} has an order on {order.m} alternatives, "
-                             f"but the move graph is on {graph.m}") from None
-    return ids
+    kernel = _Kernel(net, graph, policy, persistent, profile)
+    return tuple(map(graph.orders.__getitem__, kernel.update((i,), True)[1]))
 
 
 def _guard_key(total: int, c1: int, c2: int, guards: int) -> int:
@@ -254,28 +216,53 @@ def _pair_tables(m: int, field: int) -> tuple[tuple[int, ...], dict[int, int]]:
 
 
 class _Kernel:
-    """One run compiled to integers over canonical ids (see the module docstring).
+    """The one kernel of every entry point: a network, graph, policy and pins
+    compiled to integers over canonical ids, with one state that only
+    `write` changes (see the module docstring).
 
-    Built per run or search and dropped with it: `rows[i]` is ((j, W_ij) per
-    in-neighbour, 2*D_i) for each compiled node, `listeners[j]` holds (k,
-    W_kj) per compiled node k whose row reads j, and the graph keeps the
-    steps.  `packed[k]` is order k's pair fields.  The kernel owns one state,
-    which only `write` changes, and `totals[i]` is node i's packed aggregate
-    in it.  A field's top bit 2^top exceeds beta, so adding C1 (2^top - beta
-    per field) sets it in field (a, b) iff agg[a] >= agg[b], C2 (one less)
-    iff agg[a] > agg[b], and neither carries out: `keys` maps these guard
-    bits, ((t + C1) & G) | ((t + C2) & G) >> 1 for G the top bits, to the
-    target id.  `gaps` maps a total to its smallest nonzero |field - beta|.
+    `free` holds the free nodes, the compiled ones: `rows[i]` is ((j, W_ij)
+    per in-neighbour, 2*D_i), `listeners[j]` holds (k, W_kj) per free node
+    k whose row reads j, and `totals[i]` is node i's packed aggregate in the
+    state.  `packed[k]` is order k's pair fields.  A field's top bit 2^top
+    exceeds beta, so adding C1 (2^top - beta per field) sets it in field (a,
+    b) iff agg[a] >= agg[b], C2 (one less) iff agg[a] > agg[b], and neither
+    carries out: `keys` maps these guard bits, ((t + C1) & G) | ((t + C2) &
+    G) >> 1 for G the top bits, to the target id.  `gaps` maps a total to
+    its smallest nonzero |field - beta|.
     """
 
-    def __init__(self, net: InfluenceNetwork, graph: MoveGraph, policy: StepPolicy, nodes: Iterable[int],
-                 state: Iterable[int]):
+    def __init__(self, net: InfluenceNetwork, graph: MoveGraph, policy: StepPolicy, persistent: PersistentConfig,
+                 profile: Profile | None = None):
+        """Start at `profile`'s ids, or with none at the pins' ids and every
+        free node at id 0.  Raises ValueError on a pin outside 0..n-1, a
+        profile of other than n orders or off a pin, and an order on another
+        m, in that order."""
+        n, pins = net.n, persistent.pins
+        for node in pins:
+            if not 0 <= node < n:
+                raise ValueError(f"pin at node {node}, but the network's nodes are 0..{n - 1}")
+        orders = pins.items()
+        if profile is not None:
+            if len(profile) != n:
+                raise ValueError(f"profile length {len(profile)}, but the network has {n} nodes")
+            for node, order in orders:
+                if profile[node] != order:
+                    raise ValueError(f"profile disagrees with pin at node {node}")
+            orders = enumerate(profile)
+        self.state = state = [0] * n
+        try:
+            for node, order in orders:
+                state[node] = graph.id_of(order)
+        except ValueError:
+            raise ValueError(f"node {node} has an order on {order.m} alternatives, "
+                             f"but the move graph is on {graph.m}") from None
+        self.free = persistent.free_nodes(n)
         m = graph.m
         self.graph = graph
         self.stay_on_ambiguity = policy.allow_no_move_on_ambiguity
         self.rows: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
-        self.listeners: list[list[tuple[int, int]]] = [[] for _ in range(net.n)]
-        for i in nodes:
+        self.listeners: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for i in self.free:
             support = net.rows[i]
             d = math.lcm(*(w.denominator for _, w in support))
             self.rows[i] = (tuple((j, w.numerator * (d // w.denominator)) for j, w in support), 2 * d)
@@ -287,9 +274,8 @@ class _Kernel:
         self.packed, self.keys = _pair_tables(m, field)
         self.c1, self.c2, self.guards, ones = _guards(m, field, beta)
         self.gaps: dict[int, int] = {}
-        self.state = state = list(state)
         # node i's row centres its fields on (m-1)*2*D_i: lift them to beta once
-        self.totals = [0] * net.n
+        self.totals = [0] * n
         for i, (row, scale) in self.rows.items():
             self.totals[i] = sum([w * self.packed[state[j]] for j, w in row]) + (beta - (m - 1) * scale) * ones
 
@@ -348,6 +334,45 @@ class _Kernel:
         write(moves)
         return tuple(log), tuple(state)
 
+    def run(self, schedule: Schedule, max_steps: int):
+        """`run_until_cycle` from the kernel's state, in ids: the visited
+        states (a uniform run's last one included, a repeated state not), mu
+        and each step's target log.  The kernel ends at states[mu].  A step
+        is `update`'s (nodes, synchronous): all free nodes at once, the
+        sequence in turn, or one seeded uniform draw."""
+        free, settled, update, kind = self.free, self.settled, self.update, schedule.kind
+        if kind == "synchronous":
+            steps = repeat((free, True))
+        elif kind == "sequence":
+            bad = [i for i in schedule.nodes if i not in free]
+            if bad:
+                raise ScheduleError(f"scheduled nodes {bad} are pinned or unknown")
+            steps = repeat((schedule.nodes, False))
+        elif kind == "uniform":
+            if not free:
+                raise ScheduleError("uniform schedule needs at least one free node")
+            rng = random.Random(schedule.seed)
+            steps = (((free[rng.randrange(len(free))],), True) for _ in count())
+        else:
+            raise ScheduleError(f"unknown schedule kind {kind!r}")
+        uniform = kind == "uniform"
+        seen: dict[tuple[int, ...], int] = {}  # deterministic: state -> time of first visit, in visit order
+        states, logs = [], []
+        state = tuple(self.state)
+        for t in range(max_steps + 1):
+            if uniform:
+                states.append(state)
+                if all(map(settled, free)):
+                    return states, t, logs
+            elif (first := seen.setdefault(state, t)) != t:
+                return list(seen), first, logs
+            if t < max_steps:
+                log, state = update(*next(steps))
+                logs.append(log)
+        if uniform:
+            raise BudgetExceededError(f"no fixed point within {max_steps} asynchronous updates")
+        raise BudgetExceededError(f"no cycle within {max_steps} steps")
+
     def min_margin(self, orbit: Sequence[tuple[int, ...]]) -> Fraction | float:
         """Smallest tie margin of any compiled node's aggregate over the
         `orbit` states: the smallest gap between distinct aggregate values
@@ -400,88 +425,22 @@ def run_until_cycle(
     BudgetExceededError if none is reached within max_steps single-node
     updates.  Every order of `initial` must be on the graph's alternatives.
     """
-    state = tuple(_state_ids(net.n, persistent, graph, initial).values())
-    free = persistent.free_nodes(net.n)
-    steps = _steps(schedule, free)
-    kernel = _Kernel(net, graph, policy, free, state)
-
-    if schedule.kind == "uniform":
-        return _run_uniform(kernel, free, state, steps, max_steps)
-
-    seen: dict[tuple[int, ...], int] = {}  # state -> time of first visit, in visit order
-    logs = []
-    for t, (nodes, synchronous) in zip(range(max_steps + 1), steps):
-        first = seen.get(state)
-        if first is not None:
-            return kernel.report(list(seen), first, logs)
-        seen[state] = t
-        log, state = kernel.update(nodes, synchronous)
-        logs.append(log)
-    raise BudgetExceededError(f"no cycle within {max_steps} steps")
+    kernel = _Kernel(net, graph, policy, persistent, initial)
+    return kernel.report(*kernel.run(schedule, max_steps))
 
 
-def _steps(schedule: Schedule, free: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], bool]]:
-    """The schedule's steps, each as `_Kernel.update`'s (nodes, synchronous):
-    all free nodes at once, the sequence in turn, or one seeded uniform draw.
-    Raises ScheduleError on a sequence naming a pinned or unknown node, a
-    uniform schedule with no free node, and an unknown kind."""
-    if schedule.kind == "synchronous":
-        return repeat((free, True))
-    if schedule.kind == "sequence":
-        bad = [i for i in schedule.nodes if i not in free]
-        if bad:
-            raise ScheduleError(f"scheduled nodes {bad} are pinned or unknown")
-        return repeat((schedule.nodes, False))
-    if schedule.kind == "uniform":
-        if not free:
-            raise ScheduleError("uniform schedule needs at least one free node")
-        rng = random.Random(schedule.seed)
-        return (((free[rng.randrange(len(free))],), True) for _ in count())
-    raise ScheduleError(f"unknown schedule kind {schedule.kind!r}")
-
-
-def _run_uniform(kernel: _Kernel, free, state, steps, max_steps):
-    states, logs = [state], []
-    for t in range(max_steps + 1):
-        if all(map(kernel.settled, free)):
-            return kernel.report(states, t, logs)
-        if t == max_steps:
-            break
-        log, state = kernel.update(*next(steps))
-        logs.append(log)
-        states.append(state)
-    raise BudgetExceededError(f"no fixed point within {max_steps} asynchronous updates")
-
-
-def reproduces(
+def run_ids(
     net: InfluenceNetwork,
     graph: MoveGraph,
     policy: StepPolicy,
     persistent: PersistentConfig,
+    initial: Profile,
     schedule: Schedule,
-    report: OrbitReport,
-) -> bool:
-    """True iff `run_until_cycle` on `net` from `report.prefix[0]` would give
-    `report`'s mu, period, prefix and target logs; `report` must come from a
-    run with the same graph, policy, pins and schedule.
-
-    The schedule's steps run on the kernel until a step's target log differs,
-    in ids, from the report's.  Equal logs from an equal start visit equal
-    states, so a deterministic run repeats at the same step.  A uniform run
-    must also end with every free node settled; it cannot stop earlier, since
-    from a settled state equal logs move nothing and the report's run would
-    have stopped there.
-    """
-    free = persistent.free_nodes(net.n)
-    state = _state_ids(net.n, persistent, graph, report.prefix[0]).values()
-    steps = _steps(schedule, free)
-    kernel = _Kernel(net, graph, policy, free, state)
-    id_of = graph.id_of
-    for expected, (nodes, synchronous) in zip(report.target_log, steps):
-        log, _ = kernel.update(nodes, synchronous)
-        if log != tuple([(i, id_of(order)) for i, order in expected]):
-            return False
-    return schedule.kind != "uniform" or all(map(kernel.settled, free))
+    max_steps: int = DEFAULT_MAX_STEPS,
+) -> tuple[list[tuple[int, ...]], int, list[tuple[tuple[int, int], ...]]]:
+    """`run_until_cycle`'s run without its report: the visited states (its
+    `prefix`), mu and the target logs, as canonical ids on `graph`."""
+    return _Kernel(net, graph, policy, persistent, initial).run(schedule, max_steps)
 
 
 def is_fixed_point(net: InfluenceNetwork, persistent: PersistentConfig, profile: Profile) -> bool:
@@ -491,9 +450,8 @@ def is_fixed_point(net: InfluenceNetwork, persistent: PersistentConfig, profile:
     on another m is refused as at every other entry point.
     """
     graph = build_cover_graph(profile[0].m if profile else 2)  # an empty profile has no m; any graph checks it
-    free = persistent.free_nodes(net.n)
-    kernel = _Kernel(net, graph, StepPolicy(), free, _state_ids(net.n, persistent, graph, profile).values())
-    return all(kernel.target(i) == kernel.state[i] for i in free)
+    kernel = _Kernel(net, graph, StepPolicy(), persistent, profile)
+    return all(kernel.target(i) == kernel.state[i] for i in kernel.free)
 
 
 def enumerate_fixed_points(
@@ -517,13 +475,11 @@ def enumerate_fixed_points(
     tried, and before searching when the levels up to the first check, which
     nothing prunes, already hold more.
     """
-    pinned = _state_ids(net.n, persistent, graph)
-    free = persistent.free_nodes(net.n)
-    orders = graph.orders
-    if not free:
-        return [tuple(orders[pinned[i]] for i in range(net.n))]
     # unassigned free nodes sit at id 0, so every total is a real state's
-    kernel = _Kernel(net, graph, policy, free, [pinned.get(i, 0) for i in range(net.n)])
+    kernel = _Kernel(net, graph, policy, persistent)
+    free, orders = kernel.free, graph.orders
+    if not free:
+        return [tuple(map(orders.__getitem__, kernel.state))]
     level = {node: k for k, node in enumerate(free)}
     checks: list[list[int]] = [[] for _ in free]
     for i in free:

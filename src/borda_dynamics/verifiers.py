@@ -21,7 +21,7 @@ from .dynamics import (
     Profile,
     enumerate_fixed_points,
     margin_text,
-    reproduces,
+    run_ids,
 )
 from .errors import BudgetExceededError, ScenarioBuildError, ScenarioFormatError
 from .influence import class_structure, perturb_weights, reach
@@ -322,10 +322,11 @@ def verify_robustness(sc: ScenarioConfig, trials: int, seed: int) -> Verificatio
 
     The bound eps* = delta / (2 (m-1) n) keeps every aggregate score strictly
     inside its tie margin delta (an entrywise-eps weight change moves a score
-    by at most n*eps*(m-1); the factor 2 covers a score pair).  Each trial must
-    reproduce the identical target log and the identical orbit.  A trial is
-    first replayed on the kernel against the base run (`reproduces`); only a
-    trial that fails the replay is run in full, for its divergence evidence.
+    by at most n*eps*(m-1); the factor 2 covers a score pair).  Each trial is
+    one `run_ids` on the perturbed network and must give the base run's mu,
+    states and target logs, compared in ids: the evidence names the first
+    trial that does not, with the index of its first state that differs
+    from the base run's (or the shorter run's length), else "target log".
     """
     if trials < 1:
         raise ScenarioBuildError(f"robustness needs at least one trial, got {trials}")
@@ -342,24 +343,20 @@ def verify_robustness(sc: ScenarioConfig, trials: int, seed: int) -> Verificatio
     eps = eps_star / 2
 
     graph = build_cover_graph(sc.m)
+    id_of = graph.id_of
+    states = [tuple(map(id_of, state)) for state in base.prefix]
+    logs = [tuple([(i, id_of(order)) for i, order in log]) for log in base.target_log]
     divergence = None
     for t in range(trials):
         network = perturb_weights(sc.network, eps, seed + t)
-        if reproduces(network, graph, sc.policy, sc.persistent, sc.schedule, base):
-            continue
-        rep = replace(sc, network=network).run()
-        if (rep.mu, rep.period) != (base.mu, base.period) or rep.prefix != base.prefix:
-            first_bad = next(
-                (
-                    i
-                    for i, (a, b) in enumerate(zip(rep.prefix, base.prefix))
-                    if a != b
-                ),
-                min(len(rep.prefix), len(base.prefix)),
-            )
+        states_t, mu_t, logs_t = run_ids(network, graph, sc.policy, sc.persistent, sc.initial, sc.schedule,
+                                         sc.max_steps)
+        if mu_t != base.mu or states_t != states:
+            first_bad = next((k for k, (a, b) in enumerate(zip(states_t, states)) if a != b),
+                             min(len(states_t), len(states)))
             divergence = {"trial": t, "first_divergence_step": first_bad}
             break
-        if rep.target_log != base.target_log:
+        if logs_t != logs:
             divergence = {"trial": t, "first_divergence_step": "target log"}
             break
 

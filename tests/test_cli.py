@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +140,37 @@ def test_an_unwritable_output_path_is_an_input_error_naming_it(scenario_dir, tmp
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"input error: cannot write {out}: ")
+
+
+def test_an_unwritable_csv_path_leaves_an_existing_report_file_as_it_was(scenario_dir, tmp_path):
+    report = tmp_path / "rep.json"
+    report.write_bytes(b"an earlier report\n" * 1000)
+    gadget = str(scenario_dir / "gadget.json")
+    proc = run_cli("simulate", gadget, "--report", str(report), "--csv", str(tmp_path / "missing" / "x.csv"))
+    assert proc.returncode == 2
+    assert report.read_bytes() == b"an earlier report\n" * 1000
+    # once every output opens, the longer earlier file is replaced, not overwritten in place
+    assert run_cli("simulate", gadget, "--report", str(report), "--csv", str(tmp_path / "x.csv")).returncode == 0
+    assert report.read_text() == run_cli("simulate", gadget).stdout
+
+
+def test_a_device_is_written_without_truncating_it():
+    # ftruncate fails on a character device, so only regular files are truncated
+    proc = run_cli("enumerate", "3", "--out", os.devnull)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def test_a_closed_stdout_is_an_input_error_without_a_traceback(scenario_dir):
+    # the read end is closed before the child starts, so its first write to stdout fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(CLI + ["simulate", str(scenario_dir / "traveling_wave_8.json"), "--csv", "-"],
+                              stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == "input error: cannot write stdout: Broken pipe\n"
 
 
 # --- verify ---------------------------------------------------------------------------

@@ -326,8 +326,8 @@ def random_robustness_case(seed):
 
 
 def test_robustness_evidence_equals_running_every_trial_in_full():
-    # the replay skips the full run of a reproducing trial; the evidence must
-    # be that of the loop that runs every trial on the Fraction path
+    # each trial runs in ids on the kernel; the evidence must be that of the
+    # loop that runs every trial on the Fraction path and compares its orders
     kinds = Counter()
     for case in range(240):
         sc, trials, seed = random_robustness_case(case)
@@ -350,10 +350,10 @@ def test_robustness_evidence_equals_running_every_trial_in_full():
 
 
 @pytest.mark.parametrize("held", [0, 1, 4])
-def test_trials_that_replay_are_passed_over_until_one_diverges(monkeypatch, held):
+def test_trials_that_hold_are_passed_over_until_one_diverges(monkeypatch, held):
     # i hears the antipodal pins at 1/2 each, so every true perturbation breaks
     # its three-way tie at step 0; k copies a pin, which makes the margin 1.
-    # The first `held` trials keep the weights, so they replay
+    # The first `held` trials keep the weights, so they hold
     net = influence_network([[0, 0, "1/2", "1/2"], [0, 0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     sc = ScenarioConfig(3, net, PersistentConfig(pins={2: o("x>y>z"), 3: o("z>y>x")}),
                         (o("z>y>x"), o("z>y>x"), o("x>y>z"), o("z>y>x")), Schedule.synchronous(), label="tie")
