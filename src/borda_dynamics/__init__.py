@@ -34,8 +34,6 @@ from .move_graph import (
     build_cover_graph,
     distance,
     find_cycle,
-    geodesic_count,
-    geodesic_unique,
     step,
 )
 from .scenarios import (
@@ -62,7 +60,6 @@ from .weak_orders import (
     borda_scores,
     enumerate_weak_orders,
     format_order,
-    fubini,
     parse_order,
     project,
     weak_order,

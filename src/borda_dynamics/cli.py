@@ -1,10 +1,11 @@
 """Command line interface: enumerate, simulate, verify, export-dot.
 
 Exit codes: 0 success, 1 verification failure, 2 input error (a missing file,
-an output that cannot be written, stdout included, a bad argument, or a
-`ScenarioFormatError`, `ScenarioBuildError` or `ScheduleError`), 3 step
-budget exceeded.  Any other exception is a bug and shows as a traceback.  All
-output is deterministic byte-for-byte given the same inputs and seeds.
+an output that cannot be written, stdout included, two outputs to one file, a
+bad argument, or a `ScenarioFormatError`, `ScenarioBuildError` or
+`ScheduleError`), 3 step budget exceeded.  Any other exception is a bug and
+shows as a traceback.  All output is deterministic byte-for-byte given the
+same inputs and seeds.
 """
 
 from __future__ import annotations
@@ -52,17 +53,25 @@ def _refused(path: str | None):
 def _write(*outputs: tuple[str | None, str, str | None]) -> None:
     """Write each (path, text, newline) to stdout for no path or '-', else to
     the file at `path`.  Every file is opened without truncating it before
-    any is written, so a path that cannot be opened leaves every output as
-    it was; a regular file is truncated just before it is written."""
+    any is written, so a path that cannot be opened, or two paths to one
+    regular file, leave every output as it was; a regular file is truncated
+    just before it is written."""
     with ExitStack() as stack:
-        handles = []
+        handles, files = [], {}  # files: (st_dev, st_ino) -> path, per regular file
         for path, _, newline in outputs:
             with _refused(path):
-                handles.append(sys.stdout if path in (None, "-") else
-                               stack.enter_context(open(path, "a", newline=newline)))
-        for (path, text, _), handle in zip(outputs, handles):
+                handle = sys.stdout if path in (None, "-") else stack.enter_context(open(path, "a", newline=newline))
+            st = None if handle is sys.stdout else os.fstat(handle.fileno())
+            regular = st is not None and stat.S_ISREG(st.st_mode)
+            if regular:
+                key = st.st_dev, st.st_ino
+                if key in files:
+                    raise OutputError(f"cannot write {path}: it is the same file as {files[key]}")
+                files[key] = path
+            handles.append((handle, regular))
+        for (path, text, _), (handle, regular) in zip(outputs, handles):
             with _refused(path):
-                if handle is not sys.stdout and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                if regular:
                     handle.truncate(0)
                 handle.write(text)
                 handle.flush()

@@ -24,8 +24,7 @@ other.  The aggregate is linear in each in-neighbour's scores, so writing
 node j from order a to b adds W_kj * (packed[b] - packed[a]) to the total
 of each listener k, exactly, and no read sums a row.  A target is read from
 the total's guard bits by one dict lookup; a tie margin is the smallest
-nonzero |field - beta| over 2*D_i, memoised by the total in a memo emptied
-at TARGET_MEMO_CAP entries.
+nonzero |field - beta| over 2*D_i.
 
 A run is one kernel loop, `_Kernel.run`, that yields the visited states, mu
 and the target logs in ids: `run_ids` returns them as they are, and
@@ -63,9 +62,6 @@ TargetLog = tuple[tuple[int, WeakOrder], ...]
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_ENUM_BUDGET = 10**6
-#: a kernel forgets its memoised tie gaps once it holds this many, so a long
-#: orbit's margin keeps bounded memory
-TARGET_MEMO_CAP = 2**16
 
 
 @dataclass
@@ -227,8 +223,7 @@ class _Kernel:
     exceeds beta, so adding C1 (2^top - beta per field) sets it in field (a,
     b) iff agg[a] >= agg[b], C2 (one less) iff agg[a] > agg[b], and neither
     carries out: `keys` maps these guard bits, ((t + C1) & G) | ((t + C2) &
-    G) >> 1 for G the top bits, to the target id.  `gaps` maps a total to
-    its smallest nonzero |field - beta|.
+    G) >> 1 for G the top bits, to the target id.
     """
 
     def __init__(self, net: InfluenceNetwork, graph: MoveGraph, policy: StepPolicy, persistent: PersistentConfig,
@@ -273,7 +268,6 @@ class _Kernel:
         self.mask, self.shifts = (1 << field) - 1, range(0, m * (m - 1) // 2 * field, field)
         self.packed, self.keys = _pair_tables(m, field)
         self.c1, self.c2, self.guards, ones = _guards(m, field, beta)
-        self.gaps: dict[int, int] = {}
         # node i's row centres its fields on (m-1)*2*D_i: lift them to beta once
         self.totals = [0] * n
         for i, (row, scale) in self.rows.items():
@@ -285,13 +279,9 @@ class _Kernel:
 
     def gap(self, total: int) -> int:
         """The smallest nonzero |field - beta| of a packed aggregate (0 if none),
-        2*D_i times its smallest gap between distinct scores; memoised."""
-        if len(self.gaps) >= TARGET_MEMO_CAP:
-            self.gaps.clear()
+        2*D_i times its smallest gap between distinct scores."""
         beta, mask = self.beta, self.mask
-        gap = self.gaps[total] = min(filter(None, [abs((total >> shift & mask) - beta) for shift in self.shifts]),
-                                     default=0)
-        return gap
+        return min(filter(None, [abs((total >> shift & mask) - beta) for shift in self.shifts]), default=0)
 
     def settled(self, i: int) -> bool:
         """True iff node i's step leaves it where it is: at its target, or
@@ -377,17 +367,18 @@ class _Kernel:
         """Smallest tie margin of any compiled node's aggregate over the
         `orbit` states: the smallest gap between distinct aggregate values
         over 2*D_i.  The kernel must be at orbit[0]; it reaches each later
-        state by writes, so it ends at orbit[-1]."""
-        best: tuple[int, int] | None = None  # (gap, 2*D_i)
-        gaps, totals, gap_of, write = self.gaps, self.totals, self.gap, self.write
-        for before, state in zip((orbit[0], *orbit), orbit):
+        state by writes, so it ends at orbit[-1].  Each distinct (total,
+        2*D_i) the orbit holds has its gap computed once."""
+        totals, rows, write, gap_of = self.totals, self.rows, self.write, self.gap
+        held = {(totals[i], scale) for i, (_, scale) in rows.items()}
+        for before, state in zip(orbit, orbit[1:]):
             write([(j, b) for j, (a, b) in enumerate(zip(before, state)) if a != b])
-            for i, (_, scale) in self.rows.items():
-                gap = gaps.get(totals[i])
-                if gap is None:
-                    gap = gap_of(totals[i])
-                if gap and (best is None or gap * best[1] < best[0] * scale):
-                    best = (gap, scale)
+            held.update([(totals[i], scale) for i, (_, scale) in rows.items()])
+        best: tuple[int, int] | None = None  # (gap, 2*D_i)
+        for total, scale in held:
+            gap = gap_of(total)
+            if gap and (best is None or gap * best[1] < best[0] * scale):
+                best = (gap, scale)
         return math.inf if best is None else Fraction(*best)
 
     def report(self, states: Sequence[tuple[int, ...]], mu: int, logs) -> OrbitReport:

@@ -348,37 +348,6 @@ def seeded_random_network(n: int, seed: int) -> InfluenceNetwork:
     return InfluenceNetwork(tuple(rows), _names(None, n))
 
 
-def seeded_random_bipartite(
-    size_a: int, size_b: int, seed: int
-) -> tuple[int, list[tuple[int, int]], tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Connected undirected bipartite graph: a zigzag spanning path plus extras.
-
-    Returns (n, edges, (part_a, part_b)) with part_a = 0..size_a-1.
-    """
-    rng = random.Random(seed)
-    part_a = tuple(range(size_a))
-    part_b = tuple(range(size_a, size_a + size_b))
-    edges: set[tuple[int, int]] = set()
-    # spanning zigzag over the paired prefix keeps the graph connected, then
-    # leftovers of the longer part attach across the cut
-    paired = min(size_a, size_b)
-    chain = []
-    for k in range(paired):
-        chain.append(part_a[k])
-        chain.append(part_b[k])
-    for u, v in zip(chain, chain[1:]):
-        edges.add((min(u, v), max(u, v)))
-    for a in part_a[paired:]:
-        edges.add((min(a, part_b[0]), max(a, part_b[0])))
-    for b in part_b[paired:]:
-        edges.add((part_a[0], b))
-    for a in part_a:
-        for b in part_b:
-            if rng.random() < 0.3:
-                edges.add((a, b))
-    return size_a + size_b, sorted(edges), (part_a, part_b)
-
-
 def network_to_dot(net: InfluenceNetwork) -> str:
     """DOT export of the support digraph with weights as p/q arc labels."""
     lines = ["digraph influence {"]

@@ -77,10 +77,6 @@ class MoveGraph:
     def order_count(self) -> int:
         return len(self.orders)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nb) for nb in self.adjacency) // 2
-
     def edges(self):
         """All edges as (i, j) id pairs with i < j, in id order."""
         for i, nb in enumerate(self.adjacency):
@@ -127,14 +123,6 @@ class MoveGraph:
             return (target,)
         return tuple(x for x in range(self.order_count) if self.next_id(x, target, True) == x)
 
-    @property
-    def distance_table(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple((a ^ b).bit_count() for b in self.cuts) for a in self.cuts)
-
-    @property
-    def diameter(self) -> int:
-        return max(map(max, self.distance_table))
-
 
 def _cuts(order: WeakOrder) -> int:
     """The chain of cuts of `order` (the alternatives of each proper prefix of
@@ -162,25 +150,6 @@ def step(policy: StepPolicy, graph: MoveGraph, current: WeakOrder, target: WeakO
     """One bounded step from `current` toward `target`, as `MoveGraph.next_id` decides it."""
     nxt = graph.next_id(graph.id_of(current), graph.id_of(target), policy.allow_no_move_on_ambiguity)
     return graph.orders[nxt]
-
-
-def geodesic_count(graph: MoveGraph, order1: WeakOrder, order2: WeakOrder) -> int:
-    """Number of distinct shortest paths, counted over distance layers."""
-    a = graph.id_of(order1)
-    b = graph.id_of(order2)
-    dist = [graph.distance_ids(a, v) for v in range(graph.order_count)]
-    counts = [0] * graph.order_count
-    counts[a] = 1
-    for v in sorted(range(graph.order_count), key=lambda v: dist[v]):
-        if v == a:
-            continue
-        counts[v] = sum(counts[u] for u in graph.adjacency[v] if dist[u] == dist[v] - 1)
-    return counts[b]
-
-
-def geodesic_unique(graph: MoveGraph, order1: WeakOrder, order2: WeakOrder) -> bool:
-    """True when exactly one shortest path joins the two orders."""
-    return geodesic_count(graph, order1, order2) == 1
 
 
 def find_cycle(graph: MoveGraph, length: int) -> tuple[WeakOrder, ...] | None:

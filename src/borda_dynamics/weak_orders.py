@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import Iterable, Sequence
 
 #: Enumeration is exponential in m; everything here is meant for desk scale.
@@ -75,10 +74,6 @@ class WeakOrder:
     def is_strict(self) -> bool:
         return all(len(c) == 1 for c in self.classes)
 
-    @property
-    def is_total_tie(self) -> bool:
-        return len(self.classes) == 1
-
     def class_index(self, alternative: int) -> int:
         """0-based position of the class containing `alternative` (0 = best)."""
         for k, cls in enumerate(self.classes):
@@ -127,24 +122,6 @@ def enumerate_weak_orders(m: int) -> tuple[WeakOrder, ...]:
 @lru_cache(maxsize=None)
 def _index_map(m: int) -> dict[tuple[tuple[int, ...], ...], int]:
     return {w.classes: i for i, w in enumerate(enumerate_weak_orders(m))}
-
-
-def fubini(m: int) -> int:
-    """Number of weak orders on m alternatives (ordered Bell number).
-
-    Computed as sum over k of k! * S(m, k) with S the Stirling numbers of the
-    second kind; agrees with len(enumerate_weak_orders(m)).
-    """
-    if m < 1:
-        raise ValueError("empty alternative domain: need m >= 1")
-    # one DP row of Stirling numbers of the second kind
-    row = [1] + [0] * m
-    for i in range(1, m + 1):
-        new = [0] * (m + 1)
-        for k in range(1, i + 1):
-            new[k] = k * row[k] + row[k - 1]
-        row = new
-    return sum(factorial(k) * row[k] for k in range(1, m + 1))
 
 
 @lru_cache(maxsize=None)

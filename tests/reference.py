@@ -8,6 +8,11 @@ trial in full.  The module reads only those definitions and the package's
 data types, never the integer kernel that `borda_dynamics.dynamics` runs
 on, so a test that compares the two compares the kernel with an
 independent computation.
+
+It also holds the counts and generators the tests check the package with:
+the number of weak orders (`fubini`), the shortest paths between two orders
+counted by brute force (`paths_between`) and the cover graph's `diameter`,
+and a seeded connected bipartite graph (`seeded_random_bipartite`).
 """
 
 import math
@@ -165,3 +170,76 @@ def robustness_evidence(sc, trials, seed):
         "period": period,
         "divergence": divergence,
     }
+
+
+def fubini(m):
+    """Number of weak orders on m alternatives (ordered Bell number).
+
+    Computed as sum over k of k! * S(m, k) with S the Stirling numbers of the
+    second kind; agrees with len(enumerate_weak_orders(m)).
+    """
+    if m < 1:
+        raise ValueError("empty alternative domain: need m >= 1")
+    # one DP row of Stirling numbers of the second kind
+    row = [1] + [0] * m
+    for i in range(1, m + 1):
+        new = [0] * (m + 1)
+        for k in range(1, i + 1):
+            new[k] = k * row[k] + row[k - 1]
+        row = new
+    return sum(math.factorial(k) * row[k] for k in range(1, m + 1))
+
+
+def paths_between(graph, a, b):
+    """Number of shortest paths between ids a and b, by enumerating the
+    simple paths of exactly their distance."""
+    found = 0
+    target = graph.distance_ids(a, b)
+
+    def walk(u, depth, seen):
+        nonlocal found
+        if depth == target:
+            if u == b:
+                found += 1
+            return
+        for v in graph.adjacency[u]:
+            if v not in seen and graph.distance_ids(v, b) == target - depth - 1:
+                walk(v, depth + 1, seen | {v})
+
+    walk(a, 0, {a})
+    return found
+
+
+def diameter(graph):
+    """The largest distance between two ids of the cover graph."""
+    ids = range(graph.order_count)
+    return max(graph.distance_ids(a, b) for a in ids for b in ids)
+
+
+def seeded_random_bipartite(size_a, size_b, seed):
+    """Connected undirected bipartite graph: a zigzag spanning path plus extras.
+
+    Returns (n, edges, (part_a, part_b)) with part_a = 0..size_a-1.
+    """
+    rng = random.Random(seed)
+    part_a = tuple(range(size_a))
+    part_b = tuple(range(size_a, size_a + size_b))
+    edges = set()
+    # spanning zigzag over the paired prefix keeps the graph connected, then
+    # leftovers of the longer part attach across the cut
+    paired = min(size_a, size_b)
+    chain = []
+    for k in range(paired):
+        chain.append(part_a[k])
+        chain.append(part_b[k])
+    for u, v in zip(chain, chain[1:]):
+        edges.add((min(u, v), max(u, v)))
+    for a in part_a[paired:]:
+        edges.add((min(a, part_b[0]), max(a, part_b[0])))
+    for b in part_b[paired:]:
+        edges.add((part_a[0], b))
+    for a in part_a:
+        for b in part_b:
+            if rng.random() < 0.3:
+                edges.add((a, b))
+    return size_a + size_b, sorted(edges), (part_a, part_b)

@@ -154,6 +154,21 @@ def test_an_unwritable_csv_path_leaves_an_existing_report_file_as_it_was(scenari
     assert report.read_text() == run_cli("simulate", gadget).stdout
 
 
+@pytest.mark.parametrize("same", ["same-path", "hard-link"])
+def test_two_outputs_to_one_file_are_an_input_error_that_keeps_the_file(scenario_dir, tmp_path, same):
+    # otherwise the CSV truncates the report written just before it
+    report = tmp_path / "out.txt"
+    report.write_bytes(b"an earlier report\n")
+    csv = report
+    if same == "hard-link":
+        csv = tmp_path / "link.txt"
+        os.link(report, csv)
+    proc = run_cli("simulate", str(scenario_dir / "gadget.json"), "--report", str(report), "--csv", str(csv))
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", f"input error: cannot write {csv}: it is the same file as {report}\n")
+    assert report.read_bytes() == b"an earlier report\n"
+
+
 def test_a_device_is_written_without_truncating_it():
     # ftruncate fails on a character device, so only regular files are truncated
     proc = run_cli("enumerate", "3", "--out", os.devnull)

@@ -22,13 +22,13 @@ from borda_dynamics.dynamics import (
 from borda_dynamics import dynamics, move_graph, weak_orders
 from borda_dynamics.errors import BudgetExceededError, ScheduleError
 from borda_dynamics.influence import influence_network, perturb_weights, seeded_random_network
-from borda_dynamics.move_graph import StepPolicy, build_cover_graph, distance, find_cycle, geodesic_unique
+from borda_dynamics.move_graph import StepPolicy, build_cover_graph, distance, find_cycle
 from borda_dynamics.move_graph import step as graph_step
 from borda_dynamics.scenarios import build_gadget, build_traveling_wave, load_scenario
 from borda_dynamics.weak_orders import antipode, enumerate_weak_orders, parse_order
 
 import reference
-from reference import reference_run, target
+from reference import diameter, paths_between, reference_run, target
 
 G3 = build_cover_graph(3)
 POLICY = StepPolicy()
@@ -274,7 +274,7 @@ def test_frozen_targets_drive_monotone_stabilization():
         ]
         assert distances == sorted(distances, reverse=True)
         assert distances[0] == start and distances[start] == 0
-    assert report.mu <= G3.diameter
+    assert report.mu <= diameter(G3)
 
 
 def test_frozen_targets_log_is_constant():
@@ -300,7 +300,7 @@ def test_alternating_targets_with_unique_geodesic_force_period_two():
         (a, b)
         for a in SPACE3
         for b in SPACE3
-        if a != b and geodesic_unique(G3, a, b)
+        if a != b and paths_between(G3, a.canonical_id, b.canonical_id) == 1
     ]
     assert pairs, "need at least one unique-geodesic pair"
     for beta, gamma in pairs[:40]:
@@ -636,7 +636,7 @@ def test_contrarian_camps_always_leave_an_equilibrium(m, n_free, seed):
     rng = random.Random(seed)
     space = enumerate_weak_orders(m)
     base = rng.choice([w for w in space if w.is_strict])
-    flipped, tied = antipode(base), next(w for w in space if w.is_total_tie)
+    flipped, tied = antipode(base), next(w for w in space if len(w.classes) == 1)
     rank = {base: 1, tied: 0, flipped: -1}
     net = seeded_random_network(n_free + 2, seed)
     plus, minus = n_free, n_free + 1
@@ -913,29 +913,22 @@ def test_a_lane_at_its_bound_neither_carries_nor_truncates(seed, reverse):
         assert report.min_margin != math.inf
 
 
-def test_the_gap_memo_stays_under_its_cap(monkeypatch):
+def test_the_orbit_margin_computes_each_distinct_gap_once(monkeypatch):
     # each state of a 24-node copier ring on a 24-cycle of m = 4 orders holds
     # all 24 orders, so the orbit margin reads 24 distinct totals 24 times
-    # each: the memo computes each gap once, and a memo capped at 8 entries
-    # is emptied as it fills, without changing the margin
+    # each, and computes each one's gap once
     sc = build_traveling_wave(24, find_cycle(build_cover_graph(4), 24))
-    calls = []  # (total, memo size after it) per computed gap
+    calls = []  # total per computed gap
     gap = dynamics._Kernel.gap
 
     def counted(self, total):
-        result = gap(self, total)
-        calls.append((total, len(self.gaps)))
-        return result
+        calls.append(total)
+        return gap(self, total)
 
     monkeypatch.setattr(dynamics._Kernel, "gap", counted)
     report = sc.run()
     assert (report.mu, report.period) == (0, 24)
-    assert len(calls) == len({total for total, _ in calls}) == 24
-    calls.clear()
-    monkeypatch.setattr(dynamics, "TARGET_MEMO_CAP", 8)
-    assert sc.run().min_margin == report.min_margin
-    assert len(calls) > 24
-    assert max(size for _, size in calls) == 8
+    assert len(calls) == len(set(calls)) == 24
 
 
 SHIPPED_SCENARIOS = sorted(

@@ -14,7 +14,6 @@ from borda_dynamics.influence import (
     normalize_random_walk,
     perturb_weights,
     reach,
-    seeded_random_bipartite,
     seeded_random_network,
     verify_minus_one_mode,
 )
@@ -352,7 +351,7 @@ def test_minus_one_mode_rejects_overlapping_parts():
 @given(st.integers(min_value=0, max_value=100))
 @settings(deadline=None)
 def test_minus_one_mode_on_random_bipartite_graphs(seed):
-    n, edges, parts = seeded_random_bipartite(3, 4, seed)
+    n, edges, parts = reference.seeded_random_bipartite(3, 4, seed)
     net = normalize_random_walk(n, edges)
     assert verify_minus_one_mode(net, parts)
 

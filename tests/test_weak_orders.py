@@ -11,13 +11,12 @@ from borda_dynamics.weak_orders import (
     borda_scores,
     enumerate_weak_orders,
     format_order,
-    fubini,
     parse_order,
     project,
     weak_order,
 )
 
-from reference import margin_from_ties
+from reference import fubini, margin_from_ties
 
 
 def o(text, m=3):
