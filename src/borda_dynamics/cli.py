@@ -1,8 +1,8 @@
 """Command line interface: enumerate, simulate, verify, export-dot.
 
 Exit codes: 0 success, 1 verification failure, 2 input error (a missing file,
-an output that cannot be written, stdout included, two outputs to one file, a
-bad argument, or a `ScenarioFormatError`, `ScenarioBuildError` or
+an output that cannot be written, two outputs to one file, stdout included
+in both, a bad argument, or a `ScenarioFormatError`, `ScenarioBuildError` or
 `ScheduleError`), 3 step budget exceeded.  Any other exception is a bug and
 shows as a traceback.  All output is deterministic byte-for-byte given the
 same inputs and seeds.
@@ -16,7 +16,7 @@ import json
 import os
 import stat
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from functools import cache
 
 from .dynamics import report_to_json_dict, write_trajectory_csv
@@ -53,11 +53,17 @@ def _refused(path: str | None):
 def _write(*outputs: tuple[str | None, str, str | None]) -> None:
     """Write each (path, text, newline) to stdout for no path or '-', else to
     the file at `path`.  Every file is opened without truncating it before
-    any is written, so a path that cannot be opened, or two paths to one
-    regular file, leave every output as it was; a regular file is truncated
-    just before it is written."""
+    any is written, so a path that cannot be opened, or two outputs to one
+    regular file (stdout counted when something is written to it), leave
+    every output as it was; a regular file is truncated just before it is
+    written."""
     with ExitStack() as stack:
         handles, files = [], {}  # files: (st_dev, st_ino) -> path, per regular file
+        if any(path in (None, "-") for path, _, _ in outputs):
+            with suppress(OSError, ValueError):  # no descriptor, as for a StringIO, or a closed one
+                st = os.fstat(sys.stdout.fileno())
+                if stat.S_ISREG(st.st_mode):
+                    files[st.st_dev, st.st_ino] = "stdout"
         for path, _, newline in outputs:
             with _refused(path):
                 handle = sys.stdout if path in (None, "-") else stack.enter_context(open(path, "a", newline=newline))

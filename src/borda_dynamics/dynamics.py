@@ -26,11 +26,18 @@ of each listener k, exactly, and no read sums a row.  A target is read from
 the total's guard bits by one dict lookup; a tie margin is the smallest
 nonzero |field - beta| over 2*D_i.
 
-A run is one kernel loop, `_Kernel.run`, that yields the visited states, mu
-and the target logs in ids: `run_ids` returns them as they are, and
-`run_until_cycle` reads them into an OrbitReport, the one place WeakOrders
-appear again, with the orbit margin, which walks the orbit by writes.  The
-fixed-point search assigns free nodes one level each.  A level is solved
+A run, `_Kernel.run`, yields the visited states, mu and the target logs in
+ids: `run_ids` returns them as they are, and `run_until_cycle` reads them
+into an OrbitReport, the one place WeakOrders appear again, with the orbit
+margin, which walks the orbit by writes.  A deterministic run hashes each
+state to find its cycle.  A uniform run keeps the set of unsettled free
+nodes, those whose step would move them: only a move can change it, and only
+for the mover and its listeners, so a draw costs one target read and a move
+one refresh of those nodes.  The run stops when the set is empty.  A draw
+that moves nothing stores the previous state's tuple again, and the report
+converts each such shared tuple once.
+
+The fixed-point search assigns free nodes one level each.  A level is solved
 when its node hears only pins and earlier levels, with no self-loop: its
 target is fixed as the level opens, so the level tries only the ids that
 target's step leaves in place (`MoveGraph.resting_ids`), yet counts every
@@ -47,7 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter, mul
-from itertools import combinations, count, repeat
+from itertools import combinations
 from typing import IO, Iterable, Sequence
 
 from .errors import BudgetExceededError, ScheduleError
@@ -241,7 +248,7 @@ class _Kernel:
             if len(profile) != n:
                 raise ValueError(f"profile length {len(profile)}, but the network has {n} nodes")
             for node, order in orders:
-                if profile[node] != order:
+                if profile[node] is not order and profile[node] != order:
                     raise ValueError(f"profile disagrees with pin at node {node}")
             orders = enumerate(profile)
         self.state = state = [0] * n
@@ -327,41 +334,61 @@ class _Kernel:
     def run(self, schedule: Schedule, max_steps: int):
         """`run_until_cycle` from the kernel's state, in ids: the visited
         states (a uniform run's last one included, a repeated state not), mu
-        and each step's target log.  The kernel ends at states[mu].  A step
-        is `update`'s (nodes, synchronous): all free nodes at once, the
-        sequence in turn, or one seeded uniform draw."""
-        free, settled, update, kind = self.free, self.settled, self.update, schedule.kind
+        and each step's target log.  The kernel ends at states[mu].  A
+        deterministic step is `update`'s (nodes, synchronous): all free nodes
+        at once, or the sequence in turn.  A uniform run keeps the set of
+        free nodes whose step would move them, refreshed only for each mover
+        and its listeners, and stops once it is empty; a draw that moves
+        nothing logs its target and repeats the previous state object."""
+        free, kind = self.free, schedule.kind
+        if kind == "uniform":
+            if not free:
+                raise ScheduleError("uniform schedule needs at least one free node")
+            return self._settle(random.Random(schedule.seed), max_steps)
         if kind == "synchronous":
-            steps = repeat((free, True))
+            nodes = free
         elif kind == "sequence":
             bad = [i for i in schedule.nodes if i not in free]
             if bad:
                 raise ScheduleError(f"scheduled nodes {bad} are pinned or unknown")
-            steps = repeat((schedule.nodes, False))
-        elif kind == "uniform":
-            if not free:
-                raise ScheduleError("uniform schedule needs at least one free node")
-            rng = random.Random(schedule.seed)
-            steps = (((free[rng.randrange(len(free))],), True) for _ in count())
+            nodes = schedule.nodes
         else:
             raise ScheduleError(f"unknown schedule kind {kind!r}")
-        uniform = kind == "uniform"
-        seen: dict[tuple[int, ...], int] = {}  # deterministic: state -> time of first visit, in visit order
-        states, logs = [], []
+        synchronous, update = kind == "synchronous", self.update
+        seen: dict[tuple[int, ...], int] = {}  # state -> time of first visit, in visit order
+        logs = []
         state = tuple(self.state)
         for t in range(max_steps + 1):
-            if uniform:
-                states.append(state)
-                if all(map(settled, free)):
-                    return states, t, logs
-            elif (first := seen.setdefault(state, t)) != t:
+            if (first := seen.setdefault(state, t)) != t:
                 return list(seen), first, logs
             if t < max_steps:
-                log, state = update(*next(steps))
+                log, state = update(nodes, synchronous)
                 logs.append(log)
-        if uniform:
-            raise BudgetExceededError(f"no fixed point within {max_steps} asynchronous updates")
         raise BudgetExceededError(f"no cycle within {max_steps} steps")
+
+    def _settle(self, rng: random.Random, max_steps: int):
+        """`run`'s uniform schedule: one `rng.randrange(len(free))` draw per update."""
+        free, state, listeners, settled, target = self.free, self.state, self.listeners, self.settled, self.target
+        next_id, lazy, write, draw = self.graph.next_id, self.stay_on_ambiguity, self.write, rng.randrange
+        unsettled = {i for i in free if not settled(i)}
+        visited = tuple(state)
+        states, logs = [visited], []
+        while unsettled:
+            if len(logs) == max_steps:
+                raise BudgetExceededError(f"no fixed point within {max_steps} asynchronous updates")
+            i = free[draw(len(free))]
+            tau = target(i)
+            logs.append(((i, tau),))
+            if i in unsettled:
+                write(((i, next_id(state[i], tau, lazy)),))
+                visited = tuple(state)
+                for k in (i, *[k for k, _ in listeners[i]]):  # a self-loop lists i twice
+                    if settled(k):
+                        unsettled.discard(k)
+                    else:
+                        unsettled.add(k)
+            states.append(visited)
+        return states, len(logs), logs
 
     def min_margin(self, orbit: Sequence[tuple[int, ...]]) -> Fraction | float:
         """Smallest tie margin of any compiled node's aggregate over the
@@ -382,12 +409,17 @@ class _Kernel:
         return math.inf if best is None else Fraction(*best)
 
     def report(self, states: Sequence[tuple[int, ...]], mu: int, logs) -> OrbitReport:
-        """The OrbitReport of visited `states` with the orbit from `mu`; the kernel is at states[mu]."""
+        """The OrbitReport of visited `states` with the orbit from `mu`; the
+        kernel is at states[mu].  A state object that repeats from one visit
+        to the next (a uniform draw that moved nothing) is converted once."""
         orders = self.graph.orders
-        if len(states[0]) > 1:
-            prefix = tuple(itemgetter(*state)(orders) for state in states)
-        else:  # itemgetter of one index returns the bare order
-            prefix = tuple(tuple(map(orders.__getitem__, state)) for state in states)
+        rows, last, row = [], None, ()
+        for state in states:
+            if state is not last:
+                # itemgetter of one index returns the bare order
+                last, row = state, itemgetter(*state)(orders) if len(state) > 1 else (orders[state[0]],)
+            rows.append(row)
+        prefix = tuple(rows)
         return OrbitReport(
             mu=mu,
             period=len(states) - mu,

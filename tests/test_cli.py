@@ -169,6 +169,29 @@ def test_two_outputs_to_one_file_are_an_input_error_that_keeps_the_file(scenario
     assert report.read_bytes() == b"an earlier report\n"
 
 
+@pytest.mark.parametrize("mode", ["w", "a"], ids=["redirected", "appended"])
+def test_a_file_output_to_the_file_stdout_writes_is_an_input_error(scenario_dir, tmp_path, mode):
+    # as `simulate gadget.json --csv F > F` (or `>> F`): the CSV would truncate the report on stdout
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"an earlier report\n")
+    with open(out, mode) as stdout:
+        proc = subprocess.run(CLI + ["simulate", str(scenario_dir / "gadget.json"), "--csv", str(out)],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (2, f"input error: cannot write {out}: it is the same file as stdout\n")
+    assert out.read_bytes() == (b"" if mode == "w" else b"an earlier report\n")
+
+
+@pytest.mark.parametrize("csv", ["-", os.devnull], ids=["stdout-twice", "device-twice"])
+def test_stdout_may_share_its_file_with_stdout_or_a_device(scenario_dir, tmp_path, csv):
+    gadget = str(scenario_dir / "gadget.json")
+    out = tmp_path / "out.txt" if csv == "-" else Path(os.devnull)
+    with open(out, "w") as stdout:
+        proc = subprocess.run(CLI + ["simulate", gadget, "--csv", csv], stdout=stdout, stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    if csv == "-":
+        assert out.read_text() == run_cli("simulate", gadget, "--csv", "-").stdout
+
+
 def test_a_device_is_written_without_truncating_it():
     # ftruncate fails on a character device, so only regular files are truncated
     proc = run_cli("enumerate", "3", "--out", os.devnull)

@@ -502,11 +502,11 @@ class KernelWork:
     """The work of every kernel built while it is installed, counted by
     patching `_Kernel` once each is built: `reads` of packed scores (a write
     takes two, and a row summed on read takes one per in-neighbour),
-    `updates` of totals (one per mover-listener pair), and the nodes
-    `written`, in order."""
+    `updates` of totals (one per mover-listener pair), `targets` read (one
+    lookup in `keys` each), and the nodes `written`, in order."""
 
     def __init__(self, monkeypatch):
-        self.reads = self.updates = 0
+        self.reads = self.updates = self.targets = 0
         self.written = []
         work = self
         init, write = dynamics._Kernel.__init__, dynamics._Kernel.write
@@ -521,9 +521,14 @@ class KernelWork:
                 work.updates += 1
                 list.__setitem__(self, k, value)
 
+        class Keys(dict):
+            def __getitem__(self, key):
+                work.targets += 1
+                return dict.__getitem__(self, key)
+
         def counted_init(kernel, *args):
             init(kernel, *args)
-            kernel.packed, kernel.totals = Packed(kernel.packed), Totals(kernel.totals)
+            kernel.packed, kernel.totals, kernel.keys = Packed(kernel.packed), Totals(kernel.totals), Keys(kernel.keys)
 
         def counted_write(kernel, moves):
             moves = list(moves)
@@ -876,6 +881,58 @@ def test_uniform_runs_change_a_total_only_when_an_in_neighbour_moves(seed, monke
     # re-aggregating in the stop check would read rows
     work.assert_no_row_is_summed_on_read()
     assert work.updates == len(work.written) <= updates
+
+
+def copier_star_case(seed):
+    """A uniform run on 20 free nodes that each copy pin 20 alone: nodes 0 to
+    18 start at its order, settled, and node 19 at its antipode, four moves
+    away, so most draws hit a settled node."""
+    n = 21
+    net = influence_network([[int(j == 20) for j in range(n)] for _ in range(n)])
+    pc = PersistentConfig(pins={20: o("x>y>z")})
+    initial = (o("x>y>z"),) * 19 + (o("z>y>x"), o("x>y>z"))
+    return net, G3, POLICY, pc, initial, Schedule.uniform(seed)
+
+
+@pytest.mark.parametrize("case", [copier_star_case(0), copier_star_case(1), chained_pins_case(0), chained_pins_case(1)],
+                         ids=["star-0", "star-1", "chain-0", "chain-1"])
+def test_a_uniform_run_reads_targets_per_draw_and_per_move(case, monkeypatch):
+    # one target per draw, one per free node to start, and one per node a
+    # move can unsettle (the mover and the free nodes that hear it); a scan
+    # of the free nodes before each draw reads about 20 per draw on the star
+    work = KernelWork(monkeypatch)
+    report = assert_run_matches_reference(*case, 2000)
+    net, free, draws = case[0], case[3].free_nodes(case[0].n), len(report.target_log)
+    assert work.targets <= draws + len(free) + len(work.written) + work.listener_pairs(net, free)
+
+
+def test_a_uniform_run_may_settle_on_its_last_budgeted_update():
+    # the run settles on its mu-th update: a budget of mu returns, mu - 1 raises
+    case = chained_pins_case(0)
+    mu = reference_run(*case, 2000)[0]
+    assert mu > 0
+    assert assert_run_matches_reference(*case, mu).mu == mu
+    assert assert_run_matches_reference(*case, mu - 1) is None
+    with pytest.raises(BudgetExceededError, match=f"^no fixed point within {mu - 1} asynchronous updates$"):
+        run_until_cycle(*case, mu - 1)
+
+
+def test_a_uniform_run_reads_a_self_loop_move():
+    # node 0 hears itself and a pin at 1/2 each, so its own moves change its target
+    net = influence_network([["1/2", "1/2"], ["0", "1"]])
+    pc = PersistentConfig(pins={1: o("z>y>x")})
+    report = assert_run_matches_reference(net, G3, POLICY, pc, (o("x>y>z"), o("z>y>x")), Schedule.uniform(0), 20)
+    assert report.mu > 1 and len({tau for (_, tau), in report.target_log}) > 1
+
+
+def test_a_uniform_run_can_move_into_a_stall():
+    # under no-move-on-ambiguity the gadget's free nodes move five times and
+    # stop at (x>y>z, (xyz)), though node j is not at its target there
+    sc = build_gadget(3, o("x>y>z"), Fraction(1, 10), initial_free=(o("x>(yz)"), o("y>(xz)")))
+    policy = StepPolicy(allow_no_move_on_ambiguity=True)
+    report = assert_run_matches_reference(sc.network, G3, policy, sc.persistent, sc.initial, Schedule.uniform(2), 100)
+    assert report.mu == 5 and report.prefix[-1][:2] == (o("x>y>z"), o("(xyz)"))
+    assert not is_fixed_point(sc.network, sc.persistent, report.prefix[-1])
 
 
 @pytest.mark.parametrize("schedule", [Schedule.synchronous(), Schedule.sequence([0, 0]), Schedule.uniform(3)],
