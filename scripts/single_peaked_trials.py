@@ -8,7 +8,6 @@ printed with the step and node where the first violation occurred.
 """
 
 import argparse
-import dataclasses
 import random
 
 from borda_dynamics import PersistentConfig, Schedule
@@ -52,7 +51,7 @@ def main() -> None:
             invariance_broke += 1
             bad = outcome.evidence["first_state_violation"]
             print(f"trial {trial}: STATE left the domain at step {bad['step']} (node {bad['node']})")
-            print(f"  scenario: {dataclasses.asdict(sc)['label']}, counterexample state {bad['state']}")
+            print(f"  scenario: {sc.label}, counterexample state {bad['state']}")
 
     print(f"\n{args.trials} trials: {passed} invariant, "
           f"{hypothesis_broke} with non-single-peaked targets, "

@@ -177,9 +177,6 @@ def main(argv=None) -> int:
     except (ScenarioFormatError, ScenarioBuildError, ScheduleError, OutputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except FileNotFoundError as exc:
-        print(f"input error: missing file {exc.filename}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -14,9 +14,12 @@ that want it; `influence_network` is the one dense entry point.
 
 Besides construction and normalization the module computes the structural
 facts the oscillation checks rely on: reachability, strongly connected
-classes of the free part, class periods with their bipartitions, the exact
--1 eigenmode identity on bipartite walks, and seeded weight perturbations
-that keep the support and the exact row sums.
+classes of the free part, class periods with their bipartitions, the
+crossing bipartition of the free part, the exact -1 eigenmode identity on
+bipartite walks, and seeded weight perturbations that keep the support and
+the exact row sums.  Every graph fact reads one breadth-first walk,
+`_levels`; the classes add Kosaraju's depth-first finishing pass.  No walk
+recurses.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ class InfluenceNetwork:
 
     def __post_init__(self):
         n = len(self.rows)
+        if not n:
+            raise ValueError("a network needs at least one node")
         names = tuple(self.names)
         if len(names) != n:
             raise ValueError(f"{len(names)} names for {n} nodes")
@@ -84,10 +89,6 @@ class InfluenceNetwork:
     def in_neighbors(self, i: int) -> tuple[int, ...]:
         """Nodes j whose state enters node i's aggregate."""
         return tuple(j for j, _ in self.rows[i])
-
-    def support_arcs(self) -> tuple[tuple[int, int], ...]:
-        """All support arcs (j, i), meaning j influences i, sorted."""
-        return tuple(sorted((j, i) for i, row in enumerate(self.rows) for j, _ in row))
 
 
 def _names(names: Sequence[str] | None, n: int) -> tuple[str, ...]:
@@ -137,23 +138,27 @@ def normalize_random_walk(
 def _successors(net: InfluenceNetwork) -> list[list[int]]:
     """Per node j, the nodes i it influences, in increasing i."""
     succ: list[list[int]] = [[] for _ in range(net.n)]
-    for j, i in net.support_arcs():
-        succ[j].append(i)
+    for i, row in enumerate(net.rows):
+        for j, _ in row:
+            succ[j].append(i)
     return succ
+
+
+def _levels(succ, sources: Iterable[int], allowed=None) -> dict[int, int]:
+    """Breadth-first distance from `sources` along `succ`, inside `allowed` when given."""
+    level = dict.fromkeys(sources, 0)
+    queue = list(level)
+    for u in queue:  # the queue grows while it is read
+        for v in succ[u]:
+            if v not in level and (allowed is None or v in allowed):
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level
 
 
 def reach(net: InfluenceNetwork, sources: Iterable[int]) -> frozenset[int]:
     """Forward closure along support arcs j -> i, sources included."""
-    succ = _successors(net)
-    seen = set(sources)
-    frontier = list(seen)
-    while frontier:
-        j = frontier.pop()
-        for i in succ[j]:
-            if i not in seen:
-                seen.add(i)
-                frontier.append(i)
-    return frozenset(seen)
+    return frozenset(_levels(_successors(net), sources))
 
 
 @dataclass(frozen=True)
@@ -171,101 +176,92 @@ class ClassStructure:
     cyclic_parts: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]
 
 
-def _tarjan_sccs(nodes: Sequence[int], succ: dict[int, list[int]]) -> list[list[int]]:
-    """Iterative Tarjan over the given nodes."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
+def _free_arcs(net: InfluenceNetwork, free: Sequence[int]):
+    """Free successors and free in-neighbours of each free node."""
+    free_set = set(free)
+    successors = _successors(net)
+    succ = {j: [i for i in successors[j] if i in free_set] for j in free}
+    preds = {i: [j for j, _ in net.rows[i] if j in free_set] for i in free}
+    return succ, preds
 
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-    return sccs
+
+def _parity_sides(nodes: Sequence[int], level: dict[int, int]):
+    """The nodes at even levels, then those at odd levels."""
+    return tuple(v for v in nodes if level[v] % 2 == 0), tuple(v for v in nodes if level[v] % 2)
 
 
 def class_structure(net: InfluenceNetwork, free_nodes: Iterable[int]) -> ClassStructure:
     """SCCs of the free-to-free support, closedness, periods, and bipartitions.
 
-    A class is closed when none of its members has a free node outside the
-    class on its support (weight on pinned nodes is allowed).  The period is the
-    gcd of directed cycle lengths, computed from BFS level differences.
+    Kosaraju: one depth-first finishing pass along free successors, then per
+    root in reverse finishing order a BFS along free in-neighbours over the
+    unassigned nodes collects a class.  A class is closed when none of its
+    members has a free node outside the class on its support (weight on
+    pinned nodes is allowed).  The period is the gcd of directed cycle
+    lengths, computed from BFS level differences.
     """
     free = sorted(set(free_nodes))
-    free_set = set(free)
-    successors = _successors(net)
-    succ = {j: [i for i in successors[j] if i in free_set] for j in free}
+    succ, preds = _free_arcs(net, free)
 
-    sccs = tuple(tuple(c) for c in sorted(_tarjan_sccs(free, succ)))
+    # the DFS starts at a virtual root None whose successors are all free nodes
+    finished: list = []
+    seen: set[int] = set()
+    stack = [(None, iter(free))]
+    while stack:
+        u, it = stack[-1]
+        for v in it:
+            if v not in seen:
+                seen.add(v)
+                stack.append((v, iter(succ[v])))
+                break
+        else:
+            finished.append(stack.pop()[0])
+    unassigned = set(free)
+    classes = []
+    for root in reversed(finished[:-1]):
+        if root in unassigned:
+            comp = _levels(preds, [root], unassigned)
+            unassigned.difference_update(comp)
+            classes.append(tuple(sorted(comp)))
+    sccs = tuple(sorted(classes))
 
     closed = []
     period_of: dict[tuple[int, ...], int] = {}
     parts: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for comp in sccs:
         comp_set = set(comp)
-        if any(j in free_set and j not in comp_set for i in comp for j, _ in net.rows[i]):
+        if any(j not in comp_set for i in comp for j in preds[i]):
             continue
         closed.append(comp)
-        internal = [(u, v) for u in comp for v in succ[u] if v in comp_set]
-        if not internal:
-            period_of[comp] = 0
-            continue
         # BFS levels from the smallest node; arcs u->v contribute
         # gcd(level[u] + 1 - level[v]) which equals the class period
-        root = comp[0]
-        level = {root: 0}
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in succ[u]:
-                if v in comp_set and v not in level:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        g = 0
-        for u, v in internal:
-            g = gcd(g, abs(level[u] + 1 - level[v]))
+        # (gcd() is 0 when the class has no internal arc)
+        level = _levels(succ, [comp[0]], comp_set)
+        g = gcd(*(abs(level[u] + 1 - level[v]) for u in comp for v in succ[u] if v in comp_set))
         period_of[comp] = g
         if g == 2:
-            side_a = tuple(v for v in comp if level[v] % 2 == 0)
-            side_b = tuple(v for v in comp if level[v] % 2 == 1)
-            parts[comp] = (side_a, side_b)
+            parts[comp] = _parity_sides(comp, level)
     return ClassStructure(sccs, tuple(closed), period_of, parts)
+
+
+def _crossing_bipartition(
+    net: InfluenceNetwork, free_nodes: Iterable[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """2-colouring of the free nodes such that every free-free arc crosses it.
+
+    Colours are the parity of the BFS level in the undirected free-free
+    graph; None when that graph has an odd cycle, a self-loop included.
+    """
+    free = sorted(set(free_nodes))
+    succ, preds = _free_arcs(net, free)
+    both = {i: succ[i] + preds[i] for i in free}
+    level: dict[int, int] = {}
+    for root in free:
+        if root not in level:
+            level.update(_levels(both, [root]))
+    if any((level[u] - level[v]) % 2 == 0 for u in free for v in succ[u]):
+        return None
+    return _parity_sides(free, level)
 
 
 def verify_minus_one_mode(

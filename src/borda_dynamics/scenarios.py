@@ -186,7 +186,10 @@ def _parse_weight(raw, path: str) -> Fraction:
         raise ScenarioFormatError(
             path, f"weights must be exact rationals like \"3/4\" or \"1\", got {raw!r}"
         )
-    return Fraction(raw)
+    try:
+        return Fraction(raw)
+    except ValueError as exc:  # an integer past CPython's digit limit for str -> int
+        raise ScenarioFormatError(path, str(exc)) from None
 
 
 def _parse_order_at(text, m: int, names, path: str) -> WeakOrder:

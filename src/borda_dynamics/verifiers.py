@@ -24,7 +24,7 @@ from .dynamics import (
     run_ids,
 )
 from .errors import BudgetExceededError, ScenarioBuildError, ScenarioFormatError
-from .influence import class_structure, perturb_weights, reach
+from .influence import _crossing_bipartition, class_structure, perturb_weights, reach
 from .move_graph import build_cover_graph, find_cycle
 from .scenarios import (
     ScenarioConfig,
@@ -84,22 +84,12 @@ def _hypothesis_not_met(claim: str, reason: str, **extra) -> VerificationOutcome
 
 
 def _ring_predecessors(sc: ScenarioConfig) -> dict[int, int] | None:
-    """Predecessor map when the network is a pure single-cycle copier ring."""
+    """Predecessor map when the network is a pure single-cycle copier ring: every
+    row has one entry and the support is strongly connected, hence one n-cycle."""
     net = sc.network
-    pred = {}
-    for i, row in enumerate(net.rows):
-        if len(row) != 1:  # a row's only entry has weight 1
-            return None
-        pred[i] = row[0][0]
-    # the predecessor permutation must be one n-cycle
-    seen = {0}
-    node = pred[0]
-    while node not in seen:
-        seen.add(node)
-        node = pred[node]
-    if len(seen) != net.n:
+    if any(len(row) != 1 for row in net.rows) or len(class_structure(net, range(net.n)).sccs) != 1:
         return None
-    return pred
+    return {i: row[0][0] for i, row in enumerate(net.rows)}
 
 
 def verify_traveling_wave(sc: ScenarioConfig, expected_k: int) -> VerificationOutcome:
@@ -229,35 +219,6 @@ def verify_forced_even_period(sc: ScenarioConfig) -> VerificationOutcome:
 # --- even-period lifting across a bipartite cut ------------------------------
 
 
-def _crossing_bipartition(sc: ScenarioConfig) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """2-coloring of the free nodes such that every free-free arc crosses it."""
-    net = sc.network
-    free = sc.persistent.free_nodes(net.n)
-    free_set = set(free)
-    undirected: dict[int, set[int]] = {i: set() for i in free}
-    for j, i in net.support_arcs():
-        if i in free_set and j in free_set:
-            undirected[i].add(j)
-            undirected[j].add(i)
-    color: dict[int, int] = {}
-    for root in free:
-        if root in color:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in undirected[u]:
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    side_a = tuple(i for i in free if color[i] == 0)
-    side_b = tuple(i for i in free if color[i] == 1)
-    return side_a, side_b
-
-
 def _cyclic_min_period(seq: Sequence) -> int:
     n = len(seq)
     for d in range(1, n + 1):
@@ -274,7 +235,7 @@ def verify_even_period_lifting(sc: ScenarioConfig) -> VerificationOutcome:
     lifted witness and is re-run to confirm a closed cycle of length 2k.
     """
     claim = f"{sc.label}: bipartite two-step cycle of length k lifts to full period 2k"
-    parts = _crossing_bipartition(sc)
+    parts = _crossing_bipartition(sc.network, sc.persistent.free_nodes(sc.network.n))
     if parts is None:
         return _hypothesis_not_met(claim, "free-to-free influence does not cross a bipartition")
     side_a, side_b = parts

@@ -286,6 +286,13 @@ def case(command, document, field, name=None):
     return pytest.param(command, document, field, id=name or field)
 
 
+def gadget_with_weight(weight):
+    """The gadget scenario with its first edge weight replaced."""
+    doc = scenario()
+    doc["network"]["edges"][0]["weight"] = weight
+    return doc
+
+
 MALFORMED = [
     case("simulate", scenario(initial=["x>y>z", "z>y>x"]), "initial"),
     case("simulate", scenario(policy=[{"no_move_on_ambiguity": True}]), "policy"),
@@ -328,6 +335,11 @@ MALFORMED = [
         {"from": ["j"], "to": "i", "weight": "1"}]}), "network.edges[0].from", "edge-from-list"),
     case("simulate", scenario(persistent={"pins": ["p"]}), "persistent.pins[0]", "pin-string"),
     case("simulate", scenario(m=7), "m", "m-7"),
+    case("simulate", scenario(network={"nodes": [], "edges": []}), "network", "zero-nodes"),
+    # 4,301 digits pass the weight pattern but not CPython's int-string limit
+    case("simulate", gadget_with_weight("1" * 4301), "network.edges[0].weight", "weight-over-4300-digits"),
+    case("verify", suite(verifier="forced_even_period", scenario={"builder": "gadget", "eps": "1/" + "1" * 4301},
+                         args={}), "entries[0].scenario.eps", "eps-over-4300-digits"),
     case("simulate", scenario(variant={"kind": "A", "schedule": "seq:[i,p]"}), "variant.schedule",
          "seq-pinned-node"),
     case("simulate", scenario(variant={"kind": "A", "schedule": "seq:[]"}), "variant.schedule", "seq-empty"),
@@ -376,6 +388,23 @@ def test_verify_names_the_entry_and_file_of_a_bad_scenario(tmp_path):
     proc = run_cli("verify", str(path))
     assert proc.returncode == 2
     assert "input error: entries[0].scenario: bad.json: network.edges[0].weight: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("verifier, args", [
+    ("traveling_wave", {"expected_k": 2}),
+    ("even_period_lifting", {}),
+    ("robustness", {"trials": 2, "seed": 7}),
+    ("single_peaked_invariance", {"axis": [0, 1, 2]}),
+])
+def test_verify_refuses_a_zero_node_scenario(tmp_path, verifier, args):
+    empty = {"m": 3, "network": {"nodes": [], "edges": []}, "initial": {}, "variant": {"kind": "S"}}
+    (tmp_path / "empty.json").write_text(json.dumps(empty))
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite(verifier=verifier, scenario="empty.json", args=args)))
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2
+    assert "input error: entries[0].scenario: empty.json: network: " in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

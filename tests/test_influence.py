@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from borda_dynamics import cli
 from borda_dynamics.influence import (
     InfluenceNetwork,
+    _crossing_bipartition,
     class_structure,
     influence_network,
     network_to_dot,
@@ -182,6 +184,13 @@ def test_normalize_rejects_isolated_vertex():
         normalize_random_walk(3, [(0, 1)])
 
 
+def test_a_network_needs_a_node():
+    with pytest.raises(ValueError, match="at least one node"):
+        influence_network([])
+    with pytest.raises(ValueError, match="at least one node"):
+        normalize_random_walk(0, [])
+
+
 # --- reachability ---------------------------------------------------------------------
 
 def test_reach_examples():
@@ -323,6 +332,58 @@ def test_period_gcd_matches_cycle_oracle_seeded_n6(seed):
     rng = random.Random(seed)
     free = [i for i in range(6) if rng.random() < 0.8] or [0]
     _check_structure_against_oracles(net, free)
+
+
+@st.composite
+def support_digraphs(draw):
+    """Support arcs (j, i) on 1..9 nodes, one to three in-arcs per node, self-loops
+    allowed, and a free subset of the nodes (possibly empty)."""
+    n = draw(st.integers(1, 9))
+    arcs = set()
+    for i in range(n):
+        arcs |= {(j, i) for j in draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))}
+    free = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return support_only_network(n, arcs), [i for i in range(n) if free[i]]
+
+
+@given(support_digraphs())
+@settings(deadline=None, max_examples=200)
+def test_class_structure_matches_the_oracles_on_random_digraphs(graph):
+    _check_structure_against_oracles(*graph)
+
+
+@given(support_digraphs())
+@settings(deadline=None, max_examples=200)
+def test_crossing_bipartition_exists_iff_no_odd_cycle(graph):
+    net, free = graph
+    free_arcs = [(j, i) for i in free for j in net.in_neighbors(i) if j in free]
+    # oracle: the undirected free-free graph has no odd cycle iff some
+    # 2-colouring of the free nodes puts the ends of every arc apart
+    two_colourable = any(
+        all(colour[free.index(j)] != colour[free.index(i)] for j, i in free_arcs)
+        for colour in itertools.product((0, 1), repeat=len(free))
+    )
+    parts = _crossing_bipartition(net, free)
+    assert (parts is not None) == two_colourable
+    if parts is not None:
+        side_a, side_b = parts
+        assert sorted(side_a + side_b) == free
+        assert all((j in side_a) != (i in side_a) for j, i in free_arcs)
+
+
+def test_structure_walks_do_not_recurse_on_deep_networks():
+    n = 50_000
+    ring = InfluenceNetwork(tuple((((i - 1) % n, Fraction(1)),) for i in range(n)), [str(i) for i in range(n)])
+    path = normalize_random_walk(n, [(i, i + 1) for i in range(n - 1)])
+    everyone = range(n)
+    assert class_structure(ring, everyone).period_of == {tuple(everyone): n}
+    cs = class_structure(path, everyone)
+    assert cs.period_of == {tuple(everyone): 2}
+    assert cs.cyclic_parts[tuple(everyone)] == (tuple(everyone[0::2]), tuple(everyone[1::2]))
+    for net in (ring, path):
+        assert reach(net, [0]) == frozenset(everyone)
+        assert _crossing_bipartition(net, everyone) == (tuple(everyone[0::2]), tuple(everyone[1::2]))
+    assert reach(ring, [n - 1]) == frozenset(everyone)
 
 
 # --- the -1 eigenmode ----------------------------------------------------------------------

@@ -89,6 +89,23 @@ def test_traveling_wave_hypothesis_recheck():
     assert not outcome.evidence["hypothesis_met"]
 
 
+def test_traveling_wave_rejects_a_rho_shaped_copier_network():
+    # a <- b, b <- c, c <- b: every node copies one node, and walking the
+    # copied nodes from a visits all three, but a is on no cycle
+    net = influence_network([[0, 1, 0], [0, 0, 1], [0, 1, 0]], ["a", "b", "c"])
+    sc = ScenarioConfig(
+        m=3,
+        network=net,
+        persistent=PersistentConfig(),
+        initial=(o("x>(yz)"), RHO, o("x>(yz)")),
+        schedule=Schedule.synchronous(),
+        label="rho",
+    )
+    outcome = verify_traveling_wave(sc, expected_k=2)
+    assert not outcome.passed
+    assert outcome.evidence == {"hypothesis_met": False, "reason": "network is not a single copier ring"}
+
+
 # --- forced even periods ---------------------------------------------------------
 
 def test_gadget_forces_period_two():
