@@ -30,7 +30,8 @@ from .influence import InfluenceNetwork, normalize_random_walk
 from .move_graph import StepPolicy, build_cover_graph, distance
 from .weak_orders import MAX_ALTERNATIVES, WeakOrder, alternative_names, antipode, parse_order
 
-_WEIGHT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_WEIGHT_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+_SEED_RE = re.compile(r"-?[0-9]+")
 
 
 @dataclass
@@ -182,7 +183,7 @@ def _alternative_count(doc, path: str, default=...) -> int:
 
 
 def _parse_weight(raw, path: str) -> Fraction:
-    if not isinstance(raw, str) or not _WEIGHT_RE.match(raw):
+    if not isinstance(raw, str) or not _WEIGHT_RE.fullmatch(raw):
         raise ScenarioFormatError(
             path, f"weights must be exact rationals like \"3/4\" or \"1\", got {raw!r}"
         )
@@ -217,27 +218,27 @@ def _parse_schedule(doc, names: tuple[str, ...], pins: dict[int, WeakOrder], pat
     if kind != "A":
         raise ScenarioFormatError(f"{path}.kind", f"variant must be \"S\" or \"A\", got {kind!r}")
     spec = _field(doc, "schedule", path, str)
-    if spec.startswith("seq:"):
-        body = spec[len("seq:") :].strip().strip("[]")
-        nodes = [s.strip() for s in body.split(",") if s.strip()]
-        if not nodes:
-            raise ScenarioFormatError(f"{path}.schedule", "empty update sequence")
-        indices = [_node(names, name, f"{path}.schedule") for name in nodes]
+    where = f"{path}.schedule"
+    if spec.startswith("seq:[") and spec.endswith("]"):
+        nodes = [s.strip() for s in spec[len("seq:[") : -1].split(",")]
+        if not all(nodes):
+            raise ScenarioFormatError(where, f"expected comma-separated node names, got {spec!r}")
+        indices = [_node(names, name, where) for name in nodes]
         pinned = [names[i] for i in indices if i in pins]
         if pinned:
-            raise ScenarioFormatError(f"{path}.schedule", f"scheduled nodes {pinned} are pinned")
+            raise ScenarioFormatError(where, f"scheduled nodes {pinned} are pinned")
         return Schedule.sequence(indices)
     if spec.startswith("uniform:"):
         seed_text = spec[len("uniform:") :]
+        if not _SEED_RE.fullmatch(seed_text):
+            raise ScenarioFormatError(where, f"uniform schedule needs an integer seed, got {seed_text!r}")
+        if len(pins) == len(names):
+            raise ScenarioFormatError(where, "uniform schedule needs at least one free node")
         try:
             return Schedule.uniform(int(seed_text))
-        except ValueError:
-            raise ScenarioFormatError(
-                f"{path}.schedule", f"uniform schedule needs an integer seed, got {seed_text!r}"
-            ) from None
-    raise ScenarioFormatError(
-        f"{path}.schedule", f"expected \"seq:[...]\" or \"uniform:<seed>\", got {spec!r}"
-    )
+        except ValueError as exc:  # an integer past CPython's digit limit for str -> int
+            raise ScenarioFormatError(where, str(exc)) from None
+    raise ScenarioFormatError(where, f"expected \"seq:[...]\" or \"uniform:<seed>\", got {spec!r}")
 
 
 def _parse_network(doc, path: str) -> InfluenceNetwork:
@@ -253,30 +254,27 @@ def _parse_network(doc, path: str) -> InfluenceNetwork:
     def end(edge, epath: str, key: str) -> int:
         return _node(names, _field(edge, key, epath, object), f"{epath}.{key}")
 
-    if normalize:
-        pairs = []
-        for k, edge in enumerate(edges):
-            epath = f"{path}.edges[{k}]"
-            pairs.append((end(edge, epath, "from"), end(edge, epath, "to")))
-            if "weight" in edge:
-                raise ScenarioFormatError(
-                    f"{epath}.weight", "explicit weights are not allowed with normalize"
-                )
-        try:
-            return normalize_random_walk(n, pairs, names)
-        except ValueError as exc:
-            raise ScenarioFormatError(path, str(exc)) from None
-
+    pairs = []
     incoming: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for k, edge in enumerate(edges):
         epath = f"{path}.edges[{k}]"
         src, dst = end(edge, epath, "from"), end(edge, epath, "to")
+        if normalize:
+            if "weight" in edge:
+                raise ScenarioFormatError(f"{epath}.weight", "explicit weights are not allowed with normalize")
+            pairs.append((src, dst))
+            continue
         weight = _parse_weight(_field(edge, "weight", epath, object), f"{epath}.weight")
         if weight < 0:
             raise ScenarioFormatError(f"{epath}.weight", f"weights must be nonnegative, got {weight}")
         if src in incoming[dst]:
             raise ScenarioFormatError(epath, f"duplicate edge {names[src]}->{names[dst]}")
         incoming[dst][src] = weight
+    if normalize:
+        try:
+            return normalize_random_walk(n, pairs, names)
+        except ValueError as exc:
+            raise ScenarioFormatError(path, str(exc)) from None
     for i, row in enumerate(incoming):
         total = sum(row.values())
         if total != 1:

@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .dynamics import (
-    OrbitReport,
+    DEFAULT_ENUM_BUDGET,
     Profile,
     enumerate_fixed_points,
     margin_text,
@@ -140,8 +140,9 @@ def verify_forced_even_period(sc: ScenarioConfig) -> VerificationOutcome:
     nodes hold exactly two distinct orders, each the antipode of the other.
 
     Simulates the configured initial profile first and, if needed, sweeps all
-    initial assignments on the closed class.  Passes when some run has an
-    even period greater than 1 with positive orbit margin.
+    initial assignments on the closed class (BudgetExceededError past
+    DEFAULT_ENUM_BUDGET of them).  Passes when some run has an even period
+    greater than 1 with positive orbit margin.
 
     The claim is about an orbit, not about every start: contrarian camps never
     remove every equilibrium.  With B(rho) = c + v, B(all-tied) = c and
@@ -168,29 +169,18 @@ def verify_forced_even_period(sc: ScenarioConfig) -> VerificationOutcome:
         )
     cls = period2[0]
 
+    found, witness, report = False, sc.initial, None
+    for tried, initial in enumerate(_class_starts(sc, cls), 1):
+        run = replace(sc, initial=initial).run()
+        report = report or run  # the configured start's run, unless a witness replaces it
+        if run.period > 1 and run.period % 2 == 0 and run.min_margin > 0:
+            found, witness, report = True, initial, run
+            break
+
     try:
         fixed_points = enumerate_fixed_points(sc.network, build_cover_graph(sc.m), sc.policy, pc)
     except BudgetExceededError:
         fixed_points = None
-
-    def attempt(initial: Profile) -> tuple[bool, OrbitReport]:
-        report = replace(sc, initial=initial).run()
-        good = report.period > 1 and report.period % 2 == 0 and report.min_margin > 0
-        return good, report
-
-    tried = 1
-    found, report = attempt(sc.initial)
-    witness = sc.initial
-    if not found:
-        for combo in product(enumerate_weak_orders(sc.m), repeat=len(cls)):
-            candidate = list(sc.initial)
-            for node, order in zip(cls, combo):
-                candidate[node] = order
-            tried += 1
-            ok, rep = attempt(tuple(candidate))
-            if ok:
-                found, report, witness = True, rep, tuple(candidate)
-                break
 
     return VerificationOutcome(
         claim,
@@ -214,6 +204,18 @@ def verify_forced_even_period(sc: ScenarioConfig) -> VerificationOutcome:
             "margin_positive": report.min_margin > 0,
         },
     )
+
+
+def _class_starts(sc: ScenarioConfig, cls: tuple[int, ...]) -> Iterator[Profile]:
+    """The configured start, then every assignment of the closed class `cls` in
+    `product` order; the sweep's budget is checked after the configured start."""
+    yield sc.initial
+    orders = enumerate_weak_orders(sc.m)
+    if len(orders) ** len(cls) > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(f"more than {DEFAULT_ENUM_BUDGET} initial profiles to sweep")
+    for combo in product(orders, repeat=len(cls)):
+        assigned = dict(zip(cls, combo))
+        yield tuple(assigned.get(i, w) for i, w in enumerate(sc.initial))
 
 
 # --- even-period lifting across a bipartite cut ------------------------------
@@ -385,26 +387,24 @@ def verify_unreachable_persistence(
 
 
 def is_single_peaked(order: WeakOrder, axis: Sequence[int]) -> bool:
-    """Single-peaked w.r.t. an axis: the top class is the peak set, and on each
-    side of its span, preference strictly decreases moving outward."""
-    position = {alt: k for k, alt in enumerate(axis)}
-    peak_positions = [position[a] for a in order.classes[0]]
-    lo, hi = min(peak_positions), max(peak_positions)
-    rank = {a: order.class_index(a) for a in position}
-    right = sorted((a for a in position if position[a] > hi), key=lambda a: position[a])
-    left = sorted((a for a in position if position[a] < lo), key=lambda a: -position[a])
-    for side in (right, left):
-        for nearer, farther in zip(side, side[1:]):
-            if rank[nearer] >= rank[farther]:
-                return False
-    return True
+    """Single-peaked w.r.t. an axis, a permutation of the alternatives: the top class
+    is the peak set, and the class index strictly rises outward on each side of its span."""
+    ranks = [order.class_index(a) for a in axis]
+    peak = [k for k, rank in enumerate(ranks) if rank == 0]
+    sides = (ranks[peak[-1] :], ranks[peak[0] :: -1])
+    return all(nearer < farther for side in sides for nearer, farther in zip(side, side[1:]))
+
+
+def _axis(m: int, axis: Sequence[int]) -> tuple[int, ...]:
+    axis = tuple(axis)
+    if sorted(axis) != list(range(m)):
+        raise ScenarioBuildError(f"axis {axis} is not a permutation of 0..{m - 1}")
+    return axis
 
 
 def enumerate_single_peaked(m: int, axis: Sequence[int]) -> tuple[WeakOrder, ...]:
     """All single-peaked weak orders for the axis, in canonical enumeration order."""
-    axis = tuple(axis)
-    if sorted(axis) != list(range(m)):
-        raise ValueError(f"axis {axis} is not a permutation of 0..{m - 1}")
+    axis = _axis(m, axis)
     return tuple(w for w in enumerate_weak_orders(m) if is_single_peaked(w, axis))
 
 
@@ -415,10 +415,11 @@ def verify_single_peaked_invariance(
 
     Target violations refute the hypothesis, state violations (with the
     hypothesis intact up to that step) refute the invariance itself; the first
-    of either is reported.
+    of either is reported.  An axis that is not a permutation of the
+    alternatives, or a start that is not single-peaked, is a ScenarioBuildError.
     """
     claim = f"{sc.label}: single-peaked profiles stay single-peaked while targets do"
-    axis = tuple(axis)
+    axis = _axis(sc.m, axis)
     for i, w in enumerate(sc.initial):
         if not is_single_peaked(w, axis):
             raise ScenarioBuildError(f"initial state of node {sc.network.names[i]} is not single-peaked")
@@ -515,34 +516,27 @@ def _build_from_spec(doc: dict, path: str) -> ScenarioConfig:
 
 
 def _verifier_args(doc: dict, path: str, verifier: Callable, sc: ScenarioConfig) -> dict:
-    """Convert a suite entry's args (type-checking those annotated `int`) and
-    bind them to the verifier's signature."""
-    signature = inspect.signature(verifier, eval_str=True)
-    args = {}
-    for key, value in doc.items():
-        param = signature.parameters.get(key)
-        if key == "alt_pins":
-            args[key] = {}
-            for name, text in _field(doc, key, path, dict).items():
-                where = f"{path}.alt_pins.{name}"
-                node = _node(sc.network.names, name, where)
-                args[key][node] = _parse_order_at(text, sc.m, sc.alt_names, where)
-        elif key == "axis":
-            # a string of alternative names or a list of alternative indices
-            axis = raw = _field(doc, key, path, (str, list))
-            if isinstance(raw, str):
-                axis = [_node(alternative_names(sc.m, sc.alt_names), c, f"{path}.axis") for c in raw]
-            if any(type(a) is not int for a in axis) or sorted(axis) != list(range(sc.m)):
-                raise ScenarioFormatError(f"{path}.axis", f"expected all {sc.m} alternatives, got {raw!r}")
-            args[key] = tuple(axis)
-        elif param is not None and param.annotation is int:
-            args[key] = _field(doc, key, path, int)
-        else:
-            args[key] = value
+    """Bind a suite entry's args to the verifier's signature, then read each by
+    name: `alt_pins` and `axis` with their parsers, any other as an integer."""
     try:
-        signature.bind(sc, **args)
+        inspect.signature(verifier).bind(sc, **doc)
     except TypeError as exc:
         raise ScenarioFormatError(path, str(exc)) from None
+    args = {key: _field(doc, key, path, int) for key in doc if key not in ("alt_pins", "axis")}
+    if "alt_pins" in doc:
+        args["alt_pins"] = {}
+        for name, text in _field(doc, "alt_pins", path, dict).items():
+            where = f"{path}.alt_pins.{name}"
+            node = _node(sc.network.names, name, where)
+            args["alt_pins"][node] = _parse_order_at(text, sc.m, sc.alt_names, where)
+    if "axis" in doc:
+        # a string of alternative names or a list of alternative indices
+        axis = raw = _field(doc, "axis", path, (str, list))
+        if isinstance(raw, str):
+            axis = [_node(alternative_names(sc.m, sc.alt_names), c, f"{path}.axis") for c in raw]
+        if any(type(a) is not int for a in axis) or sorted(axis) != list(range(sc.m)):
+            raise ScenarioFormatError(f"{path}.axis", f"expected all {sc.m} alternatives, got {raw!r}")
+        args["axis"] = tuple(axis)
     return args
 
 

@@ -31,6 +31,8 @@ def alternative_names(m: int, names: Sequence[str] | None = None) -> tuple[str, 
             raise ValueError(f"expected {m} alternative names, got {len(names)}")
         if any(not isinstance(s, str) or len(s) != 1 for s in names) or len(set(names)) != m:
             raise ValueError("alternative names must be distinct single characters")
+        if any(s in "()>" or s.isspace() for s in names):
+            raise ValueError(f"alternative names cannot be '>', '(', ')' or whitespace, got {names!r}")
         return names
     if m <= len(_LETTERS):
         return tuple(_LETTERS[:m])

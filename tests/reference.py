@@ -12,7 +12,9 @@ independent computation.
 It also holds the counts and generators the tests check the package with:
 the number of weak orders (`fubini`), the shortest paths between two orders
 counted by brute force (`paths_between`) and the cover graph's `diameter`,
-and a seeded connected bipartite graph (`seeded_random_bipartite`).
+a seeded connected bipartite graph (`seeded_random_bipartite`), and
+single-peakedness checked side by side with position and rank maps
+(`is_single_peaked`).
 """
 
 import math
@@ -243,3 +245,19 @@ def seeded_random_bipartite(size_a, size_b, seed):
             if rng.random() < 0.3:
                 edges.add((a, b))
     return size_a + size_b, sorted(edges), (part_a, part_b)
+
+
+def is_single_peaked(order, axis):
+    """Single-peaked w.r.t. an axis: the top class is the peak set, and on each
+    side of its span, preference strictly decreases moving outward."""
+    position = {alt: k for k, alt in enumerate(axis)}
+    peak_positions = [position[a] for a in order.classes[0]]
+    lo, hi = min(peak_positions), max(peak_positions)
+    rank = {a: order.class_index(a) for a in position}
+    right = sorted((a for a in position if position[a] > hi), key=lambda a: position[a])
+    left = sorted((a for a in position if position[a] < lo), key=lambda a: -position[a])
+    for side in (right, left):
+        for nearer, farther in zip(side, side[1:]):
+            if rank[nearer] >= rank[farther]:
+                return False
+    return True

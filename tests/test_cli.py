@@ -338,6 +338,8 @@ MALFORMED = [
     case("simulate", scenario(network={"nodes": [], "edges": []}), "network", "zero-nodes"),
     # 4,301 digits pass the weight pattern but not CPython's int-string limit
     case("simulate", gadget_with_weight("1" * 4301), "network.edges[0].weight", "weight-over-4300-digits"),
+    case("simulate", gadget_with_weight("9/10\n"), "network.edges[0].weight", "weight-trailing-newline"),
+    case("simulate", gadget_with_weight("\u0669/10"), "network.edges[0].weight", "weight-arabic-indic-digit"),
     case("verify", suite(verifier="forced_even_period", scenario={"builder": "gadget", "eps": "1/" + "1" * 4301},
                          args={}), "entries[0].scenario.eps", "eps-over-4300-digits"),
     case("simulate", scenario(variant={"kind": "A", "schedule": "seq:[i,p]"}), "variant.schedule",
@@ -345,6 +347,21 @@ MALFORMED = [
     case("simulate", scenario(variant={"kind": "A", "schedule": "seq:[]"}), "variant.schedule", "seq-empty"),
     case("simulate", scenario(variant={"kind": "A", "schedule": "uniform:x"}), "variant.schedule",
          "uniform-seed-not-integer"),
+    case("simulate", scenario(variant={"kind": "A", "schedule": "uniform:1_0"}), "variant.schedule",
+         "uniform-seed-underscore"),
+    case("simulate", scenario(variant={"kind": "A", "schedule": "uniform:\u0663"}), "variant.schedule",
+         "uniform-seed-arabic-indic-digit"),
+    case("simulate", scenario(variant={"kind": "A", "schedule": "uniform: 5 "}), "variant.schedule",
+         "uniform-seed-spaces"),
+    case("simulate", scenario(variant={"kind": "A", "schedule": "seq:i,j"}), "variant.schedule", "seq-no-brackets"),
+    case("simulate", scenario(variant={"kind": "A", "schedule": "seq:]]i,j[["}), "variant.schedule",
+         "seq-brackets-reversed"),
+    case("simulate", scenario(variant={"kind": "A", "schedule": "seq:[i,,j]"}), "variant.schedule",
+         "seq-empty-name"),
+    case("simulate", scenario(variant={"kind": "A", "schedule": "uniform:1"},
+                              persistent={"camps": {"plus": ["p", "i"], "minus": ["q", "j"], "rho": "x>y>z"}}),
+         "variant.schedule", "uniform-every-node-pinned"),
+    case("simulate", scenario(alternatives="a>c"), "alternatives", "alternatives-order-syntax"),
     case("simulate", scenario(network={"nodes": ["i", "i"], "edges": []}), "network.nodes", "node-twice"),
     case("simulate", scenario(persistent={"pins": [{"node": "p", "order": "x>y>z"},
                                                    {"node": "p", "order": "z>y>x"}]}),
@@ -373,6 +390,29 @@ def test_verify_exits_three_when_the_cycle_search_runs_out(tmp_path):
     # search for a 64-cycle in the m = 4 graph is stopped by its budget
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(suite(scenario={**WAVE, "m": 4, "ell": 64, "cycle_length": 64})))
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 3
+    assert "budget exceeded: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_exits_three_when_the_forced_sweep_is_over_budget(tmp_path):
+    # a 4-cycle a-b-c-d whose every start at x>y>z>u settles: a and c hear
+    # camp p and b and d camp q at 9/10, so the sweep of the closed class
+    # would take 75^4 starts
+    ring = "abcd"
+    edges = [{"from": ring[(k + d) % 4], "to": ring[k], "weight": "1/20"} for k in range(4) for d in (1, 3)]
+    edges += [{"from": "pq"[k % 2], "to": ring[k], "weight": "9/10"} for k in range(4)]
+    edges += [{"from": camp, "to": camp, "weight": "1"} for camp in "pq"]
+    (tmp_path / "ring.json").write_text(json.dumps({
+        "m": 4,
+        "network": {"nodes": [*ring, "p", "q"], "edges": edges},
+        "persistent": {"camps": {"plus": ["p"], "minus": ["q"], "rho": "x>y>z>u"}},
+        "initial": {node: "x>y>z>u" for node in ring},
+        "variant": {"kind": "S"},
+    }))
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite(verifier="forced_even_period", scenario="ring.json", args={})))
     proc = run_cli("verify", str(path))
     assert proc.returncode == 3
     assert "budget exceeded: " in proc.stderr

@@ -3,11 +3,12 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from borda_dynamics.dynamics import PersistentConfig, Schedule, enumerate_fixed_points, run_until_cycle
-from borda_dynamics.errors import BudgetExceededError, ScenarioFormatError
+from borda_dynamics.errors import BudgetExceededError, ScenarioBuildError, ScenarioFormatError
 from borda_dynamics.influence import influence_network, perturb_weights, seeded_random_network
 from borda_dynamics.move_graph import StepPolicy, build_cover_graph, find_cycle
 from borda_dynamics.scenarios import (
@@ -30,7 +31,7 @@ from borda_dynamics.verifiers import (
     verify_traveling_wave,
     verify_unreachable_persistence,
 )
-from borda_dynamics.weak_orders import enumerate_weak_orders, format_order, parse_order
+from borda_dynamics.weak_orders import antipode, enumerate_weak_orders, format_order, parse_order
 
 import reference
 
@@ -136,6 +137,67 @@ def test_forced_even_period_sweeps_the_closed_class_from_consensus():
     assert evidence["initial_profiles_tried"] == 4
     assert evidence["witness_initial"] == {"i": "x>y>z", "j": "x>z>y", "p": "x>y>z", "q": "z>y>x"}
     assert (evidence["mu"], evidence["period"]) == (0, 2)
+
+
+def test_forced_even_period_reports_the_configured_start_when_the_sweep_finds_nothing():
+    # at eps = 9/10 each free node follows its own camp, so every start
+    # settles: all 13^2 assignments of the closed class are tried after the
+    # configured start, and the evidence is the configured start's run
+    outcome = verify_forced_even_period(build_gadget(3, RHO, Fraction(9, 10)))
+    assert not outcome.passed
+    evidence = outcome.evidence
+    assert evidence["initial_profiles_tried"] == 1 + 13**2
+    assert evidence["witness_initial"] == {"i": "x>y>z", "j": "z>y>x", "p": "x>y>z", "q": "z>y>x"}
+    assert (evidence["mu"], evidence["period"]) == (0, 1)
+
+
+def camp_bipartite(m, rows):
+    """Free nodes with the given dense rows over (free..., p, q); camp p is
+    pinned to the first weak order and q to its antipode, every free node
+    starts at p's order."""
+    rho = enumerate_weak_orders(m)[0]
+    names = [chr(ord("a") + k) for k in range(len(rows))] + ["p", "q"]
+    zero = ["0"] * len(rows)
+    net = influence_network([*rows, zero + ["1", "0"], zero + ["0", "1"]], names)
+    return ScenarioConfig(
+        m=m,
+        network=net,
+        persistent=PersistentConfig(pins={len(rows): rho, len(rows) + 1: antipode(rho)}),
+        initial=(rho,) * (len(rows) + 1) + (antipode(rho),),
+        schedule=Schedule.synchronous(),
+        label="camp_bipartite",
+    )
+
+
+# FOUR_CYCLE: each of a, b, c, d hears its two neighbours on the 4-cycle at
+# 1/20, a and c hear camp p and b and d camp q at 9/10.  THREE_PATH: b hears
+# a and c at 1/2, a hears b at 1/10 and p at 9/10, c hears b and q likewise.
+FOUR_CYCLE = [
+    ["0", "1/20", "0", "1/20", "9/10", "0"],
+    ["1/20", "0", "1/20", "0", "0", "9/10"],
+    ["0", "1/20", "0", "1/20", "9/10", "0"],
+    ["1/20", "0", "1/20", "0", "0", "9/10"],
+]
+THREE_PATH = [
+    ["0", "1/10", "0", "9/10", "0"],
+    ["1/2", "0", "1/2", "0", "0"],
+    ["0", "1/10", "0", "0", "9/10"],
+]
+
+
+def test_forced_sweep_past_the_budget_is_refused():
+    # the configured start settles, and the class's 75^4 assignments at m = 4
+    # exceed the budget, so the sweep is refused before its first start
+    with pytest.raises(BudgetExceededError, match="initial profiles"):
+        verify_forced_even_period(camp_bipartite(4, FOUR_CYCLE))
+
+
+def test_forced_sweep_within_the_budget_runs_to_the_end():
+    # a 3-node closed class of period 2 at m = 3: 13^3 assignments, none a witness
+    outcome = verify_forced_even_period(camp_bipartite(3, THREE_PATH))
+    assert outcome.evidence["closed_class"] == ["a", "b", "c"]
+    assert not outcome.passed
+    assert outcome.evidence["initial_profiles_tried"] == 1 + 13**3
 
 
 def test_epsilon_sweep_regression():
@@ -434,6 +496,19 @@ def test_single_peaked_membership_examples():
     assert not is_single_peaked(o("x>(yz)"), axis)  # plateau off the peak
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_single_peaked_matches_the_position_and_rank_oracle(m):
+    for axis in permutations(range(m)):
+        for w in enumerate_weak_orders(m):
+            assert is_single_peaked(w, axis) == reference.is_single_peaked(w, axis), (format_order(w), axis)
+
+
+def test_single_peaked_invariance_refuses_an_axis_that_is_not_a_permutation(scenario_dir):
+    sc = load_scenario(scenario_dir / "consensus_triangle.json")
+    with pytest.raises(ScenarioBuildError, match="permutation"):
+        verify_single_peaked_invariance(sc, (0, 1))
+
+
 def test_single_peaked_enumeration_regression():
     names = [format_order(w) for w in enumerate_single_peaked(3, (0, 1, 2))]
     assert names == [
@@ -548,6 +623,20 @@ def test_suite_rejects_duplicate_labels(tmp_path, scenario_dir):
     path.write_text(json.dumps(manifest))
     with pytest.raises(ScenarioFormatError):
         load_suite(path)
+
+
+def test_suite_reads_integer_args_of_a_wrapped_verifier(tmp_path, monkeypatch, scenario_dir):
+    # a wrapper without functools.wraps exposes no annotations, and the
+    # argument must still be read as an integer at load time
+    original = verifiers.VERIFIERS["robustness"]
+    monkeypatch.setitem(verifiers.VERIFIERS, "robustness", lambda *args, **kwargs: original(*args, **kwargs))
+    manifest = {"entries": [{"verifier": "robustness", "scenario": str(scenario_dir / "gadget.json"),
+                             "args": {"trials": "20", "seed": 7}}]}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ScenarioFormatError) as info:
+        load_suite(path)
+    assert info.value.path == "entries[0].args.trials"
 
 
 def test_suite_rejects_unknown_verifier(tmp_path):
