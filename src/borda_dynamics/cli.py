@@ -89,9 +89,6 @@ def _dump_json(doc) -> str:
 
 def cmd_enumerate(args) -> int:
     graph = build_cover_graph(args.m)
-    if args.dot:
-        _write((args.out, move_graph_to_dot(graph), None))
-        return EXIT_OK
     lines = ["id,order,scores,antipode,degree"]
     for k, w in enumerate(graph.orders):
         scores = ";".join(str(s) for s in borda_scores(w))
@@ -144,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="list all weak orders with scores and degrees")
     p_enum.add_argument("m", type=int, choices=range(2, MAX_ALTERNATIVES + 1), metavar="m",
                         help="number of alternatives (2..6)")
-    p_enum.add_argument("--dot", action="store_true", help="emit the move graph in DOT form")
     p_enum.add_argument("--out", default=None, help="output path (default stdout)")
     p_enum.set_defaults(func=cmd_enumerate)
 

@@ -116,8 +116,9 @@ class OrbitReport:
     `prefix` holds the visited states sigma(0..mu+period-1), so
     orbit == prefix[mu:].  `target_log` holds one entry per applied step with
     every updated node's target at that step.  `min_margin` is the smallest
-    tie margin of any free node's aggregate score over the orbit states
-    (math.inf when no orbit score has separated alternatives).
+    nonzero tie margin of any free node's aggregate score over the orbit
+    states, so always a positive Fraction, or math.inf when no orbit score
+    has separated alternatives: a realized tie is skipped, not reported as 0.
     """
 
     mu: int
@@ -234,26 +235,22 @@ class _Kernel:
     """
 
     def __init__(self, net: InfluenceNetwork, graph: MoveGraph, policy: StepPolicy, persistent: PersistentConfig,
-                 profile: Profile | None = None):
-        """Start at `profile`'s ids, or with none at the pins' ids and every
-        free node at id 0.  Raises ValueError on a pin outside 0..n-1, a
-        profile of other than n orders or off a pin, and an order on another
-        m, in that order."""
+                 profile: Profile):
+        """Start at `profile`'s ids.  Raises ValueError on a pin outside
+        0..n-1, a profile of other than n orders or off a pin, and an order
+        on another m, in that order."""
         n, pins = net.n, persistent.pins
         for node in pins:
             if not 0 <= node < n:
                 raise ValueError(f"pin at node {node}, but the network's nodes are 0..{n - 1}")
-        orders = pins.items()
-        if profile is not None:
-            if len(profile) != n:
-                raise ValueError(f"profile length {len(profile)}, but the network has {n} nodes")
-            for node, order in orders:
-                if profile[node] is not order and profile[node] != order:
-                    raise ValueError(f"profile disagrees with pin at node {node}")
-            orders = enumerate(profile)
+        if len(profile) != n:
+            raise ValueError(f"profile length {len(profile)}, but the network has {n} nodes")
+        for node, order in pins.items():
+            if profile[node] is not order and profile[node] != order:
+                raise ValueError(f"profile disagrees with pin at node {node}")
         self.state = state = [0] * n
         try:
-            for node, order in orders:
+            for node, order in enumerate(profile):
                 state[node] = graph.id_of(order)
         except ValueError:
             raise ValueError(f"node {node} has an order on {order.m} alternatives, "
@@ -499,7 +496,8 @@ def enumerate_fixed_points(
     nothing prunes, already hold more.
     """
     # unassigned free nodes sit at id 0, so every total is a real state's
-    kernel = _Kernel(net, graph, policy, persistent)
+    kernel = _Kernel(net, graph, policy, persistent,
+                     tuple(persistent.pins.get(i, graph.orders[0]) for i in range(net.n)))
     free, orders = kernel.free, graph.orders
     if not free:
         return [tuple(map(orders.__getitem__, kernel.state))]

@@ -104,14 +104,13 @@ def build_traveling_wave(ell: int, h_cycle: Sequence[WeakOrder]) -> ScenarioConf
     )
 
 
-def build_gadget(
-    m: int, rho: WeakOrder, eps: Fraction, initial_free: tuple[WeakOrder, WeakOrder] | None = None
-) -> ScenarioConfig:
+def build_gadget(m: int, rho: WeakOrder, eps: Fraction) -> ScenarioConfig:
     """Two free nodes cross-listening, each nudged by one of two antipodal camps.
 
     Node i hears node j with weight 1-eps and the camp pinned to rho with
     weight eps; node j symmetrically hears i and the camp pinned to the
-    antipode of rho.  Free initial states default to (rho, antipode(rho)).
+    antipode of rho.  The free nodes start at (rho, antipode(rho)); for
+    another start, `dataclasses.replace` the built scenario's `initial`.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
@@ -130,13 +129,11 @@ def build_gadget(
     )
     net = InfluenceNetwork(rows, ("i", "j", "p", "q"))
     persistent = PersistentConfig(pins={2: rho, 3: flipped})
-    free_init = initial_free or (rho, flipped)
-    initial = (free_init[0], free_init[1], rho, flipped)
     return ScenarioConfig(
         m=m,
         network=net,
         persistent=persistent,
-        initial=initial,
+        initial=(rho, flipped, rho, flipped),
         schedule=Schedule.synchronous(),
         label=f"gadget_m{m}_eps{eps.numerator}_{eps.denominator}",
     )

@@ -32,9 +32,7 @@ from .scenarios import (
     _field,
     _node,
     _parse_order_at,
-    _parse_weight,
     _read_json,
-    build_gadget,
     build_traveling_wave,
     load_scenario,
     with_pins,
@@ -296,8 +294,6 @@ def verify_robustness(sc: ScenarioConfig, trials: int, seed: int) -> Verificatio
     claim = f"{sc.label}: periodic orbit survives weight perturbations below the margin bound"
     base = sc.run()
     delta = base.min_margin
-    if delta == 0:
-        return _hypothesis_not_met(claim, "orbit has zero tie margin; not certifiable")
     if delta == math.inf:
         return _hypothesis_not_met(
             claim, "no orbit score separates any alternatives; margin bound undefined"
@@ -481,63 +477,27 @@ MAX_WAVE_LENGTH = 1024
 
 def _build_from_spec(doc: dict, path: str) -> ScenarioConfig:
     kind = _field(doc, "builder", path, str)
+    if kind != "traveling_wave":
+        raise ScenarioFormatError(f"{path}.builder", f"unknown builder {kind!r}")
     m = _alternative_count(doc, path, 3)
+    length = _field(doc, "cycle_length", path, int)
+    graph = build_cover_graph(m)
+    if length > graph.order_count:
+        # a simple cycle visits each of the orders at most once
+        raise ScenarioFormatError(
+            f"{path}.cycle_length",
+            f"at most {graph.order_count} (the weak orders on {m} alternatives), got {length}",
+        )
+    ell = _field(doc, "ell", path, int)
+    if ell > MAX_WAVE_LENGTH:
+        raise ScenarioFormatError(f"{path}.ell", f"at most {MAX_WAVE_LENGTH}, got {ell}")
+    cycle = find_cycle(graph, length) if length >= 3 else None
+    if cycle is None:
+        raise ScenarioFormatError(path, f"no cycle of length {length} in the move graph")
     try:
-        if kind == "traveling_wave":
-            length = _field(doc, "cycle_length", path, int)
-            graph = build_cover_graph(m)
-            if length > graph.order_count:
-                # a simple cycle visits each of the orders at most once
-                raise ScenarioFormatError(
-                    f"{path}.cycle_length",
-                    f"at most {graph.order_count} (the weak orders on {m} alternatives), got {length}",
-                )
-            ell = _field(doc, "ell", path, int)
-            if ell > MAX_WAVE_LENGTH:
-                raise ScenarioFormatError(f"{path}.ell", f"at most {MAX_WAVE_LENGTH}, got {ell}")
-            cycle = find_cycle(graph, length) if length >= 3 else None
-            if cycle is None:
-                raise ScenarioFormatError(path, f"no cycle of length {length} in the move graph")
-            return build_traveling_wave(ell, cycle)
-        if kind == "gadget":
-            rho = _parse_order_at(_field(doc, "rho", path, object, "x>y>z"), m, None, f"{path}.rho")
-            eps = _parse_weight(_field(doc, "eps", path, object, "1/10"), f"{path}.eps")
-            initial = _field(doc, "initial", path, list, None)
-            if initial is not None:
-                if len(initial) != 2:
-                    raise ScenarioFormatError(f"{path}.initial", "expected the two free nodes' orders")
-                initial = tuple(
-                    _parse_order_at(t, m, None, f"{path}.initial[{k}]") for k, t in enumerate(initial)
-                )
-            return build_gadget(m, rho, eps, initial_free=initial)
+        return build_traveling_wave(ell, cycle)
     except ScenarioBuildError as exc:
         raise ScenarioFormatError(path, str(exc)) from None
-    raise ScenarioFormatError(f"{path}.builder", f"unknown builder {kind!r}")
-
-
-def _verifier_args(doc: dict, path: str, verifier: Callable, sc: ScenarioConfig) -> dict:
-    """Bind a suite entry's args to the verifier's signature, then read each by
-    name: `alt_pins` and `axis` with their parsers, any other as an integer."""
-    try:
-        inspect.signature(verifier).bind(sc, **doc)
-    except TypeError as exc:
-        raise ScenarioFormatError(path, str(exc)) from None
-    args = {key: _field(doc, key, path, int) for key in doc if key not in ("alt_pins", "axis")}
-    if "alt_pins" in doc:
-        args["alt_pins"] = {}
-        for name, text in _field(doc, "alt_pins", path, dict).items():
-            where = f"{path}.alt_pins.{name}"
-            node = _node(sc.network.names, name, where)
-            args["alt_pins"][node] = _parse_order_at(text, sc.m, sc.alt_names, where)
-    if "axis" in doc:
-        # a string of alternative names or a list of alternative indices
-        axis = raw = _field(doc, "axis", path, (str, list))
-        if isinstance(raw, str):
-            axis = [_node(alternative_names(sc.m, sc.alt_names), c, f"{path}.axis") for c in raw]
-        if any(type(a) is not int for a in axis) or sorted(axis) != list(range(sc.m)):
-            raise ScenarioFormatError(f"{path}.axis", f"expected all {sc.m} alternatives, got {raw!r}")
-        args["axis"] = tuple(axis)
-    return args
 
 
 VERIFIERS: dict[str, Callable[..., VerificationOutcome]] = {
@@ -549,9 +509,45 @@ VERIFIERS: dict[str, Callable[..., VerificationOutcome]] = {
     "single_peaked_invariance": verify_single_peaked_invariance,
 }
 
+#: taken at import: an entry rebound to a wrapper without functools.wraps binds any args
+_SIGNATURES = {name: inspect.signature(f) for name, f in VERIFIERS.items()}
+
+
+def _verifier_args(doc: dict, path: str, verifier: str, sc: ScenarioConfig) -> dict:
+    """Bind a suite entry's args to the verifier's signature, then read each by
+    name: `alt_pins` and `axis` with their parsers, any other as an integer."""
+    try:
+        _SIGNATURES[verifier].bind(sc, **doc)
+    except TypeError as exc:
+        raise ScenarioFormatError(path, str(exc)) from None
+    args = {key: _field(doc, key, path, int) for key in doc if key not in ("alt_pins", "axis")}
+    if "alt_pins" in doc:
+        args["alt_pins"] = {}
+        for name, text in _field(doc, "alt_pins", path, dict).items():
+            where = f"{path}.alt_pins.{name}"
+            node = _node(sc.network.names, name, where)
+            args["alt_pins"][node] = _parse_order_at(text, sc.m, sc.alt_names, where)
+    if "axis" in doc:
+        raw = _field(doc, "axis", path, str)
+        axis = tuple(_node(alternative_names(sc.m, sc.alt_names), c, f"{path}.axis") for c in raw)
+        if sorted(axis) != list(range(sc.m)):
+            raise ScenarioFormatError(f"{path}.axis", f"expected all {sc.m} alternatives, got {raw!r}")
+        args["axis"] = axis
+    return args
+
 
 def load_suite(path: str | Path) -> list[SuiteEntry]:
-    """Read a suite manifest: labeled scenario/verifier pairs with expectations."""
+    """Read a suite manifest: labeled scenario/verifier pairs with expectations.
+
+    The manifest's `entries` list holds one or more objects with: `label`,
+    unique, by default `entry_k` for the k-th; `verifier`, a `VERIFIERS` key;
+    `scenario`, a scenario file's path relative to the suite, or a copier
+    ring `{"builder": "traveling_wave", "m", "ell", "cycle_length"}`; `args`,
+    the verifier's arguments by name: `alt_pins` as `{node: order}`, `axis`
+    as a string of the scenario's alternative names, any other an integer;
+    and `expect`, "pass" (the default) or "fail".  A malformed field raises
+    ScenarioFormatError naming its path.
+    """
     path = Path(path)
     doc = _read_json(path)
     entries = []
@@ -585,7 +581,7 @@ def load_suite(path: str | Path) -> list[SuiteEntry]:
                 label=label,
                 verifier=verifier,
                 scenario=scenario,
-                args=_verifier_args(args, f"{epath}.args", VERIFIERS[verifier], scenario),
+                args=_verifier_args(args, f"{epath}.args", verifier, scenario),
                 expect_pass=expect == "pass",
             )
         )

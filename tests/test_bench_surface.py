@@ -7,12 +7,14 @@ names fails here, in the tests, rather than in a benchmark run.  See
 `bench/tracing.py` and `bench/workloads.py` for the rest.
 """
 
+import hashlib
 import inspect
 from fractions import Fraction
 from pathlib import Path
 
 import borda_dynamics as bd
 import borda_dynamics.cli  # noqa: F401  (bench imports it as a submodule)
+from test_cli import VERIFY_DIGESTS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -71,3 +73,16 @@ def test_the_verifiers_and_the_cli_entry_the_tracer_wraps(capsys):
         assert bd.verifiers.VERIFIERS[name] is getattr(bd.verifiers, f"verify_{name}")
     assert bd.cli.main(["enumerate", "2"]) == 0
     assert capsys.readouterr().out.startswith("id,order,scores,antipode,degree\n")
+
+
+def test_verify_output_is_unchanged_with_every_verifier_wrapped_as_the_tracer_wraps_it(monkeypatch, capsys):
+    # `bench/tracing.py` replaces each `VERIFIERS` entry with a plain
+    # (*args, **kwargs) closure, without functools.wraps
+    def wrapped(fn):
+        return lambda *args, **kwargs: fn(*args, **kwargs)
+
+    for name, original in list(bd.verifiers.VERIFIERS.items()):
+        monkeypatch.setitem(bd.verifiers.VERIFIERS, name, wrapped(original))
+    for name, digest in VERIFY_DIGESTS.items():
+        assert bd.cli.main(["verify", str(SCENARIO_DIR / name)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

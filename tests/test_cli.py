@@ -35,10 +35,17 @@ def test_enumerate_m4_lists_seventy_five_rows():
 
 
 def test_enumerate_dot():
-    proc = run_cli("enumerate", "3", "--dot")
+    proc = run_cli("export-dot", "--move-graph", "3")
     assert proc.returncode == 0
     assert proc.stdout.startswith("graph move_graph_m3 {")
     assert proc.stdout.count("label=") == 13
+
+
+def test_enumerate_has_no_dot_flag():
+    proc = run_cli("enumerate", "3", "--dot")
+    assert proc.returncode == 2
+    assert "--dot" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_enumerate_rejects_out_of_range():
@@ -314,8 +321,7 @@ MALFORMED = [
     case("verify", suite(scenario={**WAVE, "cycle_length": 14}), "entries[0].scenario.cycle_length",
          "cycle_length-above-order-count"),
     case("verify", suite(scenario={**WAVE, "ell": 1028}), "entries[0].scenario.ell", "ell-above-1024"),
-    case("verify", suite(scenario={"builder": "gadget", "initial": ["x>y>z"]}),
-         "entries[0].scenario.initial", "gadget-one-initial-order"),
+    case("verify", suite(scenario={"builder": "gadget"}), "entries[0].scenario.builder", "builder-gadget"),
     case("verify", suite(args={"expected_k": 4, "eps": "1/10"}), "entries[0].args", "unknown-arg"),
     case("verify", suite(args={}), "entries[0].args", "missing-arg"),
     case("verify", suite(args=[]), "entries[0].args", "args-list"),
@@ -340,8 +346,6 @@ MALFORMED = [
     case("simulate", gadget_with_weight("1" * 4301), "network.edges[0].weight", "weight-over-4300-digits"),
     case("simulate", gadget_with_weight("9/10\n"), "network.edges[0].weight", "weight-trailing-newline"),
     case("simulate", gadget_with_weight("\u0669/10"), "network.edges[0].weight", "weight-arabic-indic-digit"),
-    case("verify", suite(verifier="forced_even_period", scenario={"builder": "gadget", "eps": "1/" + "1" * 4301},
-                         args={}), "entries[0].scenario.eps", "eps-over-4300-digits"),
     case("simulate", scenario(variant={"kind": "A", "schedule": "seq:[i,p]"}), "variant.schedule",
          "seq-pinned-node"),
     case("simulate", scenario(variant={"kind": "A", "schedule": "seq:[]"}), "variant.schedule", "seq-empty"),
@@ -370,8 +374,11 @@ MALFORMED = [
                          scenario=str(SCENARIOS / "unreachable_pins.json"),
                          args={"alt_pins": {"a": "(xyz)"}}), "entries[0]", "alt-pins-free-node"),
     case("verify", suite(verifier="single_peaked_invariance",
-                         scenario=str(SCENARIOS / "consensus_triangle.json"), args={"axis": [0, 1]}),
+                         scenario=str(SCENARIOS / "consensus_triangle.json"), args={"axis": "xy"}),
          "entries[0].args.axis", "axis-partial"),
+    case("verify", suite(verifier="single_peaked_invariance",
+                         scenario=str(SCENARIOS / "consensus_triangle.json"), args={"axis": [0, 1, 2]}),
+         "entries[0].args.axis", "axis-list"),
 ]
 
 
@@ -435,7 +442,7 @@ def test_verify_names_the_entry_and_file_of_a_bad_scenario(tmp_path):
     ("traveling_wave", {"expected_k": 2}),
     ("even_period_lifting", {}),
     ("robustness", {"trials": 2, "seed": 7}),
-    ("single_peaked_invariance", {"axis": [0, 1, 2]}),
+    ("single_peaked_invariance", {"axis": "xyz"}),
 ])
 def test_verify_refuses_a_zero_node_scenario(tmp_path, verifier, args):
     empty = {"m": 3, "network": {"nodes": [], "edges": []}, "initial": {}, "variant": {"kind": "S"}}
@@ -599,18 +606,26 @@ def test_export_dot_stdout_digest_is_frozen(scenario_dir, name, digest):
 
 @pytest.mark.parametrize("args, digest", [
     (("2",), "0f5c27c38d7270dc3bd5ed6e18252a07aa4e5a08d036b6f4a2e0f3a115f98f60"),
-    (("2", "--dot"), "c36bc3a3c6d369c10e3a01a6b6b94926e182220622c765c3ffa03a06952c74dd"),
     (("3",), "377cedafa7405280ac36e7e24a652ec6916a55f021d2910cf99fb700e32ab5b5"),
-    (("3", "--dot"), "4d4b7534b373feee630c893983ebbc32343ef48652e578a98229dde8a62cfd3c"),
     (("4",), "53b34dbe2df2846b62cbaa5b457cb958e45eb961b77506a0868cd6e55a8a8ec4"),
-    (("4", "--dot"), "7a80d4546484206b0360d2663b00ad07669268a67c1c301a53bd1fbea872d6cd"),
     (("5",), "67a1add241eeea0df92399183ec0917bc1d4a67438237e0714d432aa8a772eb4"),
-    (("5", "--dot"), "efe19d0527e34d77a53268003eb53fa5c174b4fe1012e05d00e6a1ac7da5f4c0"),
     (("6",), "b1f323428f6b1411df9eee0616ef88a8c08d3ad470e990137de7ffd4af98129d"),
-    (("6", "--dot"), "a45b03df9fa0f9b5246d8f56bee49b7e086f9cd0870c63e973b90ad4fbceb2b6"),
 ])
 def test_enumerate_stdout_digest_is_frozen(args, digest):
     proc = subprocess.run(CLI + ["enumerate", *args], capture_output=True)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("m, digest", [
+    ("2", "c36bc3a3c6d369c10e3a01a6b6b94926e182220622c765c3ffa03a06952c74dd"),
+    ("3", "4d4b7534b373feee630c893983ebbc32343ef48652e578a98229dde8a62cfd3c"),
+    ("4", "7a80d4546484206b0360d2663b00ad07669268a67c1c301a53bd1fbea872d6cd"),
+    ("5", "efe19d0527e34d77a53268003eb53fa5c174b4fe1012e05d00e6a1ac7da5f4c0"),
+    ("6", "a45b03df9fa0f9b5246d8f56bee49b7e086f9cd0870c63e973b90ad4fbceb2b6"),
+])
+def test_export_dot_move_graph_stdout_digest_is_frozen(m, digest):
+    proc = subprocess.run(CLI + ["export-dot", "--move-graph", m], capture_output=True)
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 

@@ -2,6 +2,7 @@ import ast
 import math
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -607,7 +608,7 @@ def test_a_solved_level_counts_all_its_orders_against_the_budget():
 def test_uniform_run_stops_at_a_stall():
     # under no-move-on-ambiguity neither free node's step moves this profile,
     # though neither sits at its target
-    sc = build_gadget(3, o("x>y>z"), Fraction(1, 10), initial_free=(o("x>y>z"), o("(xyz)")))
+    sc = replace(GADGET, initial=(o("x>y>z"), o("(xyz)")) + GADGET.initial[2:])
     policy = StepPolicy(allow_no_move_on_ambiguity=True)
     assert not is_fixed_point(sc.network, sc.persistent, sc.initial)
     for schedule in (Schedule.synchronous(), Schedule.uniform(0)):
@@ -729,7 +730,8 @@ def test_every_total_is_its_rows_aggregate_after_any_writes(case, data):
     net, graph, policy, pc, initial, _ = case
     free = pc.free_nodes(net.n)
     search = data.draw(st.booleans(), label="search")
-    kernel = dynamics._Kernel(net, graph, policy, pc, None if search else initial)
+    start = tuple(pc.pins.get(i, graph.orders[0]) for i in range(net.n)) if search else initial
+    kernel = dynamics._Kernel(net, graph, policy, pc, start)
     assert kernel.state == [0 if search and i in free else graph.id_of(w) for i, w in enumerate(initial)]
     # a power of two wide, so runs of many row LCDs share a few (m, field) tables
     width = kernel.mask.bit_length()
@@ -928,7 +930,7 @@ def test_a_uniform_run_reads_a_self_loop_move():
 def test_a_uniform_run_can_move_into_a_stall():
     # under no-move-on-ambiguity the gadget's free nodes move five times and
     # stop at (x>y>z, (xyz)), though node j is not at its target there
-    sc = build_gadget(3, o("x>y>z"), Fraction(1, 10), initial_free=(o("x>(yz)"), o("y>(xz)")))
+    sc = replace(GADGET, initial=(o("x>(yz)"), o("y>(xz)")) + GADGET.initial[2:])
     policy = StepPolicy(allow_no_move_on_ambiguity=True)
     report = assert_run_matches_reference(sc.network, G3, policy, sc.persistent, sc.initial, Schedule.uniform(2), 100)
     assert report.mu == 5 and report.prefix[-1][:2] == (o("x>y>z"), o("(xyz)"))

@@ -87,12 +87,6 @@ def test_gadget_builder_rejects_tied_base_order():
         build_gadget(3, o("(xy)>z"), Fraction(1, 10))
 
 
-def test_gadget_initial_override():
-    rho = o("x>y>z")
-    sc = build_gadget(3, rho, Fraction(1, 10), initial_free=(o("(xyz)"), o("(xyz)")))
-    assert sc.initial == (o("(xyz)"), o("(xyz)"), rho, antipode(rho))
-
-
 # --- scenario JSON -----------------------------------------------------------------
 
 def test_bundled_scenarios_parse_and_run(scenario_dir):

@@ -131,7 +131,8 @@ def test_gadget_fixed_points_are_the_strict_consensus_pairs():
 def test_forced_even_period_sweeps_the_closed_class_from_consensus():
     # consensus is a fixed point, so the default start fails and the sweep
     # over the closed class's initial profiles finds the witness
-    outcome = verify_forced_even_period(build_gadget(3, RHO, Fraction(1, 10), initial_free=(RHO, RHO)))
+    gadget = build_gadget(3, RHO, Fraction(1, 10))
+    outcome = verify_forced_even_period(dataclasses.replace(gadget, initial=(RHO, RHO) + gadget.initial[2:]))
     assert outcome.passed
     evidence = outcome.evidence
     assert evidence["initial_profiles_tried"] == 4
@@ -637,6 +638,21 @@ def test_suite_reads_integer_args_of_a_wrapped_verifier(tmp_path, monkeypatch, s
     with pytest.raises(ScenarioFormatError) as info:
         load_suite(path)
     assert info.value.path == "entries[0].args.trials"
+
+
+@pytest.mark.parametrize("args", [{"expected_k": 4, "bogus": 1}, {}], ids=["unknown-arg", "missing-arg"])
+def test_suite_binds_args_to_the_signature_of_a_wrapped_verifier(tmp_path, monkeypatch, args):
+    # a wrapper without functools.wraps has the signature (*args, **kwargs),
+    # which would bind any names: args must still bind as the verifier's own
+    original = verifiers.VERIFIERS["traveling_wave"]
+    monkeypatch.setitem(verifiers.VERIFIERS, "traveling_wave", lambda *a, **k: original(*a, **k))
+    manifest = {"entries": [{"verifier": "traveling_wave", "args": args,
+                             "scenario": {"builder": "traveling_wave", "m": 3, "ell": 4, "cycle_length": 4}}]}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ScenarioFormatError) as info:
+        load_suite(path)
+    assert info.value.path == "entries[0].args"
 
 
 def test_suite_rejects_unknown_verifier(tmp_path):
