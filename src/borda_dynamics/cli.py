@@ -103,11 +103,11 @@ def cmd_enumerate(args) -> int:
 def cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
     report = sc.run()
-    doc = report_to_json_dict(report, sc.network.names, sc.alt_names, label=sc.label)
+    doc = report_to_json_dict(report, sc.network.names, label=sc.label)
     outputs = [(args.report, _dump_json(doc), None)]
     if args.csv is not None:
         trajectory = io.StringIO()
-        write_trajectory_csv(report, sc.network.names, trajectory, sc.alt_names)
+        write_trajectory_csv(report, sc.network.names, trajectory)
         outputs.append((args.csv, trajectory.getvalue(), ""))
     _write(*outputs)
     return EXIT_OK

@@ -553,38 +553,28 @@ def enumerate_fixed_points(
     return [tuple(map(orders.__getitem__, profile)) for profile in found]
 
 
-def write_trajectory_csv(
-    report: OrbitReport,
-    node_names: Sequence[str],
-    stream: IO[str],
-    alt_names: Sequence[str] | None = None,
-) -> None:
+def write_trajectory_csv(report: OrbitReport, node_names: Sequence[str], stream: IO[str]) -> None:
     """One row per time step up to and including the first repeated state."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["time", *node_names])
     horizon = report.mu + report.period
     for t in range(horizon + 1):
         state = report.state_at(t)
-        writer.writerow([t, *(format_order(w, alt_names) for w in state)])
+        writer.writerow([t, *map(format_order, state)])
 
 
 def margin_text(margin: Fraction | float) -> str:
     return "inf" if margin == math.inf else str(Fraction(margin))
 
 
-def report_to_json_dict(
-    report: OrbitReport,
-    node_names: Sequence[str],
-    alt_names: Sequence[str] | None,
-    label: str,
-) -> dict:
+def report_to_json_dict(report: OrbitReport, node_names: Sequence[str], label: str) -> dict:
     """Structured orbit report: mu, period, margin as p/q, orbit in text form."""
     return {
         "mu": report.mu,
         "period": report.period,
         "min_margin": margin_text(report.min_margin),
         "orbit": [
-            {name: format_order(w, alt_names) for name, w in zip(node_names, state)}
+            dict(zip(node_names, map(format_order, state)))
             for state in report.orbit
         ],
         "label": label,

@@ -4,8 +4,9 @@ A scenario bundles one experiment end to end: alternative count, network,
 pinned nodes, initial profile, schedule, step policy, and a step budget.
 Scenario files are JSON documents; weights must be exact "p/q" strings
 (decimals are rejected).  Every field of a scenario or suite document is read
-through `_field`, which checks its JSON type, so every parse error is a
-`ScenarioFormatError` addressed by field path.
+through `_field`, which checks its JSON type, and a key that no reader reads is
+refused by `_only`, so every parse error is a `ScenarioFormatError` addressed
+by field path.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .dynamics import (
 from .errors import ScenarioBuildError, ScenarioFormatError
 from .influence import InfluenceNetwork, normalize_random_walk
 from .move_graph import StepPolicy, build_cover_graph, distance
-from .weak_orders import MAX_ALTERNATIVES, WeakOrder, alternative_names, antipode, parse_order
+from .weak_orders import MAX_ALTERNATIVES, WeakOrder, antipode, parse_order
 
 _WEIGHT_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 _SEED_RE = re.compile(r"-?[0-9]+")
@@ -46,7 +47,6 @@ class ScenarioConfig:
     policy: StepPolicy = field(default_factory=StepPolicy)
     label: str = "scenario"
     max_steps: int = DEFAULT_MAX_STEPS
-    alt_names: tuple[str, ...] | None = None
 
     def run(self) -> OrbitReport:
         graph = build_cover_graph(self.m)
@@ -163,6 +163,13 @@ def _field(doc, key: str, path: str, kind, default=...):
     return value
 
 
+def _only(doc, path: str, keys: set[str]) -> None:
+    """Refuse a key of the object `doc` that is not in `keys`: no reader reads it."""
+    for key in doc if isinstance(doc, dict) else ():
+        if key not in keys:
+            raise ScenarioFormatError(f"{path}.{key}" if path else key, "unknown field")
+
+
 def _node(names: tuple[str, ...], name, path: str) -> int:
     """Index of a node or alternative name; any other JSON value is an input error."""
     try:
@@ -190,11 +197,11 @@ def _parse_weight(raw, path: str) -> Fraction:
         raise ScenarioFormatError(path, str(exc)) from None
 
 
-def _parse_order_at(text, m: int, names, path: str) -> WeakOrder:
+def _parse_order_at(text, m: int, path: str) -> WeakOrder:
     if not isinstance(text, str):
         raise ScenarioFormatError(path, f"expected an order string, got {text!r}")
     try:
-        return parse_order(text, m, names)
+        return parse_order(text, m)
     except ValueError as exc:
         raise ScenarioFormatError(path, str(exc)) from None
 
@@ -209,6 +216,7 @@ def _read_json(path: Path):
 
 
 def _parse_schedule(doc, names: tuple[str, ...], pins: dict[int, WeakOrder], path: str) -> Schedule:
+    _only(doc, path, {"kind", "schedule"})
     kind = _field(doc, "kind", path, str)
     if kind == "S":
         return Schedule.synchronous()
@@ -239,6 +247,7 @@ def _parse_schedule(doc, names: tuple[str, ...], pins: dict[int, WeakOrder], pat
 
 
 def _parse_network(doc, path: str) -> InfluenceNetwork:
+    _only(doc, path, {"nodes", "edges", "normalize"})
     names = tuple(_field(doc, "nodes", path, list))
     if not all(isinstance(s, str) for s in names):
         raise ScenarioFormatError(f"{path}.nodes", "expected a list of node names")
@@ -255,6 +264,7 @@ def _parse_network(doc, path: str) -> InfluenceNetwork:
     incoming: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for k, edge in enumerate(edges):
         epath = f"{path}.edges[{k}]"
+        _only(edge, epath, {"from", "to", "weight"})
         src, dst = end(edge, epath, "from"), end(edge, epath, "to")
         if normalize:
             if "weight" in edge:
@@ -286,30 +296,40 @@ def _parse_network(doc, path: str) -> InfluenceNetwork:
 
 
 def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
-    """Validate a scenario document and build the corresponding config."""
+    """Validate a scenario document and build the corresponding config.
+
+    Fields: `m`, 2..MAX_ALTERNATIVES; `network`, `{"nodes": [...], "edges":
+    [{"from", "to", "weight"}, ...]}`, each node's incoming weights summing to
+    1, or with `"normalize": true` unweighted edges given random-walk weights;
+    optional `persistent`, `{"pins": [{"node", "order"}, ...], "camps": {"rho",
+    "plus", "minus"}}` (camp nodes pinned to rho or its antipode); `initial`,
+    `{node: order}`, a pinned node defaulting to its pin; `variant`, `{"kind":
+    "S"}` or `{"kind": "A", "schedule": "seq:[a,b,...]" or "uniform:<seed>"}`;
+    optional `policy`, `{"no_move_on_ambiguity": bool}`, `max_steps` > 0 and
+    `label`.  Orders use `alternative_names(m)`, as in "x>(yz)"; any other key
+    is refused.
+    """
+    _only(doc, "", {"m", "network", "persistent", "initial", "variant", "policy", "max_steps", "label"})
     m = _alternative_count(doc, "")
-    alt_names = _field(doc, "alternatives", "", (list, str), None)
-    if alt_names is not None:
-        try:
-            alt_names = alternative_names(m, alt_names)
-        except ValueError as exc:
-            raise ScenarioFormatError("alternatives", str(exc)) from None
 
     net = _parse_network(_field(doc, "network", "", dict), "network")
 
     pins: dict[int, WeakOrder] = {}
     pdoc = _field(doc, "persistent", "", dict, {})
+    _only(pdoc, "persistent", {"pins", "camps"})
     for k, pin in enumerate(_field(pdoc, "pins", "persistent", list, [])):
         ppath = f"persistent.pins[{k}]"
+        _only(pin, ppath, {"node", "order"})
         idx = _node(net.names, _field(pin, "node", ppath, object), f"{ppath}.node")
-        order = _parse_order_at(_field(pin, "order", ppath, object), m, alt_names, f"{ppath}.order")
+        order = _parse_order_at(_field(pin, "order", ppath, object), m, f"{ppath}.order")
         if idx in pins and pins[idx] != order:
             raise ScenarioFormatError(f"{ppath}.node", f"conflicting pins for node {net.names[idx]!r}")
         pins[idx] = order
     cdoc = _field(pdoc, "camps", "persistent", dict, None)
     if cdoc is not None:
         cpath = "persistent.camps"
-        base = _parse_order_at(_field(cdoc, "rho", cpath, object), m, alt_names, f"{cpath}.rho")
+        _only(cdoc, cpath, {"rho", "plus", "minus"})
+        base = _parse_order_at(_field(cdoc, "rho", cpath, object), m, f"{cpath}.rho")
         for key, order in (("plus", base), ("minus", antipode(base))):
             for name in _field(cdoc, key, cpath, list):
                 idx = _node(net.names, name, f"{cpath}.{key}")
@@ -324,7 +344,7 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
     for name, text in _field(doc, "initial", "", dict).items():
         ipath = f"initial.{name}"
         idx = _node(net.names, name, ipath)
-        order = _parse_order_at(text, m, alt_names, ipath)
+        order = _parse_order_at(text, m, ipath)
         if idx in pins and order != pins[idx]:
             raise ScenarioFormatError(ipath, f"initial state of pinned node {name!r} must equal its pin")
         states[idx] = order
@@ -338,6 +358,7 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
     schedule = _parse_schedule(_field(doc, "variant", "", dict), net.names, pins, "variant")
 
     policy_doc = _field(doc, "policy", "", dict, {})
+    _only(policy_doc, "policy", {"no_move_on_ambiguity"})
     flag = _field(policy_doc, "no_move_on_ambiguity", "policy", bool, False)
     policy = StepPolicy(allow_no_move_on_ambiguity=flag)
 
@@ -354,7 +375,6 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
         policy=policy,
         label=_field(doc, "label", "", str, label),
         max_steps=max_steps,
-        alt_names=alt_names,
     )
 
 

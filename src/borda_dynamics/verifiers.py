@@ -31,6 +31,7 @@ from .scenarios import (
     _alternative_count,
     _field,
     _node,
+    _only,
     _parse_order_at,
     _read_json,
     build_traveling_wave,
@@ -69,7 +70,7 @@ def _jsonable(value):
 
 
 def _profile_text(sc: ScenarioConfig, profile: Profile) -> dict[str, str]:
-    return {name: format_order(w, sc.alt_names) for name, w in zip(sc.network.names, profile)}
+    return dict(zip(sc.network.names, map(format_order, profile)))
 
 
 def _hypothesis_not_met(claim: str, reason: str, **extra) -> VerificationOutcome:
@@ -140,7 +141,7 @@ def verify_forced_even_period(sc: ScenarioConfig) -> VerificationOutcome:
     Simulates the configured initial profile first and, if needed, sweeps all
     initial assignments on the closed class (BudgetExceededError past
     DEFAULT_ENUM_BUDGET of them).  Passes when some run has an even period
-    greater than 1 with positive orbit margin.
+    greater than 1.
 
     The claim is about an orbit, not about every start: contrarian camps never
     remove every equilibrium.  With B(rho) = c + v, B(all-tied) = c and
@@ -171,7 +172,7 @@ def verify_forced_even_period(sc: ScenarioConfig) -> VerificationOutcome:
     for tried, initial in enumerate(_class_starts(sc, cls), 1):
         run = replace(sc, initial=initial).run()
         report = report or run  # the configured start's run, unless a witness replaces it
-        if run.period > 1 and run.period % 2 == 0 and run.min_margin > 0:
+        if run.period > 1 and run.period % 2 == 0:
             found, witness, report = True, initial, run
             break
 
@@ -199,7 +200,6 @@ def verify_forced_even_period(sc: ScenarioConfig) -> VerificationOutcome:
             "period": report.period,
             "period_even": report.period % 2 == 0,
             "min_margin": margin_text(report.min_margin),
-            "margin_positive": report.min_margin > 0,
         },
     )
 
@@ -231,8 +231,8 @@ def verify_even_period_lifting(sc: ScenarioConfig) -> VerificationOutcome:
     """A k-cycle of the two-step half dynamics lifts to a 2k-cycle of the full map.
 
     The half-map cycle length k is measured on the even-time subsequence of one
-    side of the cut along the realized orbit; the orbit state itself is the
-    lifted witness and is re-run to confirm a closed cycle of length 2k.
+    side of the cut along the realized orbit; the orbit's first cycle state is
+    the lifted witness.
     """
     claim = f"{sc.label}: bipartite two-step cycle of length k lifts to full period 2k"
     parts = _crossing_bipartition(sc.network, sc.persistent.free_nodes(sc.network.n))
@@ -252,11 +252,7 @@ def verify_even_period_lifting(sc: ScenarioConfig) -> VerificationOutcome:
     k_a = even_time_period(side_a)
     k_b = even_time_period(side_b)
 
-    # replay from the witness: a state on the orbit must close in exactly p steps
-    replay = replace(sc, initial=orbit[0]).run()
-    witness_closed = replay.mu == 0 and replay.period == p
-
-    passed = witness_closed and p > 1 and (p == 2 * k_a or p == 2 * k_b)
+    passed = p > 1 and (p == 2 * k_a or p == 2 * k_b)
     return VerificationOutcome(
         claim,
         passed,
@@ -269,7 +265,6 @@ def verify_even_period_lifting(sc: ScenarioConfig) -> VerificationOutcome:
             "half_cycle_a": k_a,
             "half_cycle_b": k_b,
             "witness": _profile_text(sc, orbit[0]),
-            "witness_closed": witness_closed,
             "trivial_fixed_point": p == 1,
         },
     )
@@ -427,14 +422,14 @@ def verify_single_peaked_invariance(
     for t, log in enumerate(report.target_log):
         for i, tau in log:
             if not is_single_peaked(tau, axis):
-                target_violation = {"step": t, "node": nodes[i], "target": format_order(tau, sc.alt_names)}
+                target_violation = {"step": t, "node": nodes[i], "target": format_order(tau)}
                 break
         if target_violation:
             break
         after = report.state_at(t + 1)
         for i, w in enumerate(after):
             if not is_single_peaked(w, axis):
-                state_violation = {"step": t + 1, "node": nodes[i], "state": format_order(w, sc.alt_names)}
+                state_violation = {"step": t + 1, "node": nodes[i], "state": format_order(w)}
                 break
         if state_violation:
             break
@@ -479,6 +474,7 @@ def _build_from_spec(doc: dict, path: str) -> ScenarioConfig:
     kind = _field(doc, "builder", path, str)
     if kind != "traveling_wave":
         raise ScenarioFormatError(f"{path}.builder", f"unknown builder {kind!r}")
+    _only(doc, path, {"builder", "m", "cycle_length", "ell"})
     m = _alternative_count(doc, path, 3)
     length = _field(doc, "cycle_length", path, int)
     graph = build_cover_graph(m)
@@ -526,10 +522,10 @@ def _verifier_args(doc: dict, path: str, verifier: str, sc: ScenarioConfig) -> d
         for name, text in _field(doc, "alt_pins", path, dict).items():
             where = f"{path}.alt_pins.{name}"
             node = _node(sc.network.names, name, where)
-            args["alt_pins"][node] = _parse_order_at(text, sc.m, sc.alt_names, where)
+            args["alt_pins"][node] = _parse_order_at(text, sc.m, where)
     if "axis" in doc:
         raw = _field(doc, "axis", path, str)
-        axis = tuple(_node(alternative_names(sc.m, sc.alt_names), c, f"{path}.axis") for c in raw)
+        axis = tuple(_node(alternative_names(sc.m), c, f"{path}.axis") for c in raw)
         if sorted(axis) != list(range(sc.m)):
             raise ScenarioFormatError(f"{path}.axis", f"expected all {sc.m} alternatives, got {raw!r}")
         args["axis"] = axis
@@ -544,19 +540,21 @@ def load_suite(path: str | Path) -> list[SuiteEntry]:
     `scenario`, a scenario file's path relative to the suite, or a copier
     ring `{"builder": "traveling_wave", "m", "ell", "cycle_length"}`; `args`,
     the verifier's arguments by name: `alt_pins` as `{node: order}`, `axis`
-    as a string of the scenario's alternative names, any other an integer;
-    and `expect`, "pass" (the default) or "fail".  A malformed field raises
-    ScenarioFormatError naming its path.
+    as a string of `alternative_names(m)`, any other an integer; and
+    `expect`, "pass" (the default) or "fail".  A malformed or unknown field
+    raises ScenarioFormatError naming its path.
     """
     path = Path(path)
     doc = _read_json(path)
     entries = []
     labels = set()
     manifest = _field(doc, "entries", "", list)
+    _only(doc, "", {"entries"})
     if not manifest:
         raise ScenarioFormatError("entries", "expected at least one entry")
     for k, entry in enumerate(manifest):
         epath = f"entries[{k}]"
+        _only(entry, epath, {"label", "verifier", "scenario", "expect", "args"})
         label = _field(entry, "label", epath, str, f"entry_{k}")
         if label in labels:
             raise ScenarioFormatError(f"{epath}.label", f"duplicate label {label!r}")

@@ -23,17 +23,8 @@ MAX_ALTERNATIVES = 6
 _LETTERS = "xyzu"
 
 
-def alternative_names(m: int, names: Sequence[str] | None = None) -> tuple[str, ...]:
+def alternative_names(m: int) -> tuple[str, ...]:
     """Display names for alternatives: x, y, z, u when m <= 4, digits otherwise."""
-    if names is not None:
-        names = tuple(names)
-        if len(names) != m:
-            raise ValueError(f"expected {m} alternative names, got {len(names)}")
-        if any(not isinstance(s, str) or len(s) != 1 for s in names) or len(set(names)) != m:
-            raise ValueError("alternative names must be distinct single characters")
-        if any(s in "()>" or s.isspace() for s in names):
-            raise ValueError(f"alternative names cannot be '>', '(', ')' or whitespace, got {names!r}")
-        return names
     if m <= len(_LETTERS):
         return tuple(_LETTERS[:m])
     return tuple(str(i) for i in range(m))
@@ -171,9 +162,9 @@ def antipode(order: WeakOrder) -> WeakOrder:
     return WeakOrder(tuple(reversed(order.classes)))
 
 
-def format_order(order: WeakOrder, names: Sequence[str] | None = None) -> str:
+def format_order(order: WeakOrder) -> str:
     """Text form: classes separated by ">", ties concatenated in parentheses."""
-    nm = alternative_names(order.m, names)
+    nm = alternative_names(order.m)
     parts = []
     for cls in order.classes:
         if len(cls) == 1:
@@ -183,10 +174,9 @@ def format_order(order: WeakOrder, names: Sequence[str] | None = None) -> str:
     return ">".join(parts)
 
 
-def parse_order(text: str, m: int, names: Sequence[str] | None = None) -> WeakOrder:
+def parse_order(text: str, m: int) -> WeakOrder:
     """Parse the text form produced by `format_order` (whitespace tolerated)."""
-    nm = alternative_names(m, names)
-    index = {c: i for i, c in enumerate(nm)}
+    index = {c: i for i, c in enumerate(alternative_names(m))}
     compact = "".join(text.split())
     if not compact:
         raise ValueError("empty order text")

@@ -271,15 +271,6 @@ def test_policy_and_max_steps():
     assert field_error(doc) == "max_steps"
 
 
-def test_custom_alternative_names():
-    doc = minimal_doc()
-    doc["alternatives"] = ["a", "b", "c"]
-    doc["initial"] = {"a": "a>b>c", "b": "c>b>a"}
-    sc = parse_scenario(doc)
-    assert sc.initial[0] == o("x>y>z")
-    assert sc.alt_names == ("a", "b", "c")
-
-
 def test_invalid_json_is_reported(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

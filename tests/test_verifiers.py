@@ -65,6 +65,24 @@ def test_traveling_wave_corrupted_phase_fails(scenario_dir):
     assert (outcome.evidence["mu"], outcome.evidence["period"]) == (1, 4)
 
 
+def test_traveling_wave_target_check_fails_under_a_sequence_schedule(scenario_dir):
+    # a sweep n0, n1, n2, n3 in one step: n1 copies n0's new state, not the
+    # state n0 held at the step's start, which the check compares against
+    sc = load_scenario(scenario_dir / "traveling_wave_4.json")
+    outcome = verify_traveling_wave(dataclasses.replace(sc, schedule=Schedule.sequence([0, 1, 2, 3])), expected_k=4)
+    assert not outcome.passed
+    assert not outcome.evidence["targets_copy_predecessor"]
+    assert outcome.evidence["first_target_violation"] == {"step": 0, "node": "n1"}
+
+
+def test_traveling_wave_with_a_pin_is_hypothesis_not_met():
+    wave = build_traveling_wave(4, CYCLE4)
+    pinned = dataclasses.replace(wave, persistent=PersistentConfig({0: wave.initial[0]}))
+    outcome = verify_traveling_wave(pinned, expected_k=4)
+    assert not outcome.passed
+    assert outcome.evidence == {"hypothesis_met": False, "reason": "persistent nodes present on the ring"}
+
+
 def test_traveling_wave_consensus_is_non_oscillating():
     wave = build_traveling_wave(4, CYCLE4)
     degenerate = dataclasses.replace(wave, initial=(RHO,) * 4)
@@ -259,6 +277,23 @@ def test_forced_even_period_reads_the_camps_off_the_pins(scenario_dir, persisten
         assert evidence == gadget.evidence
 
 
+def test_forced_even_period_past_the_fixed_point_budget_reports_no_count(scenario_dir):
+    # four free nodes that hear only j, indexed before the gadget's i, j, p,
+    # q, leave the fixed-point search 13**6 unpruned profiles
+    doc = json.loads((scenario_dir / "gadget.json").read_text())
+    doc["network"]["nodes"] = [*"abcd", *doc["network"]["nodes"]]
+    doc["network"]["edges"] += [{"from": "j", "to": node, "weight": "1"} for node in "abcd"]
+    doc["initial"].update({node: "z>y>x" for node in "abcd"})
+    sc = parse_scenario(doc)
+    with pytest.raises(BudgetExceededError):
+        enumerate_fixed_points(sc.network, G3, sc.policy, sc.persistent)
+    outcome = verify_forced_even_period(sc)
+    assert outcome.passed
+    evidence = outcome.evidence
+    assert (evidence["fixed_point_count"], evidence["fixed_points"]) == (None, None)
+    assert evidence["initial_profiles_tried"] == 1
+
+
 def test_forced_even_period_requires_period_two_class():
     # three free nodes on a directed triangle have class period 3
     rows = [
@@ -287,12 +322,16 @@ def test_forced_even_period_requires_period_two_class():
 # --- even-period lifting ------------------------------------------------------------
 
 def test_lifting_on_directed_four_ring():
-    outcome = verify_even_period_lifting(build_traveling_wave(4, CYCLE4))
+    wave = build_traveling_wave(4, CYCLE4)
+    outcome = verify_even_period_lifting(wave)
     assert outcome.passed
     assert outcome.evidence["period"] == 4
     assert outcome.evidence["half_cycle_a"] == 2
     assert outcome.evidence["half_cycle_b"] == 2
-    assert outcome.evidence["witness_closed"]
+    # the witness lies on the cycle, so a run from it closes in exactly the period
+    witness = tuple(o(outcome.evidence["witness"][name]) for name in wave.network.names)
+    replay = dataclasses.replace(wave, initial=witness).run()
+    assert (replay.mu, replay.period) == (0, 4)
 
 
 def test_lifting_on_gadget_half_fixed_point():

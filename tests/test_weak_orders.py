@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from borda_dynamics.weak_orders import (
     WeakOrder,
-    alternative_names,
     antipode,
     borda_scores,
     enumerate_weak_orders,
@@ -193,17 +192,3 @@ def test_parse_format_roundtrip(case):
     m, idx = case
     w = enumerate_weak_orders(m)[idx]
     assert parse_order(format_order(w), m) == w
-
-
-@pytest.mark.parametrize("name", [">", "(", ")", " ", "\t", "\u00a0"])
-def test_alternative_names_refuse_characters_of_the_order_syntax(name):
-    # an order written with such a name could not be parsed back
-    with pytest.raises(ValueError, match="whitespace"):
-        alternative_names(3, ("a", name, "c"))
-
-
-def test_custom_alternative_names_roundtrip():
-    names = ("a", "b", "c")
-    w = o("x>(yz)")
-    assert format_order(w, names) == "a>(bc)"
-    assert parse_order("a>(bc)", 3, names) == w
