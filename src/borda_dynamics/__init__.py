@@ -33,7 +33,6 @@ from .move_graph import (
     StepPolicy,
     build_cover_graph,
     distance,
-    find_cycle,
     step,
 )
 from .scenarios import (

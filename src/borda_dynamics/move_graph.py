@@ -23,11 +23,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceededError
 from .weak_orders import MAX_ALTERNATIVES, WeakOrder, _index_map, enumerate_weak_orders, format_order
-
-#: most path extensions one `find_cycle` call may make (about a second)
-FIND_CYCLE_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -150,54 +146,6 @@ def step(policy: StepPolicy, graph: MoveGraph, current: WeakOrder, target: WeakO
     """One bounded step from `current` toward `target`, as `MoveGraph.next_id` decides it."""
     nxt = graph.next_id(graph.id_of(current), graph.id_of(target), policy.allow_no_move_on_ambiguity)
     return graph.orders[nxt]
-
-
-def find_cycle(graph: MoveGraph, length: int) -> tuple[WeakOrder, ...] | None:
-    """First simple cycle of exactly `length` vertices in deterministic DFS order.
-
-    The search fixes the smallest vertex of the cycle as the start and visits
-    neighbors in increasing id; returns None when no such cycle exists.
-    Every edge changes the number of classes by one, so the graph is
-    bipartite and an odd length has no cycle.  Raises BudgetExceededError
-    once the search has extended its path FIND_CYCLE_BUDGET times.
-    """
-    if length < 3:
-        raise ValueError("cycle length must be at least 3")
-    if length % 2:
-        return None
-    adjacency = graph.adjacency
-    extensions = 0
-    for start in range(graph.order_count):
-        back = [graph.distance_ids(start, v) for v in range(graph.order_count)]
-        path = [start]
-        on_path = {start}
-        # one neighbour iterator per path vertex; no recursion, so a long
-        # cycle cannot exhaust the call stack
-        pending = [iter(adjacency[start])]
-        while pending:
-            v = next(pending[-1], None)
-            if v is None:
-                pending.pop()
-                on_path.discard(path.pop())
-                continue
-            # only cycles whose minimum vertex is `start`; prune vertices
-            # too far from start to close the cycle in time
-            if v <= start or v in on_path or back[v] > length - len(path):
-                continue
-            extensions += 1
-            if extensions > FIND_CYCLE_BUDGET:
-                raise BudgetExceededError(
-                    f"no {length}-cycle found within {FIND_CYCLE_BUDGET} search steps"
-                )
-            path.append(v)
-            if len(path) == length:
-                if start in adjacency[v]:
-                    return tuple(graph.orders[i] for i in path)
-                path.pop()
-                continue
-            on_path.add(v)
-            pending.append(iter(adjacency[v]))
-    return None
 
 
 def move_graph_to_dot(graph: MoveGraph) -> str:

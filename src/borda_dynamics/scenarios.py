@@ -178,14 +178,6 @@ def _node(names: tuple[str, ...], name, path: str) -> int:
         raise ScenarioFormatError(path, f"unknown name {name!r}") from None
 
 
-def _alternative_count(doc, path: str, default=...) -> int:
-    m = _field(doc, "m", path, int, default)
-    if not 2 <= m <= MAX_ALTERNATIVES:
-        where = f"{path}.m" if path else "m"
-        raise ScenarioFormatError(where, f"expected an integer in 2..{MAX_ALTERNATIVES}, got {m}")
-    return m
-
-
 def _parse_weight(raw, path: str) -> Fraction:
     if not isinstance(raw, str) or not _WEIGHT_RE.fullmatch(raw):
         raise ScenarioFormatError(
@@ -216,10 +208,11 @@ def _read_json(path: Path):
 
 
 def _parse_schedule(doc, names: tuple[str, ...], pins: dict[int, WeakOrder], path: str) -> Schedule:
-    _only(doc, path, {"kind", "schedule"})
     kind = _field(doc, "kind", path, str)
     if kind == "S":
+        _only(doc, path, {"kind"})
         return Schedule.synchronous()
+    _only(doc, path, {"kind", "schedule"})
     if kind != "A":
         raise ScenarioFormatError(f"{path}.kind", f"variant must be \"S\" or \"A\", got {kind!r}")
     spec = _field(doc, "schedule", path, str)
@@ -310,7 +303,9 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
     is refused.
     """
     _only(doc, "", {"m", "network", "persistent", "initial", "variant", "policy", "max_steps", "label"})
-    m = _alternative_count(doc, "")
+    m = _field(doc, "m", "", int)
+    if not 2 <= m <= MAX_ALTERNATIVES:
+        raise ScenarioFormatError("m", f"expected an integer in 2..{MAX_ALTERNATIVES}, got {m}")
 
     net = _parse_network(_field(doc, "network", "", dict), "network")
 

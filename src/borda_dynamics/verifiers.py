@@ -3,7 +3,8 @@
 Each verifier re-derives its hypotheses from the realized scenario (it never
 trusts the builder), runs the dynamics, and returns a VerificationOutcome
 whose evidence is enough to replay a failure: measured transient and period,
-margins, and the first offending step where applicable.
+margins, and the first offending step where applicable.  A suite manifest
+(`load_suite`) pairs each verifier with a scenario file, named by its path.
 """
 
 from __future__ import annotations
@@ -25,16 +26,14 @@ from .dynamics import (
 )
 from .errors import BudgetExceededError, ScenarioBuildError, ScenarioFormatError
 from .influence import _crossing_bipartition, class_structure, perturb_weights, reach
-from .move_graph import build_cover_graph, find_cycle
+from .move_graph import build_cover_graph
 from .scenarios import (
     ScenarioConfig,
-    _alternative_count,
     _field,
     _node,
     _only,
     _parse_order_at,
     _read_json,
-    build_traveling_wave,
     load_scenario,
     with_pins,
 )
@@ -82,47 +81,57 @@ def _hypothesis_not_met(claim: str, reason: str, **extra) -> VerificationOutcome
 # --- traveling waves on directed rings --------------------------------------
 
 
-def _ring_predecessors(sc: ScenarioConfig) -> dict[int, int] | None:
-    """Predecessor map when the network is a pure single-cycle copier ring: every
-    row has one entry and the support is strongly connected, hence one n-cycle."""
-    net = sc.network
-    if any(len(row) != 1 for row in net.rows) or len(class_structure(net, range(net.n)).sccs) != 1:
+def _ring_order(sc: ScenarioConfig) -> list[int] | None:
+    """The nodes from node 0 along the copied nodes, when the network is one
+    copier ring: every row has one entry, and the walk meets every node once
+    before it returns to node 0."""
+    rows = sc.network.rows
+    if any(len(row) != 1 for row in rows):
         return None
-    return {i: row[0][0] for i, row in enumerate(net.rows)}
+    walk = [0]
+    for _ in rows[1:]:
+        walk.append(rows[walk[-1]][0][0])
+    return walk if len(set(walk)) == len(rows) and rows[walk[-1]][0][0] == 0 else None
 
 
 def verify_traveling_wave(sc: ScenarioConfig, expected_k: int) -> VerificationOutcome:
-    """The ring of copiers sustains a wave of period expected_k from time 0,
-    with every logged target equal to the predecessor's current state."""
+    """A synchronous copier ring sustains a wave of period expected_k from time 0.
+
+    The hypothesis: no pins, a synchronous schedule, one copier ring, and
+    every node starting within one cover edge of its predecessor's start.
+    Then each node reaches its target, its predecessor's state, in one step,
+    so x_i(t+1) = x_pred(i)(t) from time 0 and the start rotates along the
+    ring: the predicted orbit has mu 0 and, as period, the least rotation
+    period of the start read along the ring.  Passes when the run gives the
+    predicted orbit and the predicted period is expected_k.
+    """
     claim = f"{sc.label}: copier ring oscillates with period {expected_k}"
     if sc.persistent.pins:
         return _hypothesis_not_met(claim, "persistent nodes present on the ring")
-    pred = _ring_predecessors(sc)
-    if pred is None:
+    if sc.schedule.kind != "synchronous":
+        return _hypothesis_not_met(claim, "schedule is not synchronous")
+    ring = _ring_order(sc)
+    if ring is None:
         return _hypothesis_not_met(claim, "network is not a single copier ring")
+    graph = build_cover_graph(sc.m)
+    ids = [graph.id_of(w) for w in sc.initial]
+    for i, ((pred, _),) in enumerate(sc.network.rows):
+        gap = graph.distance_ids(ids[i], ids[pred])
+        if gap > 1:
+            reason = "a node starts more than one cover edge from its predecessor's start"
+            return _hypothesis_not_met(claim, reason, node=sc.network.names[i], distance=gap)
+    predicted = _cyclic_min_period([ids[i] for i in ring])
 
     report = sc.run()
-    violation = None
-    for t, log in enumerate(report.target_log):
-        state = report.prefix[t]
-        for i, tau in log:
-            if tau != state[pred[i]]:
-                violation = {"step": t, "node": sc.network.names[i]}
-                break
-        if violation:
-            break
-    hypothesis_held = violation is None
-    passed = hypothesis_held and report.mu == 0 and report.period == expected_k
     return VerificationOutcome(
         claim,
-        passed,
+        (report.mu, report.period) == (0, predicted) and predicted == expected_k,
         {
             "hypothesis_met": True,
             "mu": report.mu,
             "period": report.period,
+            "predicted_period": predicted,
             "expected_period": expected_k,
-            "targets_copy_predecessor": hypothesis_held,
-            "first_target_violation": violation,
             "non_oscillating": report.period == 1,
             "min_margin": margin_text(report.min_margin),
         },
@@ -220,6 +229,7 @@ def _class_starts(sc: ScenarioConfig, cls: tuple[int, ...]) -> Iterator[Profile]
 
 
 def _cyclic_min_period(seq: Sequence) -> int:
+    """Least d dividing len(seq) such that rotating seq by d leaves it unchanged."""
     n = len(seq)
     for d in range(1, n + 1):
         if n % d == 0 and all(seq[(j + d) % n] == seq[j] for j in range(n)):
@@ -228,11 +238,10 @@ def _cyclic_min_period(seq: Sequence) -> int:
 
 
 def verify_even_period_lifting(sc: ScenarioConfig) -> VerificationOutcome:
-    """A k-cycle of the two-step half dynamics lifts to a 2k-cycle of the full map.
-
-    The half-map cycle length k is measured on the even-time subsequence of one
-    side of the cut along the realized orbit; the orbit's first cycle state is
-    the lifted witness.
+    """Free-to-free influence crosses a bipartition (A, B), and the period p
+    is > 1 and equals 2 k_a or 2 k_b, where k_a and k_b are the least periods
+    of A's and B's states along the orbit's even-time subsequence orbit[0],
+    orbit[2], ...  The orbit's first state is the witness.
     """
     claim = f"{sc.label}: bipartite two-step cycle of length k lifts to full period 2k"
     parts = _crossing_bipartition(sc.network, sc.persistent.free_nodes(sc.network.n))
@@ -283,6 +292,9 @@ def verify_robustness(sc: ScenarioConfig, trials: int, seed: int) -> Verificatio
     states and target logs, compared in ids: the evidence names the first
     trial that does not, with the index of its first state that differs
     from the base run's (or the shorter run's length), else "target log".
+    `perturbable_rows` counts the free nodes whose row has two or more
+    entries: a one-entry row keeps its weight 1, so with none every trial
+    runs the base network.
     """
     if trials < 1:
         raise ScenarioBuildError(f"robustness needs at least one trial, got {trials}")
@@ -323,6 +335,7 @@ def verify_robustness(sc: ScenarioConfig, trials: int, seed: int) -> Verificatio
             "eps_star": eps_star,
             "eps_used": eps,
             "trials": trials,
+            "perturbable_rows": sum(len(sc.network.rows[i]) > 1 for i in sc.persistent.free_nodes(sc.network.n)),
             "mu": base.mu,
             "period": base.period,
             "divergence": divergence,
@@ -462,40 +475,6 @@ class SuiteEntry:
     expect_pass: bool
 
 
-#: most nodes a suite's traveling-wave builder spec may ask for.  The ring
-#: stores one arc per node, so loading is linear in ell: at 1,024 (m = 3) a load
-#: takes about 0.01 s and a 0.2 MB allocation peak.  The bound caps the verify
-#: run, which makes ell x period node updates: an m = 4 wave on a 32-cycle
-#: verifies in 0.4 s at 1,024 and 2.9 s at 8,192 (Intel Xeon, CPython 3.11).
-MAX_WAVE_LENGTH = 1024
-
-
-def _build_from_spec(doc: dict, path: str) -> ScenarioConfig:
-    kind = _field(doc, "builder", path, str)
-    if kind != "traveling_wave":
-        raise ScenarioFormatError(f"{path}.builder", f"unknown builder {kind!r}")
-    _only(doc, path, {"builder", "m", "cycle_length", "ell"})
-    m = _alternative_count(doc, path, 3)
-    length = _field(doc, "cycle_length", path, int)
-    graph = build_cover_graph(m)
-    if length > graph.order_count:
-        # a simple cycle visits each of the orders at most once
-        raise ScenarioFormatError(
-            f"{path}.cycle_length",
-            f"at most {graph.order_count} (the weak orders on {m} alternatives), got {length}",
-        )
-    ell = _field(doc, "ell", path, int)
-    if ell > MAX_WAVE_LENGTH:
-        raise ScenarioFormatError(f"{path}.ell", f"at most {MAX_WAVE_LENGTH}, got {ell}")
-    cycle = find_cycle(graph, length) if length >= 3 else None
-    if cycle is None:
-        raise ScenarioFormatError(path, f"no cycle of length {length} in the move graph")
-    try:
-        return build_traveling_wave(ell, cycle)
-    except ScenarioBuildError as exc:
-        raise ScenarioFormatError(path, str(exc)) from None
-
-
 VERIFIERS: dict[str, Callable[..., VerificationOutcome]] = {
     "traveling_wave": verify_traveling_wave,
     "forced_even_period": verify_forced_even_period,
@@ -537,8 +516,7 @@ def load_suite(path: str | Path) -> list[SuiteEntry]:
 
     The manifest's `entries` list holds one or more objects with: `label`,
     unique, by default `entry_k` for the k-th; `verifier`, a `VERIFIERS` key;
-    `scenario`, a scenario file's path relative to the suite, or a copier
-    ring `{"builder": "traveling_wave", "m", "ell", "cycle_length"}`; `args`,
+    `scenario`, the path of a scenario file, relative to the suite; `args`,
     the verifier's arguments by name: `alt_pins` as `{node: order}`, `axis`
     as a string of `alternative_names(m)`, any other an integer; and
     `expect`, "pass" (the default) or "fail".  A malformed or unknown field
@@ -562,14 +540,11 @@ def load_suite(path: str | Path) -> list[SuiteEntry]:
         verifier = _field(entry, "verifier", epath, str)
         if verifier not in VERIFIERS:
             raise ScenarioFormatError(f"{epath}.verifier", f"unknown verifier {verifier!r}")
-        spec = _field(entry, "scenario", epath, (str, dict))
-        if isinstance(spec, str):
-            try:
-                scenario = load_scenario(path.parent / spec)
-            except ScenarioFormatError as exc:
-                raise ScenarioFormatError(f"{epath}.scenario", f"{spec}: {exc}") from None
-        else:
-            scenario = _build_from_spec(spec, f"{epath}.scenario")
+        spec = _field(entry, "scenario", epath, str)
+        try:
+            scenario = load_scenario(path.parent / spec)
+        except ScenarioFormatError as exc:
+            raise ScenarioFormatError(f"{epath}.scenario", f"{spec}: {exc}") from None
         expect = _field(entry, "expect", epath, str, "pass")
         if expect not in ("pass", "fail"):
             raise ScenarioFormatError(f"{epath}.expect", f"expected \"pass\" or \"fail\", got {expect!r}")

@@ -11,10 +11,11 @@ independent computation.
 
 It also holds the counts and generators the tests check the package with:
 the number of weak orders (`fubini`), the shortest paths between two orders
-counted by brute force (`paths_between`) and the cover graph's `diameter`,
-a seeded connected bipartite graph (`seeded_random_bipartite`), and
-single-peakedness checked side by side with position and rank maps
-(`is_single_peaked`).
+counted by brute force (`paths_between`), the cover graph's `diameter`,
+its first cycle of a given length, which starts a copier-ring wave
+(`find_cycle`), a seeded connected bipartite graph
+(`seeded_random_bipartite`), and single-peakedness checked side by side
+with position and rank maps (`is_single_peaked`).
 """
 
 import math
@@ -108,7 +109,8 @@ def reference_run(net, graph, policy, pc, initial, schedule, max_steps):
 
 
 class BudgetExceeded(Exception):
-    """A reference run hit its step budget, where the package raises BudgetExceededError."""
+    """A reference run hit its step budget, where the package raises BudgetExceededError,
+    or a cycle search its FIND_CYCLE_BUDGET."""
 
 
 def perturb_weights(net, eps, seed):
@@ -168,6 +170,8 @@ def robustness_evidence(sc, trials, seed):
         "eps_star": eps_star,
         "eps_used": eps_star / 2,
         "trials": trials,
+        "perturbable_rows": sum(sum(w != 0 for w in sc.network.weights[i]) >= 2
+                                for i in sc.persistent.free_nodes(sc.network.n)),
         "mu": mu,
         "period": period,
         "divergence": divergence,
@@ -216,6 +220,56 @@ def diameter(graph):
     """The largest distance between two ids of the cover graph."""
     ids = range(graph.order_count)
     return max(graph.distance_ids(a, b) for a in ids for b in ids)
+
+
+#: most path extensions one `find_cycle` call may make (about a second)
+FIND_CYCLE_BUDGET = 10**6
+
+
+def find_cycle(graph, length):
+    """First simple cycle of exactly `length` vertices in deterministic DFS order.
+
+    The search fixes the smallest vertex of the cycle as the start and visits
+    neighbors in increasing id; returns None when no such cycle exists.
+    Every edge changes the number of classes by one, so the graph is
+    bipartite and an odd length has no cycle.  Raises BudgetExceeded once
+    the search has extended its path FIND_CYCLE_BUDGET times.
+    """
+    if length < 3:
+        raise ValueError("cycle length must be at least 3")
+    if length % 2:
+        return None
+    adjacency = graph.adjacency
+    extensions = 0
+    for start in range(graph.order_count):
+        back = [graph.distance_ids(start, v) for v in range(graph.order_count)]
+        path = [start]
+        on_path = {start}
+        # one neighbour iterator per path vertex; no recursion, so a long
+        # cycle cannot exhaust the call stack
+        pending = [iter(adjacency[start])]
+        while pending:
+            v = next(pending[-1], None)
+            if v is None:
+                pending.pop()
+                on_path.discard(path.pop())
+                continue
+            # only cycles whose minimum vertex is `start`; prune vertices
+            # too far from start to close the cycle in time
+            if v <= start or v in on_path or back[v] > length - len(path):
+                continue
+            extensions += 1
+            if extensions > FIND_CYCLE_BUDGET:
+                raise BudgetExceeded(f"no {length}-cycle found within {FIND_CYCLE_BUDGET} search steps")
+            path.append(v)
+            if len(path) == length:
+                if start in adjacency[v]:
+                    return tuple(graph.orders[i] for i in path)
+                path.pop()
+                continue
+            on_path.add(v)
+            pending.append(iter(adjacency[v]))
+    return None
 
 
 def seeded_random_bipartite(size_a, size_b, seed):

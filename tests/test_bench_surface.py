@@ -14,6 +14,7 @@ from pathlib import Path
 
 import borda_dynamics as bd
 import borda_dynamics.cli  # noqa: F401  (bench imports it as a submodule)
+from reference import find_cycle
 from test_cli import VERIFY_DIGESTS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -37,7 +38,7 @@ def test_the_constructors_named_in_the_bench_readme():
     pinned = bd.PersistentConfig({0: rho})
     assert pinned.free_nodes(2) == (1,)
     gadget = bd.build_gadget(3, rho, Fraction(1, 10))
-    wave = bd.build_traveling_wave(8, bd.find_cycle(bd.build_cover_graph(3), 4))
+    wave = bd.build_traveling_wave(8, find_cycle(bd.build_cover_graph(3), 4))
     assert (gadget.m, wave.network.n) == (3, 8)
     assert bd.load_scenario(SCENARIO_DIR / "gadget.json").m == 3
     assert bd.verifiers.load_suite(SCENARIO_DIR / "suite_controls.json")

@@ -23,13 +23,13 @@ from borda_dynamics.dynamics import (
 from borda_dynamics import dynamics, move_graph, weak_orders
 from borda_dynamics.errors import BudgetExceededError, ScheduleError
 from borda_dynamics.influence import influence_network, perturb_weights, seeded_random_network
-from borda_dynamics.move_graph import StepPolicy, build_cover_graph, distance, find_cycle
+from borda_dynamics.move_graph import StepPolicy, build_cover_graph, distance
 from borda_dynamics.move_graph import step as graph_step
 from borda_dynamics.scenarios import build_gadget, build_traveling_wave, load_scenario
 from borda_dynamics.weak_orders import antipode, enumerate_weak_orders, parse_order
 
 import reference
-from reference import diameter, paths_between, reference_run, target
+from reference import diameter, find_cycle, paths_between, reference_run, target
 
 G3 = build_cover_graph(3)
 POLICY = StepPolicy()
@@ -1012,7 +1012,7 @@ def single_steps(scenarios):
 
 def test_runs_and_fixed_point_search_do_no_fraction_arithmetic(monkeypatch):
     scenarios = [load_scenario(p) for p in SHIPPED_SCENARIOS]
-    assert len(scenarios) == 8
+    assert len(scenarios) == 9
     reports = [sc.run() for sc in scenarios]
     fixed = enumerate_fixed_points(GADGET.network, G3, POLICY, GADGET.persistent)
     steps = single_steps(zip(scenarios, reports))

@@ -530,7 +530,7 @@ def test_the_package_never_reads_the_dense_view(monkeypatch, scenario_dir):
 
     monkeypatch.setattr(InfluenceNetwork, "weights", property(forbidden))
     scenario_files = sorted(p for p in scenario_dir.glob("*.json") if not p.name.startswith("suite"))
-    assert len(scenario_files) == 8
+    assert len(scenario_files) == 9
     for path in scenario_files:
         sc = load_scenario(path)
         sc.run()

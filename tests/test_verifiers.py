@@ -6,11 +6,12 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borda_dynamics.dynamics import PersistentConfig, Schedule, enumerate_fixed_points, run_until_cycle
 from borda_dynamics.errors import BudgetExceededError, ScenarioBuildError, ScenarioFormatError
-from borda_dynamics.influence import influence_network, perturb_weights, seeded_random_network
-from borda_dynamics.move_graph import StepPolicy, build_cover_graph, find_cycle
+from borda_dynamics.influence import InfluenceNetwork, influence_network, perturb_weights, seeded_random_network
+from borda_dynamics.move_graph import StepPolicy, build_cover_graph, distance
 from borda_dynamics.scenarios import (
     ScenarioConfig,
     build_gadget,
@@ -37,8 +38,8 @@ import reference
 
 G3 = build_cover_graph(3)
 RHO = parse_order("x>y>z", 3)
-CYCLE4 = find_cycle(G3, 4)
-CYCLE12 = find_cycle(G3, 12)
+CYCLE4 = reference.find_cycle(G3, 4)
+CYCLE12 = reference.find_cycle(G3, 12)
 
 
 def o(text, m=3):
@@ -52,27 +53,84 @@ def test_traveling_wave_periods(ell, k, cycle):
     outcome = verify_traveling_wave(build_traveling_wave(ell, cycle), expected_k=k)
     assert outcome.passed
     assert outcome.evidence["mu"] == 0
-    assert outcome.evidence["period"] == k
-    assert outcome.evidence["targets_copy_predecessor"]
+    assert outcome.evidence["period"] == outcome.evidence["predicted_period"] == k
 
 
 def test_traveling_wave_corrupted_phase_fails(scenario_dir):
+    # n3 starts at (xy)>z, three cover edges from its predecessor n2's x>z>y;
+    # the run still reaches a period-4 orbit, after a transient of one step
     sc = load_scenario(scenario_dir / "wave_corrupted.json")
     outcome = verify_traveling_wave(sc, expected_k=4)
     assert not outcome.passed
-    # the ring still copies predecessors; the failure is the nonzero transient
-    assert outcome.evidence["targets_copy_predecessor"]
-    assert (outcome.evidence["mu"], outcome.evidence["period"]) == (1, 4)
+    assert outcome.evidence == {
+        "hypothesis_met": False,
+        "reason": "a node starts more than one cover edge from its predecessor's start",
+        "node": "n3",
+        "distance": 3,
+    }
+    report = sc.run()
+    assert (report.mu, report.period) == (1, 4)
 
 
-def test_traveling_wave_target_check_fails_under_a_sequence_schedule(scenario_dir):
-    # a sweep n0, n1, n2, n3 in one step: n1 copies n0's new state, not the
-    # state n0 held at the step's start, which the check compares against
+@pytest.mark.parametrize("schedule", [Schedule.sequence([0, 1, 2, 3]), Schedule.uniform(3)],
+                         ids=["sequence", "uniform"])
+def test_traveling_wave_under_an_asynchronous_schedule_is_hypothesis_not_met(scenario_dir, schedule):
     sc = load_scenario(scenario_dir / "traveling_wave_4.json")
-    outcome = verify_traveling_wave(dataclasses.replace(sc, schedule=Schedule.sequence([0, 1, 2, 3])), expected_k=4)
+    outcome = verify_traveling_wave(dataclasses.replace(sc, schedule=schedule), expected_k=4)
     assert not outcome.passed
-    assert not outcome.evidence["targets_copy_predecessor"]
-    assert outcome.evidence["first_target_violation"] == {"step": 0, "node": "n1"}
+    assert outcome.evidence == {"hypothesis_met": False, "reason": "schedule is not synchronous"}
+
+
+@st.composite
+def copier_rings(draw):
+    """A copier ring on m = 2..4 alternatives and 3..12 nodes, whose node
+    indices are shuffled so that ring order is not index order, and its
+    start read along the ring: a closed walk in the cover graph that goes out
+    `out` steps, each to a neighbour or staying, waits at the far end and
+    comes back the same way, rotated, with one position replaced by any
+    order in about half the draws."""
+    m = draw(st.integers(2, 4))
+    ell = draw(st.integers(3, 12))
+    graph = build_cover_graph(m)
+    out = draw(st.integers(1, ell // 2))
+    walk = [graph.id_of(draw(st.sampled_from(graph.orders)))]
+    for _ in range(out):
+        walk.append(draw(st.sampled_from((walk[-1], *graph.adjacency[walk[-1]]))))
+    start = [graph.orders[i] for i in walk + [walk[-1]] * (ell - 2 * out) + walk[out - 1:0:-1]]
+    turn = draw(st.integers(0, ell - 1))
+    start = start[turn:] + start[:turn]
+    if draw(st.booleans()):
+        start[draw(st.integers(0, ell - 1))] = draw(st.sampled_from(graph.orders))
+    order = draw(st.permutations(range(ell)))  # order[k] is the node at ring position k
+    rows, initial = [None] * ell, [None] * ell
+    for k, node in enumerate(order):
+        rows[node] = ((order[k - 1], Fraction(1)),)
+        initial[node] = start[k]
+    policy = StepPolicy(allow_no_move_on_ambiguity=draw(st.booleans()))
+    sc = ScenarioConfig(m=m, network=InfluenceNetwork(tuple(rows), tuple(f"n{i}" for i in range(ell))),
+                        persistent=PersistentConfig(), initial=tuple(initial),
+                        schedule=Schedule.synchronous(), policy=policy, label="ring")
+    return sc, start
+
+
+@settings(max_examples=200, deadline=None)
+@given(copier_rings())
+def test_traveling_wave_hypothesis_is_the_adjacent_start_and_predicts_the_orbit(ring):
+    """Domain: the copier rings `copier_rings` draws (m 2..4, 3..12 nodes in
+    shuffled order), either step policy, synchronous, no pins, so the
+    hypothesis can fail only on the start."""
+    sc, start = ring
+    graph = build_cover_graph(sc.m)
+    ell = len(start)
+    adjacent = all(distance(graph, start[k - 1], start[k]) <= 1 for k in range(ell))
+    outcome = verify_traveling_wave(sc, expected_k=1)
+    assert outcome.evidence["hypothesis_met"] == adjacent
+    if adjacent:
+        predicted = outcome.evidence["predicted_period"]
+        assert predicted == min(d for d in range(1, ell + 1) if start[d:] + start[:d] == start)
+        report = sc.run()
+        assert (report.mu, report.period) == (0, predicted)
+        assert verify_traveling_wave(sc, expected_k=predicted).passed
 
 
 def test_traveling_wave_with_a_pin_is_hypothesis_not_met():
@@ -359,18 +417,21 @@ def test_lifting_rejects_non_bipartite_influence(scenario_dir):
 # --- robustness ------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "sc,delta,eps_star",
+    "sc,delta,eps_star,perturbable",
     [
-        (build_traveling_wave(4, CYCLE4), "1", Fraction(1, 16)),
-        (build_gadget(3, RHO, Fraction(1, 10)), "1/10", Fraction(1, 160)),
+        (build_traveling_wave(4, CYCLE4), "1", Fraction(1, 16), 0),
+        (build_gadget(3, RHO, Fraction(1, 10)), "1/10", Fraction(1, 160), 2),
     ],
     ids=["wave", "gadget"],
 )
-def test_robustness_with_twenty_trials(sc, delta, eps_star):
+def test_robustness_with_twenty_trials(sc, delta, eps_star, perturbable):
+    # a copier's one-entry row keeps its weight 1, so the wave's trials all
+    # run the base network
     outcome = verify_robustness(sc, trials=20, seed=7)
     assert outcome.passed
     assert outcome.evidence["delta"] == delta
     assert outcome.evidence["eps_star"] == eps_star
+    assert outcome.evidence["perturbable_rows"] == perturbable
     assert outcome.evidence["divergence"] is None
 
 
@@ -652,10 +713,10 @@ def test_suite_rejects_duplicate_labels(tmp_path, scenario_dir):
     manifest = {
         "entries": [
             {"label": "a", "verifier": "traveling_wave",
-             "scenario": {"builder": "traveling_wave", "m": 3, "ell": 4, "cycle_length": 4},
+             "scenario": str(scenario_dir / "traveling_wave_4.json"),
              "args": {"expected_k": 4}},
             {"label": "a", "verifier": "traveling_wave",
-             "scenario": {"builder": "traveling_wave", "m": 3, "ell": 4, "cycle_length": 4},
+             "scenario": str(scenario_dir / "traveling_wave_4.json"),
              "args": {"expected_k": 4}},
         ]
     }
@@ -680,13 +741,13 @@ def test_suite_reads_integer_args_of_a_wrapped_verifier(tmp_path, monkeypatch, s
 
 
 @pytest.mark.parametrize("args", [{"expected_k": 4, "bogus": 1}, {}], ids=["unknown-arg", "missing-arg"])
-def test_suite_binds_args_to_the_signature_of_a_wrapped_verifier(tmp_path, monkeypatch, args):
+def test_suite_binds_args_to_the_signature_of_a_wrapped_verifier(tmp_path, monkeypatch, scenario_dir, args):
     # a wrapper without functools.wraps has the signature (*args, **kwargs),
     # which would bind any names: args must still bind as the verifier's own
     original = verifiers.VERIFIERS["traveling_wave"]
     monkeypatch.setitem(verifiers.VERIFIERS, "traveling_wave", lambda *a, **k: original(*a, **k))
     manifest = {"entries": [{"verifier": "traveling_wave", "args": args,
-                             "scenario": {"builder": "traveling_wave", "m": 3, "ell": 4, "cycle_length": 4}}]}
+                             "scenario": str(scenario_dir / "traveling_wave_4.json")}]}
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(manifest))
     with pytest.raises(ScenarioFormatError) as info:
