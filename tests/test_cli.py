@@ -315,6 +315,7 @@ MALFORMED = [
     ),
     case("verify", suite(scenario={"builder": "traveling_wave", "m": 3, "ell": 4, "cycle_length": 4}),
          "entries[0].scenario", "scenario-object"),
+    case("verify", suite(scenario=[WAVE]), "entries[0].scenario", "scenario-list"),
     case("verify", suite(args={"expected_k": 4, "eps": "1/10"}), "entries[0].args", "unknown-arg"),
     case("verify", suite(args={}), "entries[0].args", "missing-arg"),
     case("verify", suite(args=[]), "entries[0].args", "args-list"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -106,6 +107,16 @@ def test_gadget_scenario_file_matches_builder(scenario_dir):
     assert from_file.network.weights == built.network.weights
     assert from_file.persistent.pins == built.persistent.pins
     assert from_file.initial == built.initial
+
+
+@pytest.mark.parametrize("ell,k", [(4, 4), (8, 4), (12, 12)])
+def test_wave_scenario_file_matches_builder(scenario_dir, ell, k):
+    # the suite's waves are these files; each is the builder's ell-ring along
+    # the first k-cycle the search finds, under the file's own label
+    from_file = load_scenario(scenario_dir / f"traveling_wave_{ell}.json")
+    built = build_traveling_wave(ell, find_cycle(G3, k))
+    assert from_file.label == f"traveling_wave_{ell}"
+    assert from_file == dataclasses.replace(built, label=from_file.label)
 
 
 def minimal_doc():

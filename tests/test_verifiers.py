@@ -183,6 +183,35 @@ def test_traveling_wave_rejects_a_rho_shaped_copier_network():
     assert outcome.evidence == {"hypothesis_met": False, "reason": "network is not a single copier ring"}
 
 
+def test_traveling_wave_rejects_two_copier_rings():
+    # a <- b, b <- a, c <- d, d <- c: every node copies one node, but the
+    # walk from a returns to a before it meets c or d
+    net = influence_network([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], ["a", "b", "c", "d"])
+    sc = ScenarioConfig(
+        m=3,
+        network=net,
+        persistent=PersistentConfig(),
+        initial=(RHO,) * 4,
+        schedule=Schedule.synchronous(),
+        label="two_rings",
+    )
+    outcome = verify_traveling_wave(sc, expected_k=1)
+    assert not outcome.passed
+    assert outcome.evidence == {"hypothesis_met": False, "reason": "network is not a single copier ring"}
+
+
+def test_traveling_wave_fails_when_the_predicted_period_is_not_expected_k(scenario_dir):
+    # the hypothesis holds and the run gives the predicted (0, 4) orbit, but
+    # the claim names another period
+    sc = load_scenario(scenario_dir / "traveling_wave_4.json")
+    outcome = verify_traveling_wave(sc, expected_k=2)
+    assert not outcome.passed
+    assert outcome.evidence["hypothesis_met"]
+    assert (outcome.evidence["mu"], outcome.evidence["period"]) == (0, 4)
+    assert outcome.evidence["predicted_period"] == 4
+    assert outcome.evidence["expected_period"] == 2
+
+
 # --- forced even periods ---------------------------------------------------------
 
 def test_gadget_forces_period_two():
