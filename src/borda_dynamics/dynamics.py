@@ -12,7 +12,8 @@ error; no period is claimed for them.
 Every entry point compiles one integer kernel, `_Kernel`, from (network,
 graph, policy, pins, profile) and runs on it.  A state is the tuple of its
 orders' canonical ids.  Row i is scaled by the least common denominator D_i
-of its weights to integers W_ij, and Borda scores are doubled to integers
+of its weights to integers W_ij (`_row_over_lcd`; a robustness trial's
+`_perturb_rows` gives its rows so), and Borda scores are doubled to integers
 B2, so node i's aggregate sum_j W_ij * B2[state_j] is exactly 2*D_i times
 the Fraction aggregate: ties are decided by integer equality, with no float
 and no tolerance.  Order k is packed into one int with a field per pair p =
@@ -58,7 +59,7 @@ from itertools import combinations
 from typing import IO, Iterable, Sequence
 
 from .errors import BudgetExceededError, ScheduleError
-from .influence import InfluenceNetwork
+from .influence import InfluenceNetwork, _row_over_lcd
 from .move_graph import MoveGraph, StepPolicy, build_cover_graph
 from .weak_orders import WeakOrder, borda_scores, enumerate_weak_orders, format_order
 
@@ -225,7 +226,7 @@ class _Kernel:
     `write` changes (see the module docstring).
 
     `free` holds the free nodes, the compiled ones: `rows[i]` is ((j, W_ij)
-    per in-neighbour, 2*D_i), `listeners[j]` holds (k, W_kj) per free node
+    per in-neighbour, D_i), `listeners[j]` holds (k, W_kj) per free node
     k whose row reads j, and `totals[i]` is node i's packed aggregate in the
     state.  `packed[k]` is order k's pair fields.  A field's top bit 2^top
     exceeds beta, so adding C1 (2^top - beta per field) sets it in field (a,
@@ -248,7 +249,7 @@ class _Kernel:
         for node, order in pins.items():
             if profile[node] is not order and profile[node] != order:
                 raise ValueError(f"profile disagrees with pin at node {node}")
-        self.state = state = [0] * n
+        state = [0] * n
         try:
             for node, order in enumerate(profile):
                 state[node] = graph.id_of(order)
@@ -256,26 +257,28 @@ class _Kernel:
             raise ValueError(f"node {node} has an order on {order.m} alternatives, "
                              f"but the move graph is on {graph.m}") from None
         self.free = persistent.free_nodes(n)
-        m = graph.m
         self.graph = graph
         self.stay_on_ambiguity = policy.allow_no_move_on_ambiguity
-        self.rows: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
-        self.listeners: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for i in self.free:
-            support = net.rows[i]
-            d = math.lcm(*(w.denominator for _, w in support))
-            self.rows[i] = (tuple((j, w.numerator * (d // w.denominator)) for j, w in support), 2 * d)
-            for j, w in self.rows[i][0]:
+        self.compile({i: _row_over_lcd(net.rows[i]) for i in self.free}, state)
+
+    def compile(self, rows: dict[int, tuple[tuple[tuple[int, int], ...], int]], start: Sequence[int]) -> None:
+        """Compile `rows[i]` = ((j, W_ij), D_i) per free node i and put the kernel at the `start` ids."""
+        self.state = state = list(start)
+        m = self.graph.m
+        self.rows = rows
+        self.listeners: list[list[tuple[int, int]]] = [[] for _ in state]
+        for i, (row, _) in rows.items():
+            for j, w in row:
                 self.listeners[j].append((i, w))
-        self.beta = beta = (m - 1) * max((scale for _, scale in self.rows.values()), default=2)
+        self.beta = beta = 2 * (m - 1) * max((d for _, d in rows.values()), default=1)
         field = 1 << ((2 * beta).bit_length() - 1).bit_length()
         self.mask, self.shifts = (1 << field) - 1, range(0, m * (m - 1) // 2 * field, field)
         self.packed, self.keys = _pair_tables(m, field)
         self.c1, self.c2, self.guards, ones = _guards(m, field, beta)
-        # node i's row centres its fields on (m-1)*2*D_i: lift them to beta once
-        self.totals = [0] * n
-        for i, (row, scale) in self.rows.items():
-            self.totals[i] = sum([w * self.packed[state[j]] for j, w in row]) + (beta - (m - 1) * scale) * ones
+        # node i's row centres its fields on 2(m-1)*D_i: lift them to beta once
+        self.totals = [0] * len(state)
+        for i, (row, d) in rows.items():
+            self.totals[i] = sum([w * self.packed[state[j]] for j, w in row]) + (beta - 2 * (m - 1) * d) * ones
 
     def target(self, i: int) -> int:
         """Node i's target in the kernel's state."""
@@ -392,18 +395,18 @@ class _Kernel:
         `orbit` states: the smallest gap between distinct aggregate values
         over 2*D_i.  The kernel must be at orbit[0]; it reaches each later
         state by writes, so it ends at orbit[-1].  Each distinct (total,
-        2*D_i) the orbit holds has its gap computed once."""
+        D_i) the orbit holds has its gap computed once."""
         totals, rows, write, gap_of = self.totals, self.rows, self.write, self.gap
-        held = {(totals[i], scale) for i, (_, scale) in rows.items()}
+        held = {(totals[i], d) for i, (_, d) in rows.items()}
         for before, state in zip(orbit, orbit[1:]):
             write([(j, b) for j, (a, b) in enumerate(zip(before, state)) if a != b])
-            held.update([(totals[i], scale) for i, (_, scale) in rows.items()])
-        best: tuple[int, int] | None = None  # (gap, 2*D_i)
-        for total, scale in held:
+            held.update([(totals[i], d) for i, (_, d) in rows.items()])
+        best: tuple[int, int] | None = None  # (gap, D_i)
+        for total, d in held:
             gap = gap_of(total)
-            if gap and (best is None or gap * best[1] < best[0] * scale):
-                best = (gap, scale)
-        return math.inf if best is None else Fraction(*best)
+            if gap and (best is None or gap * best[1] < best[0] * d):
+                best = (gap, d)
+        return math.inf if best is None else Fraction(best[0], 2 * best[1])
 
     def report(self, states: Sequence[tuple[int, ...]], mu: int, logs) -> OrbitReport:
         """The OrbitReport of visited `states` with the orbit from `mu`; the

@@ -285,47 +285,68 @@ def verify_minus_one_mode(
     return True
 
 
+def _row_over_lcd(row) -> tuple[tuple[tuple[int, int], ...], int]:
+    """A row over its least common denominator D: ((j, W_j), D) with w_j = W_j / D."""
+    d = lcm(*(w.denominator for _, w in row))
+    return tuple((j, w.numerator * (d // w.denominator)) for j, w in row), d
+
+
+def _perturb_rows(rows, eps: Fraction, seed: int) -> list:
+    """`perturb_weights` in integers, on rows over their LCDs (`_row_over_lcd`).
+
+    With the deltas d scaled by p/q, the new entries x_j are W*q + D*p*d over
+    S = D*q, and dividing them and S by gcd(S, x_1..x_k) puts the row over
+    its LCD.  An unchanged row is returned as given.  Raises ValueError on a new
+    row that is not positive or does not sum to S.
+    """
+    ep, eq = eps.numerator, eps.denominator
+    draw = random.Random(seed).randint
+    denom = 10**6
+    out = []
+    for i, (pairs, lcd) in enumerate(rows):
+        draws = [draw(-denom, denom) for _ in pairs]
+        k, total = len(pairs), sum(draws)
+        deltas = [k * r - total for r in draws]
+        if not ep or k < 2 or not any(deltas):
+            out.append(rows[i])
+            continue
+        # scale = min over d != 0 of min(eps, W/2D) * k*denom / |d|, kept as p/q
+        p, q = None, 1
+        for (_, w), d in zip(pairs, deltas):
+            if d:
+                cap_p, cap_q = (ep, eq) if ep * 2 * lcd <= w * eq else (w, 2 * lcd)
+                cand_p, cand_q = cap_p * k * denom, cap_q * abs(d)
+                if p is None or cand_p * q < p * cand_q:
+                    p, q = cand_p, cand_q
+        q *= k * denom
+        entries = [w * q + lcd * p * d for (_, w), d in zip(pairs, deltas)]
+        q *= lcd  # S
+        if min(entries) <= 0 or sum(entries) != q:
+            raise ValueError(f"row {i} is not positive or does not sum to its scale once perturbed")
+        g = gcd(*entries, q)
+        out.append((tuple((j, x // g) for (j, _), x in zip(pairs, entries)), q // g))
+    return out
+
+
 def perturb_weights(net: InfluenceNetwork, eps: Fraction, seed: int) -> InfluenceNetwork:
     """Seeded perturbation with identical support, exact row sums, entries within eps.
 
     Per row, one draw r in -10**6..10**6 is taken per support entry, a
     single entry too; the draws are centered to sum to zero and scaled so
     every entry stays positive and moves by at most eps.  Single-entry rows
-    are forced and stay unchanged.  The arithmetic is in integers: a row of
-    k entries has deltas k*r - sum(r) over the shared denominator k*10**6,
-    the scale is one p/q, and each new weight is one Fraction.  eps is a
-    Fraction, an int or a "p/q" string; a float or bool is refused.
+    are forced and stay unchanged.  The Fractions are the reduced view of
+    `_perturb_rows`' integer rows.  eps is a Fraction, an int or a "p/q"
+    string; a float or bool is refused.
     """
     if isinstance(eps, (float, bool)):
         raise ValueError(f"eps {eps!r} must be exact: a Fraction, an int or a p/q string")
     eps = Fraction(eps)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    ep, eq = eps.numerator, eps.denominator
-    rng = random.Random(seed)
-    denom = 10**6
-    rows = []
-    for row in net.rows:
-        draws = [rng.randint(-denom, denom) for _ in row]
-        k, total = len(row), sum(draws)
-        deltas = [k * r - total for r in draws]
-        if not ep or k < 2 or not any(deltas):
-            rows.append(row)
-            continue
-        # scale = min over d != 0 of min(eps, w/2) * k*denom / |d|, kept as p/q
-        p, q = None, 1
-        for (_, w), d in zip(row, deltas):
-            if d:
-                a, b = w.numerator, w.denominator
-                cap_p, cap_q = (ep, eq) if ep * 2 * b <= a * eq else (a, 2 * b)
-                cand_p, cand_q = cap_p * k * denom, cap_q * abs(d)
-                if p is None or cand_p * q < p * cand_q:
-                    p, q = cand_p, cand_q
-        # w + (p/q) * d / (k*denom), over one denominator
-        q *= k * denom
-        rows.append(tuple((j, Fraction(w.numerator * q + w.denominator * p * d, w.denominator * q))
-                          for (j, w), d in zip(row, deltas)))
-    return InfluenceNetwork(tuple(rows), net.names)
+    rows = [_row_over_lcd(row) for row in net.rows]
+    return InfluenceNetwork(tuple(row if new is old else tuple((j, Fraction(w, new[1])) for j, w in new[0])
+                                  for row, old, new in zip(net.rows, rows, _perturb_rows(rows, eps, seed))),
+                            net.names)
 
 
 def seeded_random_network(n: int, seed: int) -> InfluenceNetwork:

@@ -20,12 +20,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .dynamics import (
     DEFAULT_ENUM_BUDGET,
     Profile,
+    _Kernel,
     enumerate_fixed_points,
     margin_text,
-    run_ids,
 )
 from .errors import BudgetExceededError, ScenarioBuildError, ScenarioFormatError
-from .influence import _crossing_bipartition, class_structure, perturb_weights, reach
+from .influence import _crossing_bipartition, _perturb_rows, _row_over_lcd, class_structure, reach
 from .move_graph import build_cover_graph
 from .scenarios import (
     ScenarioConfig,
@@ -287,20 +287,23 @@ def verify_robustness(sc: ScenarioConfig, trials: int, seed: int) -> Verificatio
 
     The bound eps* = delta / (2 (m-1) n) keeps every aggregate score strictly
     inside its tie margin delta (an entrywise-eps weight change moves a score
-    by at most n*eps*(m-1); the factor 2 covers a score pair).  Each trial is
-    one `run_ids` on the perturbed network and must give the base run's mu,
-    states and target logs, compared in ids: the evidence names the first
-    trial that does not, with the index of its first state that differs
-    from the base run's (or the shorter run's length), else "target log".
-    `perturbable_rows` counts the free nodes whose row has two or more
-    entries: a one-entry row keeps its weight 1, so with none every trial
-    runs the base network.
+    by at most n*eps*(m-1); the factor 2 covers a score pair).  The base run
+    and delta are read in ids from one kernel.  A trial recompiles its free
+    rows from `_perturb_rows` at the start ids, the rows `run_ids` compiles
+    from `perturb_weights`' network, and runs.  It must give the base run's
+    mu, states and target logs: the evidence names the first trial that does
+    not, with the index of its first state that differs from the base run's
+    (or the shorter run's length), else "target log".  `perturbable_rows`
+    counts the free nodes whose row has two or more entries: a one-entry row
+    keeps its weight 1, so with none every trial is the base run and none is run.
     """
     if trials < 1:
         raise ScenarioBuildError(f"robustness needs at least one trial, got {trials}")
     claim = f"{sc.label}: periodic orbit survives weight perturbations below the margin bound"
-    base = sc.run()
-    delta = base.min_margin
+    kernel = _Kernel(sc.network, build_cover_graph(sc.m), sc.policy, sc.persistent, sc.initial)
+    start, free = tuple(kernel.state), kernel.free
+    states, mu, logs = kernel.run(sc.schedule, sc.max_steps)
+    delta = kernel.min_margin(states[mu:])
     if delta == math.inf:
         return _hypothesis_not_met(
             claim, "no orbit score separates any alternatives; margin bound undefined"
@@ -308,16 +311,14 @@ def verify_robustness(sc: ScenarioConfig, trials: int, seed: int) -> Verificatio
     eps_star = Fraction(delta) / (2 * (sc.m - 1) * sc.network.n)
     eps = eps_star / 2
 
-    graph = build_cover_graph(sc.m)
-    id_of = graph.id_of
-    states = [tuple(map(id_of, state)) for state in base.prefix]
-    logs = [tuple([(i, id_of(order)) for i, order in log]) for log in base.target_log]
+    perturbable = sum(len(sc.network.rows[i]) > 1 for i in free)
+    rows = [_row_over_lcd(row) for row in sc.network.rows]
     divergence = None
-    for t in range(trials):
-        network = perturb_weights(sc.network, eps, seed + t)
-        states_t, mu_t, logs_t = run_ids(network, graph, sc.policy, sc.persistent, sc.initial, sc.schedule,
-                                         sc.max_steps)
-        if mu_t != base.mu or states_t != states:
+    for t in range(trials if perturbable else 0):
+        perturbed = _perturb_rows(rows, eps, seed + t)
+        kernel.compile({i: perturbed[i] for i in free}, start)
+        states_t, mu_t, logs_t = kernel.run(sc.schedule, sc.max_steps)
+        if mu_t != mu or states_t != states:
             first_bad = next((k for k, (a, b) in enumerate(zip(states_t, states)) if a != b),
                              min(len(states_t), len(states)))
             divergence = {"trial": t, "first_divergence_step": first_bad}
@@ -335,9 +336,9 @@ def verify_robustness(sc: ScenarioConfig, trials: int, seed: int) -> Verificatio
             "eps_star": eps_star,
             "eps_used": eps,
             "trials": trials,
-            "perturbable_rows": sum(len(sc.network.rows[i]) > 1 for i in sc.persistent.free_nodes(sc.network.n)),
-            "mu": base.mu,
-            "period": base.period,
+            "perturbable_rows": perturbable,
+            "mu": mu,
+            "period": len(states) - mu,
             "divergence": divergence,
         },
     )

@@ -10,6 +10,7 @@ from borda_dynamics import cli
 from borda_dynamics.influence import (
     InfluenceNetwork,
     _crossing_bipartition,
+    _perturb_rows,
     class_structure,
     influence_network,
     network_to_dot,
@@ -510,6 +511,16 @@ def test_integer_perturbation_equals_the_fraction_formula(rows, eps, seed, pertu
     if perturbed:
         net = reference.perturb_weights(net, Fraction(1, 7), seed + 1)
     assert perturb_weights(net, eps, seed).rows == reference.perturb_weights(net, eps, seed).rows
+
+
+@pytest.mark.parametrize("row", [
+    (((1, 1), (2, 1)), 3),  # 1/3 + 1/3 sums to 2/3
+    (((1, 0), (2, 2)), 2),  # a zero entry stays zero: the cap min(eps, 0/2) is 0
+], ids=["short-sum", "zero-entry"])
+def test_an_integer_row_that_is_not_a_positive_row_of_sum_one_is_refused(row):
+    # the checks InfluenceNetwork makes on every row, made on each perturbed one
+    with pytest.raises(ValueError, match="row 1 is not positive or does not sum to its scale"):
+        _perturb_rows([(((0, 1),), 1), row], Fraction(1, 10), seed=1)
 
 
 # --- export -------------------------------------------------------------------------------------

@@ -18,6 +18,7 @@ UNREAD = (
     ("step_async", "the paper's Variant A map, one single-node step"),
     ("is_fixed_point", "the paper's equilibrium test"),
     ("verify_minus_one_mode", "criterion 09's -1 eigenmode identity"),
+    ("perturb_weights", "a robustness trial's perturbed network, whose integer rows the trial runs"),
 )
 
 

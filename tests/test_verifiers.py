@@ -19,7 +19,7 @@ from borda_dynamics.scenarios import (
     load_scenario,
     parse_scenario,
 )
-from borda_dynamics import dynamics, verifiers
+from borda_dynamics import dynamics, influence, verifiers
 from borda_dynamics.verifiers import (
     enumerate_single_peaked,
     is_single_peaked,
@@ -476,6 +476,56 @@ def test_a_robustness_check_builds_few_pair_tables(m):
     assert dynamics._pair_tables.cache_info().currsize <= 2
 
 
+def test_a_trial_compiles_the_kernel_of_the_perturbed_network():
+    """Networks of 2 to 6 nodes on m = 3 or 4 with weights k/total, k in 0..3,
+    and one-entry rows, some perturbed before to row LCDs of order 10^6, any
+    pins but one; eps 0, 10^-9 or 1/2..1/50.  A trial recompiles the base
+    kernel's free rows from `_perturb_rows` after an update moved it: its
+    rows, beta, listeners, totals and state are those of the kernel built on
+    `perturb_weights`' network, whose rows are the reference formula's."""
+    for case in range(300):
+        rng = random.Random(case)
+        m, n = rng.choice([3, 4]), rng.randint(2, 6)
+        rows = []
+        for i in range(n):
+            raw = [rng.choice([0, 0, 1, 2, 3]) for _ in range(n)]
+            if not any(raw) or rng.random() < 0.2:
+                raw = [0] * n
+                raw[rng.randrange(n)] = 1
+            rows.append([Fraction(w, sum(raw)) for w in raw])
+        net = influence_network(rows)
+        if rng.random() < 0.3:
+            net = perturb_weights(net, Fraction(1, 7), rng.randrange(10**6))
+        initial = tuple(rng.choice(enumerate_weak_orders(m)) for _ in range(n))
+        pc = PersistentConfig(pins={i: initial[i] for i in rng.sample(range(n), rng.randint(0, n - 1))})
+        eps = rng.choice([Fraction(0), Fraction(1, 10**9), Fraction(1, rng.randint(2, 50))])
+        seed = rng.randrange(10**6)
+        graph = build_cover_graph(m)
+        trial = dynamics._Kernel(net, graph, StepPolicy(), pc, initial)
+        start = tuple(trial.state)
+        trial.update(trial.free, True)
+        perturbed = influence._perturb_rows([influence._row_over_lcd(row) for row in net.rows], eps, seed)
+        trial.compile({i: perturbed[i] for i in trial.free}, start)
+        network = perturb_weights(net, eps, seed)
+        assert network.rows == reference.perturb_weights(net, eps, seed).rows
+        fresh = dynamics._Kernel(network, graph, StepPolicy(), pc, initial)
+        assert trial.rows == fresh.rows, case
+        assert (trial.beta, trial.listeners, trial.totals, trial.state) == (
+            fresh.beta, fresh.listeners, fresh.totals, fresh.state), case
+
+
+def test_a_robustness_check_builds_no_network(monkeypatch):
+    sc = build_gadget(4, parse_order("x>y>z>u", 4), Fraction(1, 10))
+    built = []
+    post_init = InfluenceNetwork.__post_init__
+    monkeypatch.setattr(InfluenceNetwork, "__post_init__", lambda net: built.append(net) or post_init(net))
+    outcome = verify_robustness(sc, trials=20, seed=7)
+    assert outcome.passed and outcome.evidence["perturbable_rows"] == 2
+    assert built == []
+    perturb_weights(sc.network, Fraction(1, 480), seed=7)  # the count sees a network built
+    assert len(built) == 1
+
+
 def test_oversized_perturbation_is_allowed_to_diverge():
     # margin bound ignored on purpose: the eps=2/5 gadget orbit has a fragile
     # score gap and a quarter-sized perturbation flips it (seed 0, frozen)
@@ -566,9 +616,9 @@ def test_trials_that_hold_are_passed_over_until_one_diverges(monkeypatch, held):
     net = influence_network([[0, 0, "1/2", "1/2"], [0, 0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     sc = ScenarioConfig(3, net, PersistentConfig(pins={2: o("x>y>z"), 3: o("z>y>x")}),
                         (o("z>y>x"), o("z>y>x"), o("x>y>z"), o("z>y>x")), Schedule.synchronous(), label="tie")
-    perturb = verifiers.perturb_weights
-    monkeypatch.setattr(verifiers, "perturb_weights",
-                        lambda net, eps, seed: net if seed < 100 + held else perturb(net, eps, seed))
+    perturb = verifiers._perturb_rows
+    monkeypatch.setattr(verifiers, "_perturb_rows",
+                        lambda rows, eps, seed: rows if seed < 100 + held else perturb(rows, eps, seed))
     outcome = verify_robustness(sc, trials=held + 2, seed=100)
     assert outcome.evidence["hypothesis_met"]
     assert outcome.evidence["divergence"]["trial"] == held
