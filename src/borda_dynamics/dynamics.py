@@ -28,15 +28,15 @@ the total's guard bits by one dict lookup; a tie margin is the smallest
 nonzero |field - beta| over 2*D_i.
 
 A run, `_Kernel.run`, yields the visited states, mu and the target logs in
-ids: `run_ids` returns them as they are, and `run_until_cycle` reads them
-into an OrbitReport, the one place WeakOrders appear again, with the orbit
-margin, which walks the orbit by writes.  A deterministic run hashes each
-state to find its cycle.  A uniform run keeps the set of unsettled free
-nodes, those whose step would move them: only a move can change it, and only
-for the mover and its listeners, so a draw costs one target read and a move
-one refresh of those nodes.  The run stops when the set is empty.  A draw
-that moves nothing stores the previous state's tuple again, and the report
-converts each such shared tuple once.
+ids, and `run_until_cycle` reads them into an OrbitReport, the one place
+WeakOrders appear again, with the orbit margin, which walks the orbit by
+writes.  A deterministic run hashes each state to find its cycle.  A
+uniform run keeps the set of unsettled free nodes, those whose step would
+move them: only a move can change it, and only for the mover and its
+listeners, so a draw costs one target read and a move one refresh of those
+nodes.  The run stops when the set is empty.  A draw that moves nothing
+stores the previous state's tuple again, and the report converts each such
+shared tuple once.
 
 The fixed-point search assigns free nodes one level each.  A level is solved
 when its node hears only pins and earlier levels, with no self-loop: its
@@ -61,7 +61,7 @@ from typing import IO, Iterable, Sequence
 from .errors import BudgetExceededError, ScheduleError
 from .influence import InfluenceNetwork, _row_over_lcd
 from .move_graph import MoveGraph, StepPolicy, build_cover_graph
-from .weak_orders import WeakOrder, borda_scores, enumerate_weak_orders, format_order
+from .weak_orders import WeakOrder, _doubled_borda, borda_scores, enumerate_weak_orders, format_order
 
 Profile = tuple[WeakOrder, ...]
 
@@ -194,26 +194,19 @@ def _guards(m: int, field: int, beta: int) -> tuple[int, int, int, int]:
 def _pair_tables(m: int, field: int) -> tuple[tuple[int, ...], dict[int, int]]:
     """Packed pair fields by canonical id (see the module docstring), and guard key -> canonical id.
 
-    A class of c alternatives above `below` others averages the ranks
-    below..below + c - 1: doubled, 2*below + c - 1.  `signs[a]` is +1 in the
-    fields of the pairs that open with a and -1 in those that close with it.
-    An order's own scores project to it (criterion 02), so its key is that of
-    every aggregate that projects to it.  Raises RuntimeError if two orders
-    share a key.
+    An order's doubled scores are `_doubled_borda`'s.  `signs[a]` is +1 in
+    the fields of the pairs that open with a and -1 in those that close with
+    it.  An order's own scores project to it (criterion 02), so its key is
+    that of every aggregate that projects to it.  Raises RuntimeError if two
+    orders share a key.
     """
     c1, c2, guards, ones = _guards(m, field, 2 * (m - 1))
     signs = [0] * m
     for p, (a, b) in enumerate(combinations(range(m), 2)):
         signs[a] += 1 << p * field
         signs[b] -= 1 << p * field
-    packed = []
-    for order in enumerate_weak_orders(m):
-        doubled, below = [0] * m, m
-        for cls in order.classes:
-            below -= len(cls)
-            for a in cls:
-                doubled[a] = 2 * below + len(cls) - 1
-        packed.append(sum(map(mul, doubled, signs), 2 * (m - 1) * ones))
+    lift = 2 * (m - 1) * ones
+    packed = [sum(map(mul, _doubled_borda(order), signs), lift) for order in enumerate_weak_orders(m)]
     keys = {_guard_key(total, c1, c2, guards): k for k, total in enumerate(packed)}
     if len(keys) != len(packed):
         raise RuntimeError(f"two orders on {m} alternatives share a guard key")
@@ -450,20 +443,6 @@ def run_until_cycle(
     """
     kernel = _Kernel(net, graph, policy, persistent, initial)
     return kernel.report(*kernel.run(schedule, max_steps))
-
-
-def run_ids(
-    net: InfluenceNetwork,
-    graph: MoveGraph,
-    policy: StepPolicy,
-    persistent: PersistentConfig,
-    initial: Profile,
-    schedule: Schedule,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> tuple[list[tuple[int, ...]], int, list[tuple[tuple[int, int], ...]]]:
-    """`run_until_cycle`'s run without its report: the visited states (its
-    `prefix`), mu and the target logs, as canonical ids on `graph`."""
-    return _Kernel(net, graph, policy, persistent, initial).run(schedule, max_steps)
 
 
 def is_fixed_point(net: InfluenceNetwork, persistent: PersistentConfig, profile: Profile) -> bool:

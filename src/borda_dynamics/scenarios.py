@@ -157,9 +157,7 @@ def _field(doc, key: str, path: str, kind, default=...):
         return default
     value = doc[key]
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        kinds = kind if isinstance(kind, tuple) else (kind,)
-        expected = " or ".join(_KIND_NAMES[k] for k in kinds)
-        raise ScenarioFormatError(where, f"expected {expected}, got {value!r}")
+        raise ScenarioFormatError(where, f"expected {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 
@@ -253,7 +251,7 @@ def _parse_network(doc, path: str) -> InfluenceNetwork:
     def end(edge, epath: str, key: str) -> int:
         return _node(names, _field(edge, key, epath, object), f"{epath}.{key}")
 
-    pairs = []
+    joined: set[tuple[int, int]] = set()  # each normalize edge, both ways
     incoming: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for k, edge in enumerate(edges):
         epath = f"{path}.edges[{k}]"
@@ -262,7 +260,12 @@ def _parse_network(doc, path: str) -> InfluenceNetwork:
         if normalize:
             if "weight" in edge:
                 raise ScenarioFormatError(f"{epath}.weight", "explicit weights are not allowed with normalize")
-            pairs.append((src, dst))
+            if src == dst:
+                raise ScenarioFormatError(epath, f"self-loop at node {names[src]!r} not allowed with normalize")
+            if (src, dst) in joined:
+                raise ScenarioFormatError(
+                    epath, f"duplicate edge {names[src]}-{names[dst]} (normalize edges are undirected)")
+            joined.update(((src, dst), (dst, src)))
             continue
         weight = _parse_weight(_field(edge, "weight", epath, object), f"{epath}.weight")
         if weight < 0:
@@ -272,7 +275,7 @@ def _parse_network(doc, path: str) -> InfluenceNetwork:
         incoming[dst][src] = weight
     if normalize:
         try:
-            return normalize_random_walk(n, pairs, names)
+            return normalize_random_walk(n, joined, names)
         except ValueError as exc:
             raise ScenarioFormatError(path, str(exc)) from None
     for i, row in enumerate(incoming):
@@ -294,9 +297,9 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
     Fields: `m`, 2..MAX_ALTERNATIVES; `network`, `{"nodes": [...], "edges":
     [{"from", "to", "weight"}, ...]}`, each node's incoming weights summing to
     1, or with `"normalize": true` unweighted edges given random-walk weights;
-    optional `persistent`, `{"pins": [{"node", "order"}, ...], "camps": {"rho",
-    "plus", "minus"}}` (camp nodes pinned to rho or its antipode); `initial`,
-    `{node: order}`, a pinned node defaulting to its pin; `variant`, `{"kind":
+    optional `persistent`, `{"pins": [{"node", "order"}, ...]}` (contrarian
+    camps are pins holding an order and its antipode); `initial`, `{node:
+    order}`, a pinned node defaulting to its pin; `variant`, `{"kind":
     "S"}` or `{"kind": "A", "schedule": "seq:[a,b,...]" or "uniform:<seed>"}`;
     optional `policy`, `{"no_move_on_ambiguity": bool}`, `max_steps` > 0 and
     `label`.  Orders use `alternative_names(m)`, as in "x>(yz)"; any other key
@@ -311,7 +314,7 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
 
     pins: dict[int, WeakOrder] = {}
     pdoc = _field(doc, "persistent", "", dict, {})
-    _only(pdoc, "persistent", {"pins", "camps"})
+    _only(pdoc, "persistent", {"pins"})
     for k, pin in enumerate(_field(pdoc, "pins", "persistent", list, [])):
         ppath = f"persistent.pins[{k}]"
         _only(pin, ppath, {"node", "order"})
@@ -320,20 +323,6 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
         if idx in pins and pins[idx] != order:
             raise ScenarioFormatError(f"{ppath}.node", f"conflicting pins for node {net.names[idx]!r}")
         pins[idx] = order
-    cdoc = _field(pdoc, "camps", "persistent", dict, None)
-    if cdoc is not None:
-        cpath = "persistent.camps"
-        _only(cdoc, cpath, {"rho", "plus", "minus"})
-        base = _parse_order_at(_field(cdoc, "rho", cpath, object), m, f"{cpath}.rho")
-        for key, order in (("plus", base), ("minus", antipode(base))):
-            for name in _field(cdoc, key, cpath, list):
-                idx = _node(net.names, name, f"{cpath}.{key}")
-                if idx in pins and pins[idx] != order:
-                    raise ScenarioFormatError(
-                        f"{cpath}.{key}",
-                        f"node {name!r} pinned to a different order than its camp",
-                    )
-                pins[idx] = order
 
     states: list[WeakOrder | None] = [None] * net.n
     for name, text in _field(doc, "initial", "", dict).items():

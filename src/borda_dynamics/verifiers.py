@@ -289,7 +289,7 @@ def verify_robustness(sc: ScenarioConfig, trials: int, seed: int) -> Verificatio
     inside its tie margin delta (an entrywise-eps weight change moves a score
     by at most n*eps*(m-1); the factor 2 covers a score pair).  The base run
     and delta are read in ids from one kernel.  A trial recompiles its free
-    rows from `_perturb_rows` at the start ids, the rows `run_ids` compiles
+    rows from `_perturb_rows` at the start ids, the rows `_Kernel` compiles
     from `perturb_weights`' network, and runs.  It must give the base run's
     mu, states and target logs: the evidence names the first trial that does
     not, with the index of its first state that differs from the base run's

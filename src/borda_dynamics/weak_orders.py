@@ -117,21 +117,24 @@ def _index_map(m: int) -> dict[tuple[tuple[int, ...], ...], int]:
     return {w.classes: i for i, w in enumerate(enumerate_weak_orders(m))}
 
 
+def _doubled_borda(order: WeakOrder) -> list[int]:
+    """Twice the averaged Borda scores, as integers.  A class of c
+    alternatives above `below` others averages the ranks below..below + c - 1:
+    doubled, 2*below + c - 1."""
+    below = order.m
+    doubled = [0] * below
+    for cls in order.classes:
+        below -= len(cls)
+        for a in cls:
+            doubled[a] = 2 * below + len(cls) - 1
+    return doubled
+
+
 @lru_cache(maxsize=None)
 def borda_scores(order: WeakOrder) -> tuple[Fraction, ...]:
     """Averaged Borda scores: top rank is m-1, tied alternatives share the
     average of the rank values their class occupies."""
-    m = order.m
-    scores: list[Fraction] = [Fraction(0)] * m
-    remaining = m
-    for cls in order.classes:
-        c = len(cls)
-        # the class occupies ranks remaining-1 down to remaining-c
-        avg = Fraction(2 * remaining - c - 1, 2)
-        for a in cls:
-            scores[a] = avg
-        remaining -= c
-    return tuple(scores)
+    return tuple(Fraction(s, 2) for s in _doubled_borda(order))
 
 
 def project(scores: Sequence[Fraction | int]) -> WeakOrder:

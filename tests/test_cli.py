@@ -303,16 +303,21 @@ def gadget_with(*path, value):
     return doc
 
 
+def triangle_with_edge(src, dst):
+    """The consensus triangle, a normalize network, with the edge src-dst listed after its own three."""
+    doc = json.loads((SCENARIOS / "consensus_triangle.json").read_text())
+    doc["network"]["edges"].append({"from": src, "to": dst})
+    return doc
+
+
 MALFORMED = [
     case("simulate", scenario(initial=["x>y>z", "z>y>x"]), "initial"),
     case("simulate", scenario(policy=[{"no_move_on_ambiguity": True}]), "policy"),
     case("simulate", scenario(persistent=[{"node": "p", "order": "x>y>z"}]), "persistent"),
     case("simulate", scenario(max_steps=True), "max_steps"),
-    case(
-        "simulate",
-        scenario(persistent={"camps": {"plus": "p", "minus": ["q"], "rho": "x>y>z"}}),
-        "persistent.camps.plus",
-    ),
+    # contrarian camps are pins: a `camps` block is a key that no reader reads
+    case("simulate", scenario(persistent={"camps": {"plus": ["p"], "minus": ["q"], "rho": "x>y>z"}}),
+         "persistent.camps"),
     case("verify", suite(scenario={"builder": "traveling_wave", "m": 3, "ell": 4, "cycle_length": 4}),
          "entries[0].scenario", "scenario-object"),
     case("verify", suite(scenario=[WAVE]), "entries[0].scenario", "scenario-list"),
@@ -362,10 +367,15 @@ MALFORMED = [
     case("simulate", scenario(variant={"kind": "A", "schedule": "seq:[i,,j]"}), "variant.schedule",
          "seq-empty-name"),
     case("simulate", scenario(variant={"kind": "A", "schedule": "uniform:1"},
-                              persistent={"camps": {"plus": ["p", "i"], "minus": ["q", "j"], "rho": "x>y>z"}}),
+                              persistent={"pins": [{"node": "p", "order": "x>y>z"}, {"node": "i", "order": "x>y>z"},
+                                                   {"node": "q", "order": "z>y>x"}, {"node": "j", "order": "z>y>x"}]}),
          "variant.schedule", "uniform-every-node-pinned"),
     case("simulate", scenario(alternatives="a>c"), "alternatives", "alternatives-order-syntax"),
     case("simulate", scenario(network={"nodes": ["i", "i"], "edges": []}), "network.nodes", "node-twice"),
+    # normalize edges are undirected: one listed again, either way round, or a self-loop is refused
+    case("simulate", triangle_with_edge("a", "b"), "network.edges[3]", "normalize-edge-twice"),
+    case("simulate", triangle_with_edge("b", "a"), "network.edges[3]", "normalize-edge-reversed"),
+    case("simulate", triangle_with_edge("b", "b"), "network.edges[3]", "normalize-self-loop"),
     case("simulate", scenario(persistent={"pins": [{"node": "p", "order": "x>y>z"},
                                                    {"node": "p", "order": "z>y>x"}]}),
          "persistent.pins[1].node", "pin-twice-conflicting"),
@@ -387,7 +397,6 @@ MALFORMED = [
                                                    {"node": "q", "order": "z>y>x"}]}), "persistent.pinz"),
     case("simulate", gadget_with("persistent", "pins", value=[{"node": "p", "order": "x>y>z", "ordre": "x"}]),
          "persistent.pins[0].ordre"),
-    case("simulate", gadget_with("persistent", "camps", "rh0", value="x>y>z"), "persistent.camps.rh0"),
     case("simulate", gadget_with("variant", "knd", value="A"), "variant.knd"),
     case("simulate", scenario(policy={"no_move_on_ambiguity": True, "no_move": False}), "policy.no_move"),
     case("verify", {**suite(), "entires": []}, "entires"),
@@ -416,7 +425,7 @@ def test_verify_exits_three_when_the_forced_sweep_is_over_budget(tmp_path):
     (tmp_path / "ring.json").write_text(json.dumps({
         "m": 4,
         "network": {"nodes": [*ring, "p", "q"], "edges": edges},
-        "persistent": {"camps": {"plus": ["p"], "minus": ["q"], "rho": "x>y>z>u"}},
+        "persistent": {"pins": [{"node": "p", "order": "x>y>z>u"}, {"node": "q", "order": "u>z>y>x"}]},
         "initial": {node: "x>y>z>u" for node in ring},
         "variant": {"kind": "S"},
     }))

@@ -823,16 +823,20 @@ def test_run_ids_is_the_run_until_cycle_report_in_ids(case):
     """Networks of 1 to 6 nodes on m = 2..6 with weights k/total, k in 0..3,
     some perturbed to row LCDs D_i of order 10^6; synchronous, sequence and
     uniform schedules, with and without pins, under both step policies.
-    `run_ids` gives the report's prefix, mu and target logs as canonical
+    `_Kernel.run` gives the report's prefix, mu and target logs as canonical
     ids, and raises BudgetExceededError exactly when `run_until_cycle` does."""
     net, graph, policy, pc, initial, schedule = case
+
+    def run():
+        return dynamics._Kernel(net, graph, policy, pc, initial).run(schedule, KERNEL_MAX_STEPS)
+
     try:
         report = run_until_cycle(net, graph, policy, pc, initial, schedule, KERNEL_MAX_STEPS)
     except BudgetExceededError:
         with pytest.raises(BudgetExceededError):
-            dynamics.run_ids(net, graph, policy, pc, initial, schedule, KERNEL_MAX_STEPS)
+            run()
         return
-    states, mu, logs = dynamics.run_ids(net, graph, policy, pc, initial, schedule, KERNEL_MAX_STEPS)
+    states, mu, logs = run()
     id_of = graph.id_of
     assert states == [tuple(map(id_of, state)) for state in report.prefix]
     assert mu == report.mu
@@ -1085,7 +1089,7 @@ ON_G4 = {
     "run-sync": lambda p: run_until_cycle(SWAP_NET, G4, POLICY, FREE, p, Schedule.synchronous()),
     "run-sequence": lambda p: run_until_cycle(SWAP_NET, G4, POLICY, FREE, p, Schedule.sequence([1, 0])),
     "run-uniform": lambda p: run_until_cycle(SWAP_NET, G4, POLICY, FREE, p, Schedule.uniform(0)),
-    "run-ids": lambda p: dynamics.run_ids(SWAP_NET, G4, POLICY, FREE, p, Schedule.synchronous()),
+    "run-ids": lambda p: dynamics._Kernel(SWAP_NET, G4, POLICY, FREE, p).run(Schedule.synchronous(), KERNEL_MAX_STEPS),
     "step-sync": lambda p: step_sync(SWAP_NET, G4, POLICY, FREE, p),
     "step-async": lambda p: step_async(SWAP_NET, G4, POLICY, FREE, p, 1),
     "fixed-points": lambda p: enumerate_fixed_points(
@@ -1114,7 +1118,7 @@ ON_SWAP = {
     "run-sync": lambda pc, p: run_until_cycle(SWAP_NET, G3, POLICY, pc, p, Schedule.synchronous()),
     "run-sequence": lambda pc, p: run_until_cycle(SWAP_NET, G3, POLICY, pc, p, Schedule.sequence([1])),
     "run-uniform": lambda pc, p: run_until_cycle(SWAP_NET, G3, POLICY, pc, p, Schedule.uniform(0)),
-    "run-ids": lambda pc, p: dynamics.run_ids(SWAP_NET, G3, POLICY, pc, p, Schedule.uniform(0)),
+    "run-ids": lambda pc, p: dynamics._Kernel(SWAP_NET, G3, POLICY, pc, p).run(Schedule.uniform(0), KERNEL_MAX_STEPS),
     "step-sync": lambda pc, p: step_sync(SWAP_NET, G3, POLICY, pc, p),
     "step-async": lambda pc, p: step_async(SWAP_NET, G3, POLICY, pc, p, 1),
     "is-fixed-point": lambda pc, p: is_fixed_point(SWAP_NET, pc, p),

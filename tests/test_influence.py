@@ -185,6 +185,12 @@ def test_normalize_rejects_isolated_vertex():
         normalize_random_walk(3, [(0, 1)])
 
 
+def test_normalize_rejects_self_loop():
+    # the scenario reader refuses a self-loop by its edge path first; API callers meet this check
+    with pytest.raises(ValueError, match="^self-loop at node 1 not allowed in random-walk normalization$"):
+        normalize_random_walk(3, [(0, 1), (1, 1), (1, 2)])
+
+
 def test_a_network_needs_a_node():
     with pytest.raises(ValueError, match="at least one node"):
         influence_network([])

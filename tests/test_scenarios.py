@@ -102,11 +102,11 @@ def test_bundled_scenarios_parse_and_run(scenario_dir):
 
 
 def test_gadget_scenario_file_matches_builder(scenario_dir):
+    # the file lists its two contrarian camps as pins on an order and its antipode
     from_file = load_scenario(scenario_dir / "gadget.json")
     built = build_gadget(3, o("x>y>z"), Fraction(1, 10))
-    assert from_file.network.weights == built.network.weights
-    assert from_file.persistent.pins == built.persistent.pins
-    assert from_file.initial == built.initial
+    assert from_file.label == "gadget"
+    assert from_file == dataclasses.replace(built, label=from_file.label)
 
 
 @pytest.mark.parametrize("ell,k", [(4, 4), (8, 4), (12, 12)])
@@ -212,31 +212,6 @@ def test_pin_defaults_into_initial():
     del doc["initial"]["a"]
     sc = parse_scenario(doc)
     assert sc.initial[0] == o("(xyz)")
-
-
-def test_camps_build_pins():
-    doc = minimal_doc()
-    doc["network"]["nodes"] = ["a", "b", "p", "q"]
-    doc["network"]["edges"] = [
-        {"from": "b", "to": "a", "weight": "1/2"},
-        {"from": "p", "to": "a", "weight": "1/2"},
-        {"from": "a", "to": "b", "weight": "1/2"},
-        {"from": "q", "to": "b", "weight": "1/2"},
-        {"from": "p", "to": "p", "weight": "1"},
-        {"from": "q", "to": "q", "weight": "1"},
-    ]
-    doc["persistent"] = {"camps": {"plus": ["p"], "minus": ["q"], "rho": "x>y>z"}}
-    sc = parse_scenario(doc)
-    assert sc.persistent.pins == {2: o("x>y>z"), 3: o("z>y>x")}
-
-
-def test_camp_conflicting_pin_rejected():
-    doc = minimal_doc()
-    doc["persistent"] = {
-        "pins": [{"node": "a", "order": "x>y>z"}],
-        "camps": {"plus": ["a"], "minus": ["b"], "rho": "z>y>x"},
-    }
-    assert field_error(doc) == "persistent.camps.plus"
 
 
 def test_normalize_with_weight_rejected():

@@ -343,8 +343,7 @@ CONTRARIAN = {"pins": pins(p="x>y>z", q="z>y>x")}
     pytest.param({"pins": pins(p="x>y>z", q="x>y>z")}, False, id="one-order"),
     pytest.param({"pins": pins(p="x>y>z", q="z>y>x", r="y>x>z")}, False, id="third-order"),
     pytest.param({"pins": pins(p="(xyz)", q="(xyz)")}, False, id="all-tied"),
-    pytest.param({"camps": {"plus": ["p"], "minus": ["q"], "rho": "x>y>z"}, "pins": pins(r="z>y>x")},
-                 True, id="camps-and-antipodal-pin"),
+    pytest.param({"pins": pins(p="x>y>z", q="z>y>x", r="z>y>x")}, True, id="camps-and-antipodal-pin"),
 ])
 def test_forced_even_period_reads_the_camps_off_the_pins(scenario_dir, persistent, met):
     # the gadget with its persistent section replaced; a pinned node the
