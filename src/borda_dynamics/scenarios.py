@@ -4,9 +4,10 @@ A scenario bundles one experiment end to end: alternative count, network,
 pinned nodes, initial profile, schedule, step policy, and a step budget.
 Scenario files are JSON documents; weights must be exact "p/q" strings
 (decimals are rejected).  Every field of a scenario or suite document is read
-through `_field`, which checks its JSON type, and a key that no reader reads is
-refused by `_only`, so every parse error is a `ScenarioFormatError` addressed
-by field path.
+through `_field`, which checks its JSON type, a key that no reader reads is
+refused by `_only`, and a key repeated in one object is refused by
+`_read_json`, so every parse error is a `ScenarioFormatError` addressed by
+field path (the file's path for unreadable JSON).
 """
 
 from __future__ import annotations
@@ -187,34 +188,42 @@ def _parse_weight(raw, path: str) -> Fraction:
         raise ScenarioFormatError(path, str(exc)) from None
 
 
-def _parse_order_at(text, m: int, path: str) -> WeakOrder:
-    if not isinstance(text, str):
-        raise ScenarioFormatError(path, f"expected an order string, got {text!r}")
-    try:
-        return parse_order(text, m)
-    except ValueError as exc:
-        raise ScenarioFormatError(path, str(exc)) from None
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object as a dict; a key given twice is a ValueError naming it (`json` keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {next(key for key in keys if keys.count(key) > 1)!r}")
+    return obj
 
 
 def _read_json(path: Path):
-    """Load a JSON file; an unreadable or invalid file is an input error naming it."""
+    """Load a JSON file; an unreadable or invalid file, or a repeated key, is an input error naming it."""
     try:
         with open(path) as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:  # ValueError: invalid JSON or text, a NUL in the path
         raise ScenarioFormatError(str(path), f"cannot read JSON: {exc}") from None
 
 
-def _parse_schedule(doc, names: tuple[str, ...], pins: dict[int, WeakOrder], path: str) -> Schedule:
-    kind = _field(doc, "kind", path, str)
-    if kind == "S":
-        _only(doc, path, {"kind"})
+def _orders(doc: dict, path: str, names: tuple[str, ...], m: int) -> dict[int, WeakOrder]:
+    """Read a `{node: order}` object as orders by node index."""
+    orders = {}
+    for name, text in doc.items():
+        where = f"{path}.{name}"
+        node = _node(names, name, where)
+        if not isinstance(text, str):
+            raise ScenarioFormatError(where, f"expected an order string, got {text!r}")
+        try:
+            orders[node] = parse_order(text, m)
+        except ValueError as exc:
+            raise ScenarioFormatError(where, str(exc)) from None
+    return orders
+
+
+def _parse_schedule(spec: str, names: tuple[str, ...], pins: dict[int, WeakOrder], where: str) -> Schedule:
+    if spec == "S":
         return Schedule.synchronous()
-    _only(doc, path, {"kind", "schedule"})
-    if kind != "A":
-        raise ScenarioFormatError(f"{path}.kind", f"variant must be \"S\" or \"A\", got {kind!r}")
-    spec = _field(doc, "schedule", path, str)
-    where = f"{path}.schedule"
     if spec.startswith("seq:[") and spec.endswith("]"):
         nodes = [s.strip() for s in spec[len("seq:[") : -1].split(",")]
         if not all(nodes):
@@ -234,7 +243,7 @@ def _parse_schedule(doc, names: tuple[str, ...], pins: dict[int, WeakOrder], pat
             return Schedule.uniform(int(seed_text))
         except ValueError as exc:  # an integer past CPython's digit limit for str -> int
             raise ScenarioFormatError(where, str(exc)) from None
-    raise ScenarioFormatError(where, f"expected \"seq:[...]\" or \"uniform:<seed>\", got {spec!r}")
+    raise ScenarioFormatError(where, f"expected \"S\", \"seq:[...]\" or \"uniform:<seed>\", got {spec!r}")
 
 
 def _parse_network(doc, path: str) -> InfluenceNetwork:
@@ -274,6 +283,11 @@ def _parse_network(doc, path: str) -> InfluenceNetwork:
             raise ScenarioFormatError(epath, f"duplicate edge {names[src]}->{names[dst]}")
         incoming[dst][src] = weight
     if normalize:
+        touched = {src for src, _ in joined}
+        isolated = [name for i, name in enumerate(names) if i not in touched]
+        if isolated:
+            raise ScenarioFormatError(
+                f"{path}.nodes", f"node {isolated[0]!r} has no edge: cannot normalize an empty neighborhood")
         try:
             return normalize_random_walk(n, joined, names)
         except ValueError as exc:
@@ -297,49 +311,31 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
     Fields: `m`, 2..MAX_ALTERNATIVES; `network`, `{"nodes": [...], "edges":
     [{"from", "to", "weight"}, ...]}`, each node's incoming weights summing to
     1, or with `"normalize": true` unweighted edges given random-walk weights;
-    optional `persistent`, `{"pins": [{"node", "order"}, ...]}` (contrarian
-    camps are pins holding an order and its antipode); `initial`, `{node:
-    order}`, a pinned node defaulting to its pin; `variant`, `{"kind":
-    "S"}` or `{"kind": "A", "schedule": "seq:[a,b,...]" or "uniform:<seed>"}`;
-    optional `policy`, `{"no_move_on_ambiguity": bool}`, `max_steps` > 0 and
-    `label`.  Orders use `alternative_names(m)`, as in "x>(yz)"; any other key
-    is refused.
+    optional `pins`, `{node: order}` (contrarian camps are pins holding an
+    order and its antipode); `initial`, `{node: order}` for exactly the free
+    nodes, since a pinned node starts at its pin; `variant`, "S", or Variant
+    A's schedule "seq:[a,b,...]" or "uniform:<seed>"; optional `policy`,
+    `{"no_move_on_ambiguity": bool}`, and `max_steps` > 0.  Orders use
+    `alternative_names(m)`, as in "x>(yz)"; any other key is refused.  The
+    label is `label`, which `load_scenario` sets to the file stem.
     """
-    _only(doc, "", {"m", "network", "persistent", "initial", "variant", "policy", "max_steps", "label"})
+    _only(doc, "", {"m", "network", "pins", "initial", "variant", "policy", "max_steps"})
     m = _field(doc, "m", "", int)
     if not 2 <= m <= MAX_ALTERNATIVES:
         raise ScenarioFormatError("m", f"expected an integer in 2..{MAX_ALTERNATIVES}, got {m}")
 
     net = _parse_network(_field(doc, "network", "", dict), "network")
-
-    pins: dict[int, WeakOrder] = {}
-    pdoc = _field(doc, "persistent", "", dict, {})
-    _only(pdoc, "persistent", {"pins"})
-    for k, pin in enumerate(_field(pdoc, "pins", "persistent", list, [])):
-        ppath = f"persistent.pins[{k}]"
-        _only(pin, ppath, {"node", "order"})
-        idx = _node(net.names, _field(pin, "node", ppath, object), f"{ppath}.node")
-        order = _parse_order_at(_field(pin, "order", ppath, object), m, f"{ppath}.order")
-        if idx in pins and pins[idx] != order:
-            raise ScenarioFormatError(f"{ppath}.node", f"conflicting pins for node {net.names[idx]!r}")
-        pins[idx] = order
-
-    states: list[WeakOrder | None] = [None] * net.n
-    for name, text in _field(doc, "initial", "", dict).items():
-        ipath = f"initial.{name}"
-        idx = _node(net.names, name, ipath)
-        order = _parse_order_at(text, m, ipath)
-        if idx in pins and order != pins[idx]:
-            raise ScenarioFormatError(ipath, f"initial state of pinned node {name!r} must equal its pin")
-        states[idx] = order
-    for idx, order in pins.items():
-        if states[idx] is None:
-            states[idx] = order
-    missing = [net.names[i] for i, s in enumerate(states) if s is None]
+    pins = _orders(_field(doc, "pins", "", dict, {}), "pins", net.names, m)
+    states = _orders(_field(doc, "initial", "", dict), "initial", net.names, m)
+    pinned = [net.names[i] for i in states if i in pins]
+    if pinned:
+        raise ScenarioFormatError(f"initial.{pinned[0]}", f"node {pinned[0]!r} is pinned: it starts at its pin")
+    states.update(pins)
+    missing = [name for i, name in enumerate(net.names) if i not in states]
     if missing:
         raise ScenarioFormatError("initial", f"missing initial states for nodes {missing}")
 
-    schedule = _parse_schedule(_field(doc, "variant", "", dict), net.names, pins, "variant")
+    schedule = _parse_schedule(_field(doc, "variant", "", str), net.names, pins, "variant")
 
     policy_doc = _field(doc, "policy", "", dict, {})
     _only(policy_doc, "policy", {"no_move_on_ambiguity"})
@@ -354,10 +350,10 @@ def parse_scenario(doc: dict, label: str = "scenario") -> ScenarioConfig:
         m=m,
         network=net,
         persistent=PersistentConfig(pins),
-        initial=tuple(states),  # type: ignore[arg-type]
+        initial=tuple(states[i] for i in range(net.n)),
         schedule=schedule,
         policy=policy,
-        label=_field(doc, "label", "", str, label),
+        label=label,
         max_steps=max_steps,
     )
 

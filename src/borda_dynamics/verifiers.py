@@ -32,7 +32,7 @@ from .scenarios import (
     _field,
     _node,
     _only,
-    _parse_order_at,
+    _orders,
     _read_json,
     load_scenario,
     with_pins,
@@ -498,11 +498,7 @@ def _verifier_args(doc: dict, path: str, verifier: str, sc: ScenarioConfig) -> d
         raise ScenarioFormatError(path, str(exc)) from None
     args = {key: _field(doc, key, path, int) for key in doc if key not in ("alt_pins", "axis")}
     if "alt_pins" in doc:
-        args["alt_pins"] = {}
-        for name, text in _field(doc, "alt_pins", path, dict).items():
-            where = f"{path}.alt_pins.{name}"
-            node = _node(sc.network.names, name, where)
-            args["alt_pins"][node] = _parse_order_at(text, sc.m, where)
+        args["alt_pins"] = _orders(_field(doc, "alt_pins", path, dict), f"{path}.alt_pins", sc.network.names, sc.m)
     if "axis" in doc:
         raw = _field(doc, "axis", path, str)
         axis = tuple(_node(alternative_names(sc.m), c, f"{path}.axis") for c in raw)
@@ -518,10 +514,11 @@ def load_suite(path: str | Path) -> list[SuiteEntry]:
     The manifest's `entries` list holds one or more objects with: `label`,
     unique, by default `entry_k` for the k-th; `verifier`, a `VERIFIERS` key;
     `scenario`, the path of a scenario file, relative to the suite; `args`,
-    the verifier's arguments by name: `alt_pins` as `{node: order}`, `axis`
-    as a string of `alternative_names(m)`, any other an integer; and
-    `expect`, "pass" (the default) or "fail".  A malformed or unknown field
-    raises ScenarioFormatError naming its path.
+    the verifier's arguments by name: `alt_pins`, new orders for pinned nodes
+    as `{node: order}` like a scenario's `pins`, `axis` as a string of
+    `alternative_names(m)`, any other an integer; and `expect`, "pass" (the
+    default) or "fail".  A malformed, unknown or repeated field raises
+    ScenarioFormatError naming its path.
     """
     path = Path(path)
     doc = _read_json(path)

@@ -90,7 +90,7 @@ def test_simulate_missing_file_names_path():
 
 def test_simulate_budget_exceeded_exit_code(scenario_dir, tmp_path):
     doc = json.loads((scenario_dir / "gadget.json").read_text())
-    doc["variant"] = {"kind": "A", "schedule": "uniform:3"}
+    doc["variant"] = "uniform:3"
     doc["max_steps"] = 3
     path = tmp_path / "tiny_budget.json"
     path.write_text(json.dumps(doc))
@@ -105,7 +105,7 @@ def test_simulate_field_error_exit_code(tmp_path):
         "m": 3,
         "network": {"nodes": ["a"], "edges": [{"from": "a", "to": "a", "weight": "0.9"}]},
         "initial": {"a": "x>y>z"},
-        "variant": {"kind": "S"},
+        "variant": "S",
     }))
     proc = run_cli("simulate", str(path))
     assert proc.returncode == 2
@@ -114,7 +114,7 @@ def test_simulate_field_error_exit_code(tmp_path):
 
 def test_simulate_uniform_schedule_converges(scenario_dir, tmp_path):
     doc = json.loads((scenario_dir / "gadget.json").read_text())
-    doc["variant"] = {"kind": "A", "schedule": "uniform:3"}
+    doc["variant"] = "uniform:3"
     path = tmp_path / "gadget_async.json"
     path.write_text(json.dumps(doc))
     proc = run_cli("simulate", str(path))
@@ -310,14 +310,31 @@ def triangle_with_edge(src, dst):
     return doc
 
 
+def triangle_with_node(name):
+    """The consensus triangle, a normalize network, with a node `name` that no edge touches."""
+    doc = json.loads((SCENARIOS / "consensus_triangle.json").read_text())
+    doc["network"]["nodes"].append(name)
+    doc["initial"][name] = "y>(xz)"
+    return doc
+
+
 MALFORMED = [
     case("simulate", scenario(initial=["x>y>z", "z>y>x"]), "initial"),
     case("simulate", scenario(policy=[{"no_move_on_ambiguity": True}]), "policy"),
-    case("simulate", scenario(persistent=[{"node": "p", "order": "x>y>z"}]), "persistent"),
     case("simulate", scenario(max_steps=True), "max_steps"),
+    # each fact has one spelling: pin records, a label field, a variant
+    # object and a pinned node's start in `initial` are refused
+    case("simulate", scenario(persistent={"pins": [{"node": "p", "order": "x>y>z"}]}), "persistent"),
+    case("simulate", scenario(label="gadget"), "label"),
+    case("simulate", scenario(variant={"kind": "S"}), "variant", "variant-object"),
+    case("simulate", gadget_with("initial", "p", value="x>y>z"), "initial.p", "pinned-node-in-initial"),
+    # a key given twice in one object is refused, not read as its last value
+    case("simulate", json.dumps(scenario()).replace('"p": "x>y>z"', '"p": "x>y>z", "p": "z>y>x"'), "doc.json",
+         "repeated-key-in-scenario"),
+    case("verify", json.dumps(suite()).replace('"expected_k": 4', '"expected_k": 4, "expected_k": 8'), "doc.json",
+         "repeated-key-in-suite"),
     # contrarian camps are pins: a `camps` block is a key that no reader reads
-    case("simulate", scenario(persistent={"camps": {"plus": ["p"], "minus": ["q"], "rho": "x>y>z"}}),
-         "persistent.camps"),
+    case("simulate", scenario(camps={"plus": ["p"], "minus": ["q"], "rho": "x>y>z"}), "camps"),
     case("verify", suite(scenario={"builder": "traveling_wave", "m": 3, "ell": 4, "cycle_length": 4}),
          "entries[0].scenario", "scenario-object"),
     case("verify", suite(scenario=[WAVE]), "entries[0].scenario", "scenario-list"),
@@ -338,7 +355,8 @@ MALFORMED = [
     case("simulate", scenario(alternatives=3), "alternatives", "alternatives-int"),
     case("simulate", scenario(network={"nodes": ["i", "j"], "edges": [
         {"from": ["j"], "to": "i", "weight": "1"}]}), "network.edges[0].from", "edge-from-list"),
-    case("simulate", scenario(persistent={"pins": ["p"]}), "persistent.pins[0]", "pin-string"),
+    case("simulate", scenario(pins=["p"]), "pins", "pins-list"),
+    case("simulate", gadget_with("pins", "p", value={"node": "p", "order": "x>y>z"}), "pins.p", "pin-record"),
     case("simulate", scenario(m=7), "m", "m-7"),
     case("simulate", scenario(network={"nodes": [], "edges": []}), "network", "zero-nodes"),
     # 4,301 digits pass the weight pattern but not CPython's int-string limit
@@ -348,37 +366,25 @@ MALFORMED = [
          "weight-trailing-newline"),
     case("simulate", gadget_with("network", "edges", 0, "weight", value="\u0669/10"), "network.edges[0].weight",
          "weight-arabic-indic-digit"),
-    case("simulate", scenario(variant={"kind": "A", "schedule": "seq:[i,p]"}), "variant.schedule",
-         "seq-pinned-node"),
-    case("simulate", scenario(variant={"kind": "A", "schedule": "seq:[]"}), "variant.schedule", "seq-empty"),
-    case("simulate", scenario(variant={"kind": "S", "schedule": "seq:[i]"}), "variant.schedule",
-         "schedule-under-S"),
-    case("simulate", scenario(variant={"kind": "A", "schedule": "uniform:x"}), "variant.schedule",
-         "uniform-seed-not-integer"),
-    case("simulate", scenario(variant={"kind": "A", "schedule": "uniform:1_0"}), "variant.schedule",
-         "uniform-seed-underscore"),
-    case("simulate", scenario(variant={"kind": "A", "schedule": "uniform:\u0663"}), "variant.schedule",
-         "uniform-seed-arabic-indic-digit"),
-    case("simulate", scenario(variant={"kind": "A", "schedule": "uniform: 5 "}), "variant.schedule",
-         "uniform-seed-spaces"),
-    case("simulate", scenario(variant={"kind": "A", "schedule": "seq:i,j"}), "variant.schedule", "seq-no-brackets"),
-    case("simulate", scenario(variant={"kind": "A", "schedule": "seq:]]i,j[["}), "variant.schedule",
-         "seq-brackets-reversed"),
-    case("simulate", scenario(variant={"kind": "A", "schedule": "seq:[i,,j]"}), "variant.schedule",
-         "seq-empty-name"),
-    case("simulate", scenario(variant={"kind": "A", "schedule": "uniform:1"},
-                              persistent={"pins": [{"node": "p", "order": "x>y>z"}, {"node": "i", "order": "x>y>z"},
-                                                   {"node": "q", "order": "z>y>x"}, {"node": "j", "order": "z>y>x"}]}),
-         "variant.schedule", "uniform-every-node-pinned"),
+    case("simulate", scenario(variant="seq:[i,p]"), "variant", "seq-pinned-node"),
+    case("simulate", scenario(variant="seq:[]"), "variant", "seq-empty"),
+    case("simulate", scenario(variant="A"), "variant", "variant-A-without-schedule"),
+    case("simulate", scenario(variant="uniform:x"), "variant", "uniform-seed-not-integer"),
+    case("simulate", scenario(variant="uniform:1_0"), "variant", "uniform-seed-underscore"),
+    case("simulate", scenario(variant="uniform:\u0663"), "variant", "uniform-seed-arabic-indic-digit"),
+    case("simulate", scenario(variant="uniform: 5 "), "variant", "uniform-seed-spaces"),
+    case("simulate", scenario(variant="seq:i,j"), "variant", "seq-no-brackets"),
+    case("simulate", scenario(variant="seq:]]i,j[["), "variant", "seq-brackets-reversed"),
+    case("simulate", scenario(variant="seq:[i,,j]"), "variant", "seq-empty-name"),
+    case("simulate", scenario(variant="uniform:1", pins={"p": "x>y>z", "i": "x>y>z", "q": "z>y>x", "j": "z>y>x"},
+                              initial={}), "variant", "uniform-every-node-pinned"),
     case("simulate", scenario(alternatives="a>c"), "alternatives", "alternatives-order-syntax"),
     case("simulate", scenario(network={"nodes": ["i", "i"], "edges": []}), "network.nodes", "node-twice"),
     # normalize edges are undirected: one listed again, either way round, or a self-loop is refused
     case("simulate", triangle_with_edge("a", "b"), "network.edges[3]", "normalize-edge-twice"),
     case("simulate", triangle_with_edge("b", "a"), "network.edges[3]", "normalize-edge-reversed"),
     case("simulate", triangle_with_edge("b", "b"), "network.edges[3]", "normalize-self-loop"),
-    case("simulate", scenario(persistent={"pins": [{"node": "p", "order": "x>y>z"},
-                                                   {"node": "p", "order": "z>y>x"}]}),
-         "persistent.pins[1].node", "pin-twice-conflicting"),
+    case("simulate", triangle_with_node("d"), "network.nodes", "normalize-isolated-node"),
     case("verify", suite(verifier="unreachable_persistence",
                          scenario=str(SCENARIOS / "unreachable_pins.json"),
                          args={"alt_pins": {"a": "(xyz)"}}), "entries[0]", "alt-pins-free-node"),
@@ -393,11 +399,7 @@ MALFORMED = [
     case("simulate", scenario(max_step=50), "max_step"),
     case("simulate", gadget_with("network", "normalise", value=True), "network.normalise"),
     case("simulate", gadget_with("network", "edges", 0, "wieght", value="9/10"), "network.edges[0].wieght"),
-    case("simulate", scenario(persistent={"pinz": [{"node": "p", "order": "x>y>z"},
-                                                   {"node": "q", "order": "z>y>x"}]}), "persistent.pinz"),
-    case("simulate", gadget_with("persistent", "pins", value=[{"node": "p", "order": "x>y>z", "ordre": "x"}]),
-         "persistent.pins[0].ordre"),
-    case("simulate", gadget_with("variant", "knd", value="A"), "variant.knd"),
+    case("simulate", scenario(pinz={"p": "x>y>z", "q": "z>y>x"}), "pinz"),
     case("simulate", scenario(policy={"no_move_on_ambiguity": True, "no_move": False}), "policy.no_move"),
     case("verify", {**suite(), "entires": []}, "entires"),
     case("verify", suite(expcet="fail"), "entries[0].expcet"),
@@ -406,9 +408,9 @@ MALFORMED = [
 
 @pytest.mark.parametrize("command, document, field", MALFORMED)
 def test_malformed_field_exits_two_with_its_path(tmp_path, command, document, field):
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(document))
-    proc = run_cli(command, str(path))
+    # a document given as text is written as it is: a Python dict cannot repeat a key
+    (tmp_path / "doc.json").write_text(document if isinstance(document, str) else json.dumps(document))
+    proc = run_cli(command, "doc.json", cwd=tmp_path)
     assert proc.returncode == 2
     assert f"input error: {field}: " in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -425,9 +427,9 @@ def test_verify_exits_three_when_the_forced_sweep_is_over_budget(tmp_path):
     (tmp_path / "ring.json").write_text(json.dumps({
         "m": 4,
         "network": {"nodes": [*ring, "p", "q"], "edges": edges},
-        "persistent": {"pins": [{"node": "p", "order": "x>y>z>u"}, {"node": "q", "order": "u>z>y>x"}]},
+        "pins": {"p": "x>y>z>u", "q": "u>z>y>x"},
         "initial": {node: "x>y>z>u" for node in ring},
-        "variant": {"kind": "S"},
+        "variant": "S",
     }))
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(suite(verifier="forced_even_period", scenario="ring.json", args={})))
@@ -456,7 +458,7 @@ def test_verify_names_the_entry_and_file_of_a_bad_scenario(tmp_path):
     ("single_peaked_invariance", {"axis": "xyz"}),
 ])
 def test_verify_refuses_a_zero_node_scenario(tmp_path, verifier, args):
-    empty = {"m": 3, "network": {"nodes": [], "edges": []}, "initial": {}, "variant": {"kind": "S"}}
+    empty = {"m": 3, "network": {"nodes": [], "edges": []}, "initial": {}, "variant": "S"}
     (tmp_path / "empty.json").write_text(json.dumps(empty))
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(suite(verifier=verifier, scenario="empty.json", args=args)))

@@ -819,7 +819,7 @@ def test_every_target_is_the_projection_of_the_fraction_aggregate(case):
 @given(kernel_cases())
 @example(TIE_START)
 @settings(deadline=None, max_examples=300)
-def test_run_ids_is_the_run_until_cycle_report_in_ids(case):
+def test_kernel_run_is_the_run_until_cycle_report_in_ids(case):
     """Networks of 1 to 6 nodes on m = 2..6 with weights k/total, k in 0..3,
     some perturbed to row LCDs D_i of order 10^6; synchronous, sequence and
     uniform schedules, with and without pins, under both step policies.

@@ -130,7 +130,7 @@ def minimal_doc():
             ],
         },
         "initial": {"a": "x>y>z", "b": "z>y>x"},
-        "variant": {"kind": "S"},
+        "variant": "S",
     }
 
 
@@ -197,20 +197,21 @@ def test_missing_initial_states_rejected():
     assert field_error(doc) == "initial"
 
 
-def test_pinned_initial_must_match_pin():
+def test_pinned_node_in_initial_rejected():
+    # a pinned node starts at its pin, so `initial` lists only the free nodes
     doc = minimal_doc()
-    doc["persistent"] = {"pins": [{"node": "a", "order": "(xyz)"}]}
+    doc["pins"] = {"a": "(xyz)"}
     assert field_error(doc) == "initial.a"
     doc["initial"]["a"] = "(xyz)"
-    sc = parse_scenario(doc)
-    assert sc.persistent.pins == {0: o("(xyz)")}
+    assert field_error(doc) == "initial.a"
 
 
 def test_pin_defaults_into_initial():
     doc = minimal_doc()
-    doc["persistent"] = {"pins": [{"node": "a", "order": "(xyz)"}]}
+    doc["pins"] = {"a": "(xyz)"}
     del doc["initial"]["a"]
     sc = parse_scenario(doc)
+    assert sc.persistent.pins == {0: o("(xyz)")}
     assert sc.initial[0] == o("(xyz)")
 
 
@@ -231,19 +232,19 @@ def test_normalized_network():
 
 def test_variant_parsing():
     doc = minimal_doc()
-    doc["variant"] = {"kind": "A", "schedule": "seq:[a,b,a]"}
+    doc["variant"] = "seq:[a,b,a]"
     sc = parse_scenario(doc)
     assert sc.schedule.kind == "sequence"
     assert sc.schedule.nodes == (0, 1, 0)
 
-    doc["variant"] = {"kind": "A", "schedule": "uniform:42"}
+    doc["variant"] = "uniform:42"
     assert parse_scenario(doc).schedule.seed == 42
 
-    doc["variant"] = {"kind": "A", "schedule": "sometimes"}
-    assert field_error(doc) == "variant.schedule"
+    doc["variant"] = "sometimes"
+    assert field_error(doc) == "variant"
 
-    doc["variant"] = {"kind": "X"}
-    assert field_error(doc) == "variant.kind"
+    doc["variant"] = {"kind": "S"}
+    assert field_error(doc) == "variant"
 
 
 def test_policy_and_max_steps():
@@ -261,6 +262,16 @@ def test_invalid_json_is_reported(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ScenarioFormatError):
+        load_scenario(path)
+
+
+def test_a_repeated_key_is_refused_naming_it(scenario_dir, tmp_path):
+    # json keeps the last of a repeated key: this gadget would start at
+    # (z>y>x, z>y>x), a fixed point, instead of its period-2 orbit
+    text = (scenario_dir / "gadget.json").read_text()
+    path = tmp_path / "gadget.json"
+    path.write_text(text.replace('"i": "x>y>z"', '"i": "x>y>z", "i": "z>y>x"'))
+    with pytest.raises(ScenarioFormatError, match="^.*gadget.json: cannot read JSON: duplicate key 'i'$"):
         load_scenario(path)
 
 

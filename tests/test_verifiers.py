@@ -331,34 +331,30 @@ def test_single_camp_gadget_is_hypothesis_not_met(scenario_dir):
     assert not outcome.evidence["hypothesis_met"]
 
 
-def pins(**orders):
-    return [{"node": node, "order": order} for node, order in orders.items()]
+CONTRARIAN = {"p": "x>y>z", "q": "z>y>x"}
 
 
-CONTRARIAN = {"pins": pins(p="x>y>z", q="z>y>x")}
-
-
-@pytest.mark.parametrize("persistent, met", [
+@pytest.mark.parametrize("pins, met", [
     pytest.param(CONTRARIAN, True, id="contrarian-pins"),
-    pytest.param({"pins": pins(p="x>y>z", q="x>y>z")}, False, id="one-order"),
-    pytest.param({"pins": pins(p="x>y>z", q="z>y>x", r="y>x>z")}, False, id="third-order"),
-    pytest.param({"pins": pins(p="(xyz)", q="(xyz)")}, False, id="all-tied"),
-    pytest.param({"pins": pins(p="x>y>z", q="z>y>x", r="z>y>x")}, True, id="camps-and-antipodal-pin"),
+    pytest.param({"p": "x>y>z", "q": "x>y>z"}, False, id="one-order"),
+    pytest.param({"p": "x>y>z", "q": "z>y>x", "r": "y>x>z"}, False, id="third-order"),
+    pytest.param({"p": "(xyz)", "q": "(xyz)"}, False, id="all-tied"),
+    pytest.param({"p": "x>y>z", "q": "z>y>x", "r": "z>y>x"}, True, id="camps-and-antipodal-pin"),
 ])
-def test_forced_even_period_reads_the_camps_off_the_pins(scenario_dir, persistent, met):
-    # the gadget with its persistent section replaced; a pinned node the
-    # gadget lacks joins it as an isolated self-loop
+def test_forced_even_period_reads_the_camps_off_the_pins(scenario_dir, pins, met):
+    # the gadget with its pins replaced; a pinned node the gadget lacks
+    # joins it as an isolated self-loop
     doc = json.loads((scenario_dir / "gadget.json").read_text())
-    doc["persistent"] = persistent
-    for pin in persistent.get("pins", []):
-        if pin["node"] not in doc["network"]["nodes"]:
-            doc["network"]["nodes"].append(pin["node"])
-            doc["network"]["edges"].append({"from": pin["node"], "to": pin["node"], "weight": "1"})
+    doc["pins"] = pins
+    for node in pins:
+        if node not in doc["network"]["nodes"]:
+            doc["network"]["nodes"].append(node)
+            doc["network"]["edges"].append({"from": node, "to": node, "weight": "1"})
     evidence = verify_forced_even_period(parse_scenario(doc)).evidence
     assert evidence["hypothesis_met"] is met
     if not met:
         assert evidence["reason"] == "no contrarian camps configured"
-    if persistent is CONTRARIAN:
+    if pins is CONTRARIAN:
         gadget = verify_forced_even_period(load_scenario(scenario_dir / "gadget.json"))
         assert evidence == gadget.evidence
 
