@@ -10,8 +10,10 @@ stochastic, so they report convergence to a fixed point or raise a budget
 error; no period is claimed for them.
 
 Every entry point compiles one integer kernel, `_Kernel`, from (network,
-graph, policy, pins, profile) and runs on it.  A state is the tuple of its
-orders' canonical ids.  Row i is scaled by the least common denominator D_i
+graph, policy, pins, profile) and runs on it; a verifier's further runs
+(sweep starts, a re-pinned twin, trials) restart it by `compile`, with
+new start ids or new rows, and build no new kernel.  A state is the tuple of
+its orders' canonical ids.  Row i is scaled by the least common denominator D_i
 of its weights to integers W_ij (`_row_over_lcd`; a robustness trial's
 `_perturb_rows` gives its rows so), and Borda scores are doubled to integers
 B2, so node i's aggregate sum_j W_ij * B2[state_j] is exactly 2*D_i times

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -363,20 +363,3 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     return parse_scenario(_read_json(path), label=path.stem)
 
-
-def with_pins(sc: ScenarioConfig, new_pins: dict[int, WeakOrder]) -> ScenarioConfig:
-    """Copy of a scenario with some pinned nodes re-pinned."""
-    unknown = [i for i in new_pins if i not in sc.persistent.pins]
-    if unknown:
-        raise ScenarioBuildError(f"nodes {unknown} are not pinned in the base scenario")
-    pins = dict(sc.persistent.pins)
-    pins.update(new_pins)
-    initial = list(sc.initial)
-    for node, order in pins.items():
-        initial[node] = order
-    return replace(
-        sc,
-        persistent=PersistentConfig(pins),
-        initial=tuple(initial),
-        label=f"{sc.label}_repinned",
-    )

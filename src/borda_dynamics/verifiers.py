@@ -3,7 +3,9 @@
 Each verifier re-derives its hypotheses from the realized scenario (it never
 trusts the builder), runs the dynamics, and returns a VerificationOutcome
 whose evidence is enough to replay a failure: measured transient and period,
-margins, and the first offending step where applicable.  A suite manifest
+margins, and the first offending step where applicable.  A verifier that
+runs more than once compiles one kernel (`_kernel`): each further run is a
+restart, `_Kernel.compile` then `_Kernel.run`.  A suite manifest
 (`load_suite`) pairs each verifier with a scenario file, named by its path.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -35,7 +37,6 @@ from .scenarios import (
     _orders,
     _read_json,
     load_scenario,
-    with_pins,
 )
 from .weak_orders import (
     WeakOrder,
@@ -76,6 +77,11 @@ def _hypothesis_not_met(claim: str, reason: str, **extra) -> VerificationOutcome
     evidence = {"hypothesis_met": False, "reason": reason}
     evidence.update(extra)
     return VerificationOutcome(claim, False, evidence)
+
+
+def _kernel(sc: ScenarioConfig) -> _Kernel:
+    """The one kernel of a verifier that runs `sc` more than once, at its start."""
+    return _Kernel(sc.network, build_cover_graph(sc.m), sc.policy, sc.persistent, sc.initial)
 
 
 # --- traveling waves on directed rings --------------------------------------
@@ -147,10 +153,11 @@ def verify_forced_even_period(sc: ScenarioConfig) -> VerificationOutcome:
     The camps are read off the pins: the hypothesis holds when the pinned
     nodes hold exactly two distinct orders, each the antipode of the other.
 
-    Simulates the configured initial profile first and, if needed, sweeps all
+    Runs the configured initial profile first and, if needed, sweeps all
     initial assignments on the closed class (BudgetExceededError past
-    DEFAULT_ENUM_BUDGET of them).  Passes when some run has an even period
-    greater than 1.
+    DEFAULT_ENUM_BUDGET of them), each a restart of one kernel.  Passes when
+    some run has an even period greater than 1; the evidence's run, margin
+    included, is the witness's, else the configured start's.
 
     The claim is about an orbit, not about every start: contrarian camps never
     remove every equilibrium.  With B(rho) = c + v, B(all-tied) = c and
@@ -177,13 +184,19 @@ def verify_forced_even_period(sc: ScenarioConfig) -> VerificationOutcome:
         )
     cls = period2[0]
 
-    found, witness, report = False, sc.initial, None
-    for tried, initial in enumerate(_class_starts(sc, cls), 1):
-        run = replace(sc, initial=initial).run()
-        report = report or run  # the configured start's run, unless a witness replaces it
-        if run.period > 1 and run.period % 2 == 0:
-            found, witness, report = True, initial, run
+    kernel = _kernel(sc)
+    found, reported = False, None
+    for tried, start in enumerate(_class_starts(kernel, cls), 1):
+        kernel.compile(kernel.rows, start)
+        states, mu, _ = kernel.run(sc.schedule, sc.max_steps)
+        orbit = states[mu:]
+        reported = reported or (start, mu, orbit)  # the configured start's run, unless a witness replaces it
+        if len(orbit) > 1 and len(orbit) % 2 == 0:
+            found, reported = True, (start, mu, orbit)
             break
+    witness, mu, orbit = reported
+    kernel.compile(kernel.rows, orbit[0])  # later starts may have moved the kernel on
+    margin = kernel.min_margin(orbit)
 
     try:
         fixed_points = enumerate_fixed_points(sc.network, build_cover_graph(sc.m), sc.policy, pc)
@@ -204,25 +217,26 @@ def verify_forced_even_period(sc: ScenarioConfig) -> VerificationOutcome:
             if fixed_points is None
             else [_profile_text(sc, p) for p in fixed_points],
             "initial_profiles_tried": tried,
-            "witness_initial": _profile_text(sc, witness),
-            "mu": report.mu,
-            "period": report.period,
-            "period_even": report.period % 2 == 0,
-            "min_margin": margin_text(report.min_margin),
+            "witness_initial": _profile_text(sc, [kernel.graph.orders[k] for k in witness]),
+            "mu": mu,
+            "period": len(orbit),
+            "period_even": len(orbit) % 2 == 0,
+            "min_margin": margin_text(margin),
         },
     )
 
 
-def _class_starts(sc: ScenarioConfig, cls: tuple[int, ...]) -> Iterator[Profile]:
-    """The configured start, then every assignment of the closed class `cls` in
-    `product` order; the sweep's budget is checked after the configured start."""
-    yield sc.initial
-    orders = enumerate_weak_orders(sc.m)
-    if len(orders) ** len(cls) > DEFAULT_ENUM_BUDGET:
+def _class_starts(kernel: _Kernel, cls: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The kernel's start ids, then every id assignment of the closed class `cls` in
+    `product` order; the sweep's budget is checked after the kernel's start."""
+    start = tuple(kernel.state)
+    yield start
+    space = range(kernel.graph.order_count)
+    if len(space) ** len(cls) > DEFAULT_ENUM_BUDGET:
         raise BudgetExceededError(f"more than {DEFAULT_ENUM_BUDGET} initial profiles to sweep")
-    for combo in product(orders, repeat=len(cls)):
+    for combo in product(space, repeat=len(cls)):
         assigned = dict(zip(cls, combo))
-        yield tuple(assigned.get(i, w) for i, w in enumerate(sc.initial))
+        yield tuple(assigned.get(i, k) for i, k in enumerate(start))
 
 
 # --- even-period lifting across a bipartite cut ------------------------------
@@ -300,7 +314,7 @@ def verify_robustness(sc: ScenarioConfig, trials: int, seed: int) -> Verificatio
     if trials < 1:
         raise ScenarioBuildError(f"robustness needs at least one trial, got {trials}")
     claim = f"{sc.label}: periodic orbit survives weight perturbations below the margin bound"
-    kernel = _Kernel(sc.network, build_cover_graph(sc.m), sc.policy, sc.persistent, sc.initial)
+    kernel = _kernel(sc)
     start, free = tuple(kernel.state), kernel.free
     states, mu, logs = kernel.run(sc.schedule, sc.max_steps)
     delta = kernel.min_margin(states[mu:])
@@ -350,30 +364,28 @@ def verify_robustness(sc: ScenarioConfig, trials: int, seed: int) -> Verificatio
 def verify_unreachable_persistence(
     sc: ScenarioConfig, alt_pins: dict[int, WeakOrder]
 ) -> VerificationOutcome:
-    """Re-pinning persistent nodes leaves every node outside their reach untouched."""
+    """Re-pinning persistent nodes leaves every node outside their reach untouched.
+
+    The twin run restarts the base run's kernel at the `alt_pins` ids of the pinned nodes."""
     claim = f"{sc.label}: nodes outside the reach of the pinned set ignore re-pinning"
     pc = sc.persistent
-    twin = with_pins(sc, alt_pins)  # ScenarioBuildError unless every alt_pins node is pinned
+    if unknown := [i for i in alt_pins if i not in pc.pins]:
+        raise ScenarioBuildError(f"nodes {unknown} are not pinned in the base scenario")
+    if all(pc.pins[i] == w for i, w in alt_pins.items()):
+        return _hypothesis_not_met(claim, "alt_pins gives no pinned node a new order")
     reached = reach(sc.network, pc.pins)
     outside = [i for i in pc.free_nodes(sc.network.n) if i not in reached]
     if not outside:
         return _hypothesis_not_met(claim, "every free node is reachable from the pinned set")
 
-    base_report = sc.run()
-    twin_report = twin.run()
-    horizon = max(
-        base_report.mu + base_report.period, twin_report.mu + twin_report.period
-    )
-    mismatch = None
-    for t in range(horizon + 1):
-        state_a = base_report.state_at(t)
-        state_b = twin_report.state_at(t)
-        for i in outside:
-            if state_a[i] != state_b[i]:
-                mismatch = {"step": t, "node": sc.network.names[i]}
-                break
-        if mismatch:
-            break
+    kernel = _kernel(sc)
+    twin = [kernel.graph.id_of(alt_pins[i]) if i in alt_pins else k for i, k in enumerate(kernel.state)]
+    base_report = kernel.report(*kernel.run(sc.schedule, sc.max_steps))
+    kernel.compile(kernel.rows, twin)
+    twin_report = kernel.report(*kernel.run(sc.schedule, sc.max_steps))
+    horizon = max(base_report.mu + base_report.period, twin_report.mu + twin_report.period)
+    mismatch = next(({"step": t, "node": sc.network.names[i]} for t in range(horizon + 1) for i in outside
+                     if base_report.state_at(t)[i] != twin_report.state_at(t)[i]), None)
 
     return VerificationOutcome(
         claim,

@@ -7,6 +7,7 @@ frozen targets, the synchronous/asynchronous contrast, and byte determinism.
 """
 
 import dataclasses
+import json
 import random
 import subprocess
 import sys
@@ -25,11 +26,12 @@ from borda_dynamics.influence import (
     verify_minus_one_mode,
 )
 from borda_dynamics.move_graph import StepPolicy, build_cover_graph, distance
-from borda_dynamics.scenarios import build_gadget, build_traveling_wave, load_scenario, with_pins
+from borda_dynamics.scenarios import build_gadget, build_traveling_wave, load_scenario, parse_scenario
 from borda_dynamics.verifiers import (
     verify_even_period_lifting,
     verify_robustness,
     verify_traveling_wave,
+    verify_unreachable_persistence,
 )
 from borda_dynamics.weak_orders import (
     antipode,
@@ -205,8 +207,12 @@ def test_criterion_09_spectral_parity():
 
 
 def test_criterion_10_unreachable_persistence(scenario_dir):
-    sc = load_scenario(scenario_dir / "unreachable_pins.json")
-    twin = with_pins(sc, {0: parse_order("(xyz)", 3)})
+    # the twin is parsed from the document with p re-pinned, so it checks the verifier's restart
+    path = scenario_dir / "unreachable_pins.json"
+    sc = load_scenario(path)
+    doc = json.loads(path.read_text())
+    doc["pins"]["p"] = "(xyz)"
+    twin = parse_scenario(doc)
     base_run, twin_run = sc.run(), twin.run()
     horizon = max(base_run.mu + base_run.period, twin_run.mu + twin_run.period)
     outside_equal = all(
@@ -219,9 +225,10 @@ def test_criterion_10_unreachable_persistence(scenario_dir):
         for t in range(horizon + 1)
         for i in (1, 2)  # nodes a, b
     )
+    outcome = verify_unreachable_persistence(sc, {0: parse_order("(xyz)", 3)})
     verdict(
         10,
-        outside_equal and reached_differs,
+        outside_equal and reached_differs and outcome.passed and outcome.evidence["compared_steps"] == horizon + 1,
         "re-pinning changed the reached half but left the unreached pair bitwise identical",
     )
 

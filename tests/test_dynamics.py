@@ -1089,7 +1089,7 @@ ON_G4 = {
     "run-sync": lambda p: run_until_cycle(SWAP_NET, G4, POLICY, FREE, p, Schedule.synchronous()),
     "run-sequence": lambda p: run_until_cycle(SWAP_NET, G4, POLICY, FREE, p, Schedule.sequence([1, 0])),
     "run-uniform": lambda p: run_until_cycle(SWAP_NET, G4, POLICY, FREE, p, Schedule.uniform(0)),
-    "run-ids": lambda p: dynamics._Kernel(SWAP_NET, G4, POLICY, FREE, p).run(Schedule.synchronous(), KERNEL_MAX_STEPS),
+    "kernel-run": lambda p: dynamics._Kernel(SWAP_NET, G4, POLICY, FREE, p).run(Schedule.synchronous(), KERNEL_MAX_STEPS),
     "step-sync": lambda p: step_sync(SWAP_NET, G4, POLICY, FREE, p),
     "step-async": lambda p: step_async(SWAP_NET, G4, POLICY, FREE, p, 1),
     "fixed-points": lambda p: enumerate_fixed_points(
@@ -1118,7 +1118,7 @@ ON_SWAP = {
     "run-sync": lambda pc, p: run_until_cycle(SWAP_NET, G3, POLICY, pc, p, Schedule.synchronous()),
     "run-sequence": lambda pc, p: run_until_cycle(SWAP_NET, G3, POLICY, pc, p, Schedule.sequence([1])),
     "run-uniform": lambda pc, p: run_until_cycle(SWAP_NET, G3, POLICY, pc, p, Schedule.uniform(0)),
-    "run-ids": lambda pc, p: dynamics._Kernel(SWAP_NET, G3, POLICY, pc, p).run(Schedule.uniform(0), KERNEL_MAX_STEPS),
+    "kernel-run": lambda pc, p: dynamics._Kernel(SWAP_NET, G3, POLICY, pc, p).run(Schedule.uniform(0), KERNEL_MAX_STEPS),
     "step-sync": lambda pc, p: step_sync(SWAP_NET, G3, POLICY, pc, p),
     "step-async": lambda pc, p: step_async(SWAP_NET, G3, POLICY, pc, p, 1),
     "is-fixed-point": lambda pc, p: is_fixed_point(SWAP_NET, pc, p),

@@ -14,7 +14,6 @@ from borda_dynamics.scenarios import (
     build_traveling_wave,
     load_scenario,
     parse_scenario,
-    with_pins,
 )
 from borda_dynamics.verifiers import load_suite
 from borda_dynamics.weak_orders import antipode, parse_order
@@ -273,19 +272,6 @@ def test_a_repeated_key_is_refused_naming_it(scenario_dir, tmp_path):
     path.write_text(text.replace('"i": "x>y>z"', '"i": "x>y>z", "i": "z>y>x"'))
     with pytest.raises(ScenarioFormatError, match="^.*gadget.json: cannot read JSON: duplicate key 'i'$"):
         load_scenario(path)
-
-
-# --- re-pinning ------------------------------------------------------------------------
-
-def test_with_pins_replaces_only_pinned_nodes():
-    sc = build_gadget(3, o("x>y>z"), Fraction(1, 10))
-    twin = with_pins(sc, {2: o("(xyz)")})
-    assert twin.persistent.pins[2] == o("(xyz)")
-    assert twin.persistent.pins[3] == sc.persistent.pins[3]
-    assert twin.initial[2] == o("(xyz)")
-    with pytest.raises(ScenarioBuildError):
-        with_pins(sc, {0: o("(xyz)")})
-
 
 
 # --- malformed documents ------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -657,8 +657,77 @@ def test_unreachable_persistence_hypothesis_not_met(scenario_dir):
 
 def test_unreachable_persistence_rejects_non_pinned_targets(scenario_dir):
     sc = load_scenario(scenario_dir / "unreachable_pins.json")
-    with pytest.raises(ValueError):
+    with pytest.raises(ScenarioBuildError, match=r"^nodes \[1\] are not pinned in the base scenario$"):
         verify_unreachable_persistence(sc, {1: o("(xyz)")})
+
+
+@pytest.mark.parametrize("alt_pins", [{}, {0: o("x>y>z")}], ids=["empty", "own-pin"])
+def test_re_pinning_that_gives_no_new_order_is_hypothesis_not_met(scenario_dir, alt_pins):
+    # the twin would be the base run, so the comparison would pass vacuously
+    sc = load_scenario(scenario_dir / "unreachable_pins.json")
+    outcome = verify_unreachable_persistence(sc, alt_pins)
+    assert not outcome.passed
+    assert outcome.evidence == {"hypothesis_met": False, "reason": "alt_pins gives no pinned node a new order"}
+
+
+# --- one kernel per verifier call ------------------------------------------------------------
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["default", "no-move-on-ambiguity"])
+def test_a_restart_runs_as_a_kernel_built_at_its_start(lazy):
+    """Every free start of the m = 3 gadget at eps = 1/10, restarted on one
+    kernel after a run that ended at another state, gives the states, mu,
+    target logs and final totals of a kernel built at that start."""
+    sc = dataclasses.replace(build_gadget(3, RHO, Fraction(1, 10)), policy=StepPolicy(allow_no_move_on_ambiguity=lazy))
+    kernel = verifiers._kernel(sc)
+    pins = tuple(kernel.state[2:])
+    starts = [free + pins for free in product(range(G3.order_count), repeat=2)]
+    decoys = iter(starts[::-1])
+    for start in starts:
+        while tuple(kernel.state) == start:  # the last run ended at this start: run elsewhere first
+            kernel.compile(kernel.rows, next(decoys))
+            kernel.run(sc.schedule, sc.max_steps)
+        kernel.compile(kernel.rows, start)
+        fresh = dynamics._Kernel(sc.network, G3, sc.policy, sc.persistent, tuple(G3.orders[k] for k in start))
+        assert kernel.run(sc.schedule, sc.max_steps) == fresh.run(sc.schedule, sc.max_steps)
+        assert kernel.totals == fresh.totals
+
+
+def test_the_re_pinned_twin_is_the_run_of_a_kernel_built_with_the_new_pins(monkeypatch, scenario_dir):
+    # the verifier's two reports, caught as `_Kernel.report` returns them
+    sc = load_scenario(scenario_dir / "unreachable_pins.json")
+    alt_pins = {0: o("(xyz)")}
+    expected = []
+    for pins in (sc.persistent.pins, {**sc.persistent.pins, **alt_pins}):
+        start = tuple(pins.get(i, w) for i, w in enumerate(sc.initial))
+        fresh = dynamics._Kernel(sc.network, G3, sc.policy, PersistentConfig(pins), start)
+        expected.append(fresh.report(*fresh.run(sc.schedule, sc.max_steps)))
+    assert expected[0].orbit[0] != expected[1].prefix[0]  # the restart follows a run that ended elsewhere
+    reports = []
+    report = dynamics._Kernel.report
+    monkeypatch.setattr(dynamics._Kernel, "report", lambda kernel, *args: reports.append(report(kernel, *args)) or reports[-1])
+    assert verify_unreachable_persistence(sc, alt_pins).passed
+    assert reports == expected
+
+
+KERNEL_BUILDS = {
+    # 170 starts on one kernel, and `enumerate_fixed_points`' own
+    "forced-sweep": (lambda d: verify_forced_even_period(build_gadget(3, RHO, Fraction(9, 10))), 2),
+    "unreachable": (lambda d: verify_unreachable_persistence(load_scenario(d / "unreachable_pins.json"),
+                                                             {0: o("(xyz)")}), 1),
+    "robustness": (lambda d: verify_robustness(build_gadget(3, RHO, Fraction(1, 10)), trials=20, seed=7), 1),
+}
+
+
+@pytest.mark.parametrize("call, builds", KERNEL_BUILDS.values(), ids=KERNEL_BUILDS.keys())
+def test_a_verifier_that_runs_again_builds_one_kernel(monkeypatch, scenario_dir, call, builds):
+    built = []
+    init = dynamics._Kernel.__init__
+    monkeypatch.setattr(dynamics._Kernel, "__init__", lambda kernel, *args: built.append(args) or init(kernel, *args))
+    outcome = call(scenario_dir)
+    assert outcome.evidence["hypothesis_met"]
+    if "initial_profiles_tried" in outcome.evidence:
+        assert outcome.evidence["initial_profiles_tried"] == 1 + 13**2  # the whole sweep ran
+    assert len(built) == builds
 
 
 # --- single-peaked domain ----------------------------------------------------------------------
