@@ -45,7 +45,11 @@ def _refused(path: str | None):
         yield
     except OSError as exc:
         if path in (None, "-"):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
             path = "stdout"
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 

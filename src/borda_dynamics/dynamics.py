@@ -14,7 +14,8 @@ graph, policy, pins, profile) and runs on it; a verifier's further runs
 (sweep starts, a re-pinned twin, trials) restart it by `compile`, with
 new start ids or new rows, and build no new kernel.  A state is the tuple of
 its orders' canonical ids.  Row i is scaled by the least common denominator D_i
-of its weights to integers W_ij (`_row_over_lcd`; a robustness trial's
+of its weights, the network's `lcds[i]` kept from validation, to integers
+W_ij (`_row_over_lcd`, which computes no LCD; a robustness trial's
 `_perturb_rows` gives its rows so), and Borda scores are doubled to integers
 B2, so node i's aggregate sum_j W_ij * B2[state_j] is exactly 2*D_i times
 the Fraction aggregate: ties are decided by integer equality, with no float
@@ -27,7 +28,10 @@ other.  The aggregate is linear in each in-neighbour's scores, so writing
 node j from order a to b adds W_kj * (packed[b] - packed[a]) to the total
 of each listener k, exactly, and no read sums a row.  A target is read from
 the total's guard bits by one dict lookup; a tie margin is the smallest
-nonzero |field - beta| over 2*D_i.
+nonzero |field - beta| over 2*D_i.  A move reads the step row of the kernel's
+policy (`MoveGraph.step_rows`) in line, and calls `MoveGraph.next_id`, which
+decides and fills every step, only for an entry not yet filled; a uniform
+run's mover was just found unsettled, which filled its entry.
 
 A run, `_Kernel.run`, yields the visited states, mu and the target logs in
 ids, and `run_until_cycle` reads them into an OrbitReport, the one place
@@ -132,7 +136,10 @@ class OrbitReport:
     prefix: tuple[Profile, ...]
 
     def state_at(self, t: int) -> Profile:
-        """State at any time, extending past the stored prefix by periodicity."""
+        """State at any time t >= 0, extending past the stored prefix by
+        periodicity.  Raises ValueError for t < 0."""
+        if t < 0:
+            raise ValueError(f"time {t} is before the start of the run")
         if t < len(self.prefix):
             return self.prefix[t]
         return self.orbit[(t - self.mu) % self.period]
@@ -173,9 +180,10 @@ def step_async(
     i: int,
 ) -> Profile:
     """One asynchronous step: only node i moves.  Raises ScheduleError when
-    node i is pinned or not one of the network's nodes, before the profile is read."""
-    if i not in persistent.free_nodes(net.n):
-        raise ScheduleError(f"scheduled node {i} is pinned or unknown")
+    node i is pinned or not one of the network's nodes (a bool or another
+    non-int included), before the profile is read."""
+    if type(i) is not int or i not in persistent.free_nodes(net.n):
+        raise ScheduleError(f"scheduled node {i!r} is pinned or unknown")
     kernel = _Kernel(net, graph, policy, persistent, profile)
     return tuple(map(graph.orders.__getitem__, kernel.update((i,), True)[1]))
 
@@ -221,24 +229,26 @@ class _Kernel:
     `write` changes (see the module docstring).
 
     `free` holds the free nodes, the compiled ones: `rows[i]` is ((j, W_ij)
-    per in-neighbour, D_i), `listeners[j]` holds (k, W_kj) per free node
-    k whose row reads j, and `totals[i]` is node i's packed aggregate in the
-    state.  `packed[k]` is order k's pair fields.  A field's top bit 2^top
-    exceeds beta, so adding C1 (2^top - beta per field) sets it in field (a,
-    b) iff agg[a] >= agg[b], C2 (one less) iff agg[a] > agg[b], and neither
-    carries out: `keys` maps these guard bits, ((t + C1) & G) | ((t + C2) &
-    G) >> 1 for G the top bits, to the target id.
+    per in-neighbour, D_i), D_i the network's `lcds[i]` or a trial's own
+    LCD, `listeners[j]` holds (k, W_kj) per free node k whose row reads j,
+    and `totals[i]` is node i's packed aggregate in the state.  `packed[k]`
+    is order k's pair fields.  A field's top bit 2^top exceeds beta, so
+    adding C1 (2^top - beta per field) sets it in field (a, b) iff agg[a] >=
+    agg[b], C2 (one less) iff agg[a] > agg[b], and neither carries out:
+    `keys` maps these guard bits, ((t + C1) & G) | ((t + C2) & G) >> 1 for G
+    the top bits, to the target id.  `steps` is the graph's step rows for
+    the kernel's policy, read in line where filled.
     """
 
     def __init__(self, net: InfluenceNetwork, graph: MoveGraph, policy: StepPolicy, persistent: PersistentConfig,
                  profile: Profile):
-        """Start at `profile`'s ids.  Raises ValueError on a pin outside
-        0..n-1, a profile of other than n orders or off a pin, and an order
-        on another m, in that order."""
+        """Start at `profile`'s ids.  Raises ValueError on a pin at other
+        than an int in 0..n-1 (a bool included), a profile of other than n
+        orders or off a pin, and an order on another m, in that order."""
         n, pins = net.n, persistent.pins
         for node in pins:
-            if not 0 <= node < n:
-                raise ValueError(f"pin at node {node}, but the network's nodes are 0..{n - 1}")
+            if type(node) is not int or not 0 <= node < n:
+                raise ValueError(f"pin at node {node!r}, but the network's nodes are 0..{n - 1}")
         if len(profile) != n:
             raise ValueError(f"profile length {len(profile)}, but the network has {n} nodes")
         for node, order in pins.items():
@@ -254,7 +264,8 @@ class _Kernel:
         self.free = persistent.free_nodes(n)
         self.graph = graph
         self.stay_on_ambiguity = policy.allow_no_move_on_ambiguity
-        self.compile({i: _row_over_lcd(net.rows[i]) for i in self.free}, state)
+        self.steps = graph.step_rows(self.stay_on_ambiguity)
+        self.compile({i: _row_over_lcd(net.rows[i], net.lcds[i]) for i in self.free}, state)
 
     def compile(self, rows: dict[int, tuple[tuple[tuple[int, int], ...], int]], start: Sequence[int]) -> None:
         """Compile `rows[i]` = ((j, W_ij), D_i) per free node i and put the kernel at the `start` ids."""
@@ -289,7 +300,12 @@ class _Kernel:
         """True iff node i's step leaves it where it is: at its target, or
         stalled there under no-move-on-ambiguity."""
         current, tau = self.state[i], self.target(i)
-        return tau == current or self.graph.next_id(current, tau, self.stay_on_ambiguity) == current
+        if tau == current:
+            return True
+        row = self.steps[tau]
+        if row is None or (nxt := row[current]) < 0:
+            nxt = self.graph.next_id(current, tau, self.stay_on_ambiguity)
+        return nxt == current
 
     def write(self, moves: Iterable[tuple[int, int]]) -> None:
         """Apply `(node, id)` moves, adding each one's score delta to its listeners' totals."""
@@ -311,14 +327,19 @@ class _Kernel:
         """
         state, totals, keys, write = self.state, self.totals, self.keys, self.write
         c1, c2, guards = self.c1, self.c2, self.guards
-        next_id, lazy = self.graph.next_id, self.stay_on_ambiguity
+        steps, next_id, lazy = self.steps, self.graph.next_id, self.stay_on_ambiguity
         log, moves = [], []
         for i in nodes:
             total = totals[i]
             tau = keys[(total + c1 & guards) | (total + c2 & guards) >> 1]  # `_guard_key`, inline
             log.append((i, tau))
             current = state[i]
-            if current != tau and (nxt := next_id(current, tau, lazy)) != current:
+            if current == tau:
+                continue
+            row = steps[tau]  # a filled step entry, read in line
+            if row is None or (nxt := row[current]) < 0:
+                nxt = next_id(current, tau, lazy)
+            if nxt != current:
                 if synchronous:
                     moves.append((i, nxt))
                 else:
@@ -343,7 +364,7 @@ class _Kernel:
         if kind == "synchronous":
             nodes = free
         elif kind == "sequence":
-            bad = [i for i in schedule.nodes if i not in free]
+            bad = [i for i in schedule.nodes if type(i) is not int or i not in free]
             if bad:
                 raise ScheduleError(f"scheduled nodes {bad} are pinned or unknown")
             nodes = schedule.nodes
@@ -364,7 +385,7 @@ class _Kernel:
     def _settle(self, rng: random.Random, max_steps: int):
         """`run`'s uniform schedule: one `rng.randrange(len(free))` draw per update."""
         free, state, listeners, settled, target = self.free, self.state, self.listeners, self.settled, self.target
-        next_id, lazy, write, draw = self.graph.next_id, self.stay_on_ambiguity, self.write, rng.randrange
+        steps, write, draw = self.steps, self.write, rng.randrange
         unsettled = {i for i in free if not settled(i)}
         visited = tuple(state)
         states, logs = [visited], []
@@ -375,7 +396,9 @@ class _Kernel:
             tau = target(i)
             logs.append(((i, tau),))
             if i in unsettled:
-                write(((i, next_id(state[i], tau, lazy)),))
+                # `settled(i)` read this step where it left i unsettled, and
+                # neither i's state nor its total has changed since: filled
+                write(((i, steps[tau][state[i]]),))
                 visited = tuple(state)
                 for k in (i, *[k for k, _ in listeners[i]]):  # a self-loop lists i twice
                     if settled(k):

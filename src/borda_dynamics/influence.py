@@ -10,7 +10,10 @@ A network stores only its support: `rows[i]` holds the `(j, w)` pairs of row
 i with `w > 0`, in increasing j.  Every builder here emits rows and every
 reader reads them, so costs follow the number of arcs rather than n².  The
 dense matrix `weights` is a view built on each read, for tests and callers
-that want it; `influence_network` is the one dense entry point.
+that want it; `influence_network` is the one dense entry point.  Validation
+sums each row in integers over its least common denominator, and the network
+keeps those LCDs as `lcds`, so a reader that scales a row to integers
+(`_row_over_lcd`) takes its LCD from there and computes none.
 
 Besides construction and normalization the module computes the structural
 facts the oscillation checks rely on: reachability, strongly connected
@@ -25,18 +28,24 @@ recurses.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 @dataclass(frozen=True)
 class InfluenceNetwork:
-    """Row-stochastic rational weights, stored as their support, plus node names."""
+    """Row-stochastic rational weights, stored as their support, plus node names.
+
+    `lcds` is derived, not given: per row, the least common denominator of
+    its weights, the one `__post_init__` sums the row over.
+    """
 
     #: per node i, the (j, w) pairs of row i with w > 0, in increasing j
     rows: tuple[tuple[tuple[int, Fraction], ...], ...]
     names: tuple[str, ...]
+    #: per node i, the least common denominator of row i's weights
+    lcds: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.rows)
@@ -47,7 +56,7 @@ class InfluenceNetwork:
             raise ValueError(f"{len(names)} names for {n} nodes")
         if len(set(names)) != n:
             raise ValueError("node names must be distinct")
-        rows = []
+        rows, lcds = [], []
         for i, row in enumerate(self.rows):
             last, pairs = -1, []
             try:
@@ -67,8 +76,10 @@ class InfluenceNetwork:
             if num != den:
                 raise ValueError(f"row {i} sums to {Fraction(num, den)}, expected exactly 1")
             rows.append(tuple(pairs))
+            lcds.append(den)
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "lcds", tuple(lcds))
 
     @property
     def n(self) -> int:
@@ -285,10 +296,10 @@ def verify_minus_one_mode(
     return True
 
 
-def _row_over_lcd(row) -> tuple[tuple[tuple[int, int], ...], int]:
-    """A row over its least common denominator D: ((j, W_j), D) with w_j = W_j / D."""
-    d = lcm(*(w.denominator for _, w in row))
-    return tuple((j, w.numerator * (d // w.denominator)) for j, w in row), d
+def _row_over_lcd(row, d: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """A row over its least common denominator `d` (the network's `lcds`
+    entry): ((j, W_j), d) with w_j = W_j / d."""
+    return tuple([(j, w.numerator * (d // w.denominator)) for j, w in row]), d
 
 
 def _perturb_rows(rows, eps: Fraction, seed: int) -> list:
@@ -343,7 +354,7 @@ def perturb_weights(net: InfluenceNetwork, eps: Fraction, seed: int) -> Influenc
     eps = Fraction(eps)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    rows = [_row_over_lcd(row) for row in net.rows]
+    rows = list(map(_row_over_lcd, net.rows, net.lcds))
     return InfluenceNetwork(tuple(row if new is old else tuple((j, Fraction(w, new[1])) for j, w in new[0])
                                   for row, old, new in zip(net.rows, rows, _perturb_rows(rows, eps, seed))),
                             net.names)

@@ -46,8 +46,9 @@ class MoveGraph:
     adjacent classes, so `adjacency` derives from `cuts`, and the distance of
     two ids is the number of cuts exactly one of them has.  `id_of` is one
     lookup in the class-sequence -> canonical id dict of `weak_orders`.  The
-    step rows are the only lazy state: one per target, holding by current id
-    -1 until asked, else the first candidate, plus order_count if ambiguous.
+    step rows are the only lazy state, one set per policy (`step_rows`): by
+    target id, None until a step toward it is asked, else an array holding
+    by current id -1 until asked, else the id `next_id` steps to.
     """
 
     def __init__(self, m: int):
@@ -67,7 +68,7 @@ class MoveGraph:
                 rest &= rest - 1
         self.adjacency = tuple(tuple(sorted(nb)) for nb in neighbors)
         self._ids = _index_map(m)
-        self._steps: dict[int, array] = {}
+        self._steps: tuple[list[array | None], list[array | None]] = ([None] * len(orders), [None] * len(orders))
 
     @property
     def order_count(self) -> int:
@@ -94,22 +95,29 @@ class MoveGraph:
         """Shortest-path hop count between two ids: the cuts exactly one has."""
         return (self.cuts[a] ^ self.cuts[b]).bit_count()
 
+    def step_rows(self, stay_on_ambiguity: bool) -> list[array | None]:
+        """The step rows of one policy, by target id (see the class docstring).
+        A reader may take a filled entry, ``rows[target][current] >= 0``, as
+        the step; only `next_id` decides or fills one."""
+        return self._steps[stay_on_ambiguity]
+
     def next_id(self, current: int, target: int, stay_on_ambiguity: bool) -> int:
         """Id one bounded step from `current` toward `target`: the neighbour of
         smallest id one unit closer, or `current` under `stay_on_ambiguity`
         when several neighbours are."""
         if current == target:
             return current
-        row = self._steps.get(target)
+        rows = self._steps[stay_on_ambiguity]
+        row = rows[target]
         if row is None:
-            row = self._steps[target] = array("h", [-1]) * self.order_count
-        first = row[current]
-        if first < 0:
+            row = rows[target] = array("h", [-1]) * self.order_count
+        nxt = row[current]
+        if nxt < 0:
             cuts, goal = self.cuts, self.cuts[target]
             want = (cuts[current] ^ goal).bit_count() - 1
             candidates = [v for v in self.adjacency[current] if (cuts[v] ^ goal).bit_count() == want]
-            first = row[current] = candidates[0] + len(row) * (len(candidates) > 1)
-        return first if first < len(row) else (current if stay_on_ambiguity else first - len(row))
+            nxt = row[current] = current if stay_on_ambiguity and len(candidates) > 1 else candidates[0]
+        return nxt
 
     def resting_ids(self, target: int, stay_on_ambiguity: bool) -> tuple[int, ...]:
         """The ids, ascending, whose step toward `target` leaves them in place:

@@ -326,7 +326,7 @@ def verify_robustness(sc: ScenarioConfig, trials: int, seed: int) -> Verificatio
     eps = eps_star / 2
 
     perturbable = sum(len(sc.network.rows[i]) > 1 for i in free)
-    rows = [_row_over_lcd(row) for row in sc.network.rows]
+    rows = list(map(_row_over_lcd, sc.network.rows, sc.network.lcds))
     divergence = None
     for t in range(trials if perturbable else 0):
         perturbed = _perturb_rows(rows, eps, seed + t)

@@ -218,6 +218,30 @@ def test_a_closed_stdout_is_an_input_error_without_a_traceback(scenario_dir):
     assert proc.stderr == "input error: cannot write stdout: Broken pipe\n"
 
 
+#: two `cli.main` calls, each with stdout on a pipe whose read end is closed;
+#: prints each call's exit code and the process's open descriptors after it
+REFUSED_TWICE = """
+import os, sys
+from borda_dynamics import cli
+for _ in range(2):
+    read, write = os.pipe()
+    os.close(read)
+    os.dup2(write, sys.stdout.fileno())
+    os.close(write)
+    code = cli.main(["enumerate", "3"])
+    print(code, len(os.listdir("/proc/self/fd")), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_refused_stdout_leaves_no_descriptor_open():
+    proc = subprocess.run([sys.executable, "-c", REFUSED_TWICE], capture_output=True, text=True)
+    lines = [line for line in proc.stderr.splitlines() if not line.startswith("input error:")]
+    (first, before), (second, after) = (line.split() for line in lines)
+    assert (first, second) == ("2", "2"), proc.stderr
+    assert after == before, proc.stderr
+
+
 # --- verify ---------------------------------------------------------------------------
 
 def test_verify_default_suite(scenario_dir):

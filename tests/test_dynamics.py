@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -127,12 +128,13 @@ def test_step_async_at_target_is_identity():
     assert step_async(net, G3, POLICY, FREE, profile, 0) == profile
 
 
-@pytest.mark.parametrize("node", [0, 5, -1], ids=["pinned", "past-the-end", "negative"])
+@pytest.mark.parametrize("node", [0, 5, -1, 1.0, True], ids=["pinned", "past-the-end", "negative", "float", "bool"])
 def test_step_async_rejects_pinned_node(node):
-    # node 0 is pinned; 5 and -1 are not nodes of the 2-node network
+    # node 0 is pinned; 5 and -1 are not nodes of the 2-node network, and
+    # 1.0 and True, though equal to the free node 1, are not ints
     net = uniform_net(2)
     pc = PersistentConfig(pins={0: o("(xyz)")})
-    with pytest.raises(ScheduleError, match=f"^scheduled node {node} is pinned or unknown$"):
+    with pytest.raises(ScheduleError, match=f"^scheduled node {re.escape(repr(node))} is pinned or unknown$"):
         step_async(net, G3, POLICY, pc, (o("(xyz)"), o("x>y>z")), node)
 
 
@@ -231,6 +233,22 @@ def test_sequence_schedule_rejects_pinned_nodes():
         run_until_cycle(
             net, G3, POLICY, pc, (o("(xyz)"), o("(xyz)")), Schedule.sequence([1])
         )
+
+
+@pytest.mark.parametrize("node", [0.0, False], ids=["float", "bool"])
+def test_sequence_schedule_rejects_a_node_that_is_not_an_int(node):
+    # equal to the free node 0, yet not a node index
+    net = uniform_net(2)
+    with pytest.raises(ScheduleError, match=rf"^scheduled nodes \[{node!r}\] are pinned or unknown$"):
+        run_until_cycle(net, G3, POLICY, FREE, (o("(xyz)"), o("(xyz)")), Schedule.sequence([0, node]))
+
+
+def test_state_at_refuses_a_time_before_the_start():
+    net = influence_network([["0", "1"], ["1", "0"]])
+    report = run_until_cycle(net, G3, POLICY, FREE, (o("x>y>z"), o("z>y>x")), Schedule.synchronous())
+    assert report.state_at(0) == report.prefix[0]
+    with pytest.raises(ValueError, match="^time -1 is before the start of the run$"):
+        report.state_at(-1)
 
 
 def test_uniform_schedule_stops_at_fixed_point():
@@ -758,6 +776,51 @@ def pair_fields(kernel, total):
     return [total >> shift & kernel.mask for shift in kernel.shifts]
 
 
+def policy_turn_cases(m, count):
+    """The m-alternative gadget from its start, then `count` seeded networks
+    of 2 to 5 nodes with some pins, each under one of the three schedules."""
+    gadget = build_gadget(m, enumerate_weak_orders(m)[0], Fraction(1, 10))
+    cases = [(gadget.network, gadget.persistent, gadget.initial, Schedule.synchronous())]
+    rng = random.Random(m)
+    for seed in range(count):
+        n = rng.randint(2, 5)
+        initial = random_profile(rng, n, m)
+        pc = PersistentConfig(pins={i: initial[i] for i in rng.sample(range(n), rng.randint(0, n - 1))})
+        free = pc.free_nodes(n)
+        schedule = rng.choice([Schedule.synchronous(), Schedule.sequence(rng.choices(free, k=3)),
+                               Schedule.uniform(seed)])
+        cases.append((seeded_random_network(n, seed), pc, initial, schedule))
+    return cases
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_runs_on_one_graph_under_each_policy_in_turn_match_the_reference(m):
+    """A graph keeps one set of step rows per policy, each entry the resolved
+    step: on one fresh graph, every run under the default policy, then under
+    no-move-on-ambiguity, then the default again, equals the reference
+    re-driven on a fresh graph of its own, which shares no step row."""
+    graph = move_graph.MoveGraph(m)
+    assert graph.step_rows(False) == graph.step_rows(True) == [None] * graph.order_count
+    cases = policy_turn_cases(m, 30)
+    lazy = StepPolicy(allow_no_move_on_ambiguity=True)
+    outcomes = []
+    for policy in (POLICY, lazy, POLICY):
+        for net, pc, initial, schedule in cases:
+            expected = reference_run(net, move_graph.MoveGraph(m), policy, pc, initial, schedule, KERNEL_MAX_STEPS)
+            if expected is None:
+                with pytest.raises(BudgetExceededError):
+                    run_until_cycle(net, graph, policy, pc, initial, schedule, KERNEL_MAX_STEPS)
+            else:
+                report = run_until_cycle(net, graph, policy, pc, initial, schedule, KERNEL_MAX_STEPS)
+                mu, period, prefix, logs, margin = expected
+                assert (report.mu, report.period, report.prefix, report.target_log, report.min_margin) == (
+                    mu, period, tuple(prefix), tuple(logs), margin), (policy, schedule)
+            outcomes.append(expected)
+    # the policies part somewhere, and the second default pass repeats the first
+    first, second, third = outcomes[:len(cases)], outcomes[len(cases):-len(cases)], outcomes[-len(cases):]
+    assert first != second and first == third
+
+
 def assert_run_matches_reference(net, graph, policy, pc, initial, schedule, max_steps):
     """run_until_cycle equals reference_run; returns the report (None on a budget error)."""
     expected = reference_run(net, graph, policy, pc, initial, schedule, max_steps)
@@ -1130,6 +1193,11 @@ BAD_PROFILES = {
                          r"^pin at node 5, but the network's nodes are 0\.\.1$"),
     "pin-negative": (PersistentConfig(pins={-1: M3_SWAP[1]}), M3_SWAP,
                      r"^pin at node -1, but the network's nodes are 0\.\.1$"),
+    # equal to node 0 and agreeing with the profile there, yet not a node index
+    "pin-text": (PersistentConfig(pins={"a": M3_SWAP[0]}), M3_SWAP,
+                 r"^pin at node 'a', but the network's nodes are 0\.\.1$"),
+    "pin-bool": (PersistentConfig(pins={False: M3_SWAP[0]}), M3_SWAP,
+                 r"^pin at node False, but the network's nodes are 0\.\.1$"),
     "pin-mismatch": (PersistentConfig(pins={0: M3_SWAP[1]}), M3_SWAP, "^profile disagrees with pin at node 0$"),
 }
 
@@ -1141,10 +1209,10 @@ def test_every_entry_point_checks_the_profile_against_the_network_and_pins(call,
         call(pc, profile)
 
 
-@pytest.mark.parametrize("node", [5, -1])
+@pytest.mark.parametrize("node", [5, -1, "a", False])
 def test_the_fixed_point_search_refuses_a_pin_outside_the_network(node):
     pc = PersistentConfig(pins={node: o("x>y>z")})
-    with pytest.raises(ValueError, match=rf"^pin at node {node}, but the network's nodes are 0\.\.1$"):
+    with pytest.raises(ValueError, match=rf"^pin at node {node!r}, but the network's nodes are 0\.\.1$"):
         enumerate_fixed_points(SWAP_NET, G3, POLICY, pc)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -11,6 +12,7 @@ from borda_dynamics.influence import (
     InfluenceNetwork,
     _crossing_bipartition,
     _perturb_rows,
+    _row_over_lcd,
     class_structure,
     influence_network,
     network_to_dot,
@@ -517,6 +519,32 @@ def test_integer_perturbation_equals_the_fraction_formula(rows, eps, seed, pertu
     if perturbed:
         net = reference.perturb_weights(net, Fraction(1, 7), seed + 1)
     assert perturb_weights(net, eps, seed).rows == reference.perturb_weights(net, eps, seed).rows
+
+
+@st.composite
+def lcd_networks(draw):
+    """A network from `weight_rows` or random-walk weights on a random graph
+    with a spanning path, perturbed by `perturb_weights` or not."""
+    if draw(st.booleans()):
+        net = influence_network(draw(weight_rows()))
+    else:
+        n = draw(st.integers(2, 7))
+        extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+        net = normalize_random_walk(n, [(i, i + 1) for i in range(n - 1)] + [(u, v) for u, v in extra if u != v])
+    if draw(st.booleans()):
+        net = perturb_weights(net, draw(st.sampled_from(PERTURB_EPS)), draw(st.integers(0, 10**6)))
+    return net
+
+
+@given(lcd_networks())
+@settings(deadline=None, max_examples=200)
+def test_a_network_keeps_each_row_lcd_and_each_row_scales_over_it_exactly(net):
+    assert len(net.lcds) == net.n
+    for i, row in enumerate(net.rows):
+        assert net.lcds[i] == math.lcm(*(w.denominator for _, w in row)), i
+        scaled, d = _row_over_lcd(row, net.lcds[i])
+        assert type(scaled) is tuple and d == net.lcds[i]
+        assert tuple((j, Fraction(w, d)) for j, w in scaled) == row, i
 
 
 @pytest.mark.parametrize("row", [

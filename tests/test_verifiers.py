@@ -499,7 +499,7 @@ def test_a_trial_compiles_the_kernel_of_the_perturbed_network():
         trial = dynamics._Kernel(net, graph, StepPolicy(), pc, initial)
         start = tuple(trial.state)
         trial.update(trial.free, True)
-        perturbed = influence._perturb_rows([influence._row_over_lcd(row) for row in net.rows], eps, seed)
+        perturbed = influence._perturb_rows(list(map(influence._row_over_lcd, net.rows, net.lcds)), eps, seed)
         trial.compile({i: perturbed[i] for i in trial.free}, start)
         network = perturb_weights(net, eps, seed)
         assert network.rows == reference.perturb_weights(net, eps, seed).rows
@@ -519,6 +519,24 @@ def test_a_robustness_check_builds_no_network(monkeypatch):
     assert built == []
     perturb_weights(sc.network, Fraction(1, 480), seed=7)  # the count sees a network built
     assert len(built) == 1
+
+
+def test_no_kernel_build_or_trial_computes_a_row_lcd(monkeypatch):
+    # the networks are built, so their LCDs kept, before lcm is taken away
+    sc = build_gadget(4, parse_order("x>y>z>u", 4), Fraction(1, 10))
+    net = perturb_weights(sc.network, Fraction(1, 7), seed=3)
+
+    def forbidden(*args):
+        raise AssertionError("a row LCD was computed")
+
+    monkeypatch.setattr(influence, "lcm", forbidden)
+    kernel = dynamics._Kernel(net, build_cover_graph(4), StepPolicy(), sc.persistent, sc.initial)
+    perturbed = influence._perturb_rows(list(map(influence._row_over_lcd, net.rows, net.lcds)), Fraction(1, 480), 7)
+    kernel.compile({i: perturbed[i] for i in kernel.free}, kernel.state)
+    kernel.run(sc.schedule, sc.max_steps)
+    assert verify_robustness(sc, trials=5, seed=7).passed
+    with pytest.raises(AssertionError, match="row LCD"):
+        influence_network([["1/2", "1/2"], [0, 1]])  # validation still computes one
 
 
 def test_oversized_perturbation_is_allowed_to_diverge():
