@@ -28,10 +28,8 @@ other.  The aggregate is linear in each in-neighbour's scores, so writing
 node j from order a to b adds W_kj * (packed[b] - packed[a]) to the total
 of each listener k, exactly, and no read sums a row.  A target is read from
 the total's guard bits by one dict lookup; a tie margin is the smallest
-nonzero |field - beta| over 2*D_i.  A move reads the step row of the kernel's
-policy (`MoveGraph.step_rows`) in line, and calls `MoveGraph.next_id`, which
-decides and fills every step, only for an entry not yet filled; a uniform
-run's mover was just found unsettled, which filled its entry.
+nonzero |field - beta| over 2*D_i.  A move reads its step from the step rows
+of the kernel's policy (`MoveGraph.step_rows`).
 
 A run, `_Kernel.run`, yields the visited states, mu and the target logs in
 ids, and `run_until_cycle` reads them into an OrbitReport, the one place
@@ -89,6 +87,11 @@ class PersistentConfig:
     pins: dict[int, WeakOrder] = field(default_factory=dict)
 
     def free_nodes(self, n: int) -> tuple[int, ...]:
+        """The nodes 0..n-1 that hold no pin.  Raises ValueError on a pin at
+        other than an int in 0..n-1 (a bool included)."""
+        for node in self.pins:
+            if type(node) is not int or not 0 <= node < n:
+                raise ValueError(f"pin at node {node!r}, but the network's nodes are 0..{n - 1}")
         return tuple(i for i in range(n) if i not in self.pins)
 
 
@@ -181,7 +184,8 @@ def step_async(
 ) -> Profile:
     """One asynchronous step: only node i moves.  Raises ScheduleError when
     node i is pinned or not one of the network's nodes (a bool or another
-    non-int included), before the profile is read."""
+    non-int included), after the pins are checked and before the profile is
+    read."""
     if type(i) is not int or i not in persistent.free_nodes(net.n):
         raise ScheduleError(f"scheduled node {i!r} is pinned or unknown")
     kernel = _Kernel(net, graph, policy, persistent, profile)
@@ -237,7 +241,7 @@ class _Kernel:
     agg[b], C2 (one less) iff agg[a] > agg[b], and neither carries out:
     `keys` maps these guard bits, ((t + C1) & G) | ((t + C2) & G) >> 1 for G
     the top bits, to the target id.  `steps` is the graph's step rows for
-    the kernel's policy, read in line where filled.
+    the kernel's policy.
     """
 
     def __init__(self, net: InfluenceNetwork, graph: MoveGraph, policy: StepPolicy, persistent: PersistentConfig,
@@ -246,9 +250,7 @@ class _Kernel:
         than an int in 0..n-1 (a bool included), a profile of other than n
         orders or off a pin, and an order on another m, in that order."""
         n, pins = net.n, persistent.pins
-        for node in pins:
-            if type(node) is not int or not 0 <= node < n:
-                raise ValueError(f"pin at node {node!r}, but the network's nodes are 0..{n - 1}")
+        self.free = persistent.free_nodes(n)
         if len(profile) != n:
             raise ValueError(f"profile length {len(profile)}, but the network has {n} nodes")
         for node, order in pins.items():
@@ -261,7 +263,6 @@ class _Kernel:
         except ValueError:
             raise ValueError(f"node {node} has an order on {order.m} alternatives, "
                              f"but the move graph is on {graph.m}") from None
-        self.free = persistent.free_nodes(n)
         self.graph = graph
         self.stay_on_ambiguity = policy.allow_no_move_on_ambiguity
         self.steps = graph.step_rows(self.stay_on_ambiguity)
@@ -299,13 +300,8 @@ class _Kernel:
     def settled(self, i: int) -> bool:
         """True iff node i's step leaves it where it is: at its target, or
         stalled there under no-move-on-ambiguity."""
-        current, tau = self.state[i], self.target(i)
-        if tau == current:
-            return True
-        row = self.steps[tau]
-        if row is None or (nxt := row[current]) < 0:
-            nxt = self.graph.next_id(current, tau, self.stay_on_ambiguity)
-        return nxt == current
+        current = self.state[i]
+        return self.steps[self.target(i)][current] == current
 
     def write(self, moves: Iterable[tuple[int, int]]) -> None:
         """Apply `(node, id)` moves, adding each one's score delta to its listeners' totals."""
@@ -327,8 +323,7 @@ class _Kernel:
         """
         state, totals, keys, write = self.state, self.totals, self.keys, self.write
         c1, c2, guards = self.c1, self.c2, self.guards
-        steps, next_id, lazy = self.steps, self.graph.next_id, self.stay_on_ambiguity
-        log, moves = [], []
+        steps, log, moves = self.steps, [], []
         for i in nodes:
             total = totals[i]
             tau = keys[(total + c1 & guards) | (total + c2 & guards) >> 1]  # `_guard_key`, inline
@@ -336,9 +331,7 @@ class _Kernel:
             current = state[i]
             if current == tau:
                 continue
-            row = steps[tau]  # a filled step entry, read in line
-            if row is None or (nxt := row[current]) < 0:
-                nxt = next_id(current, tau, lazy)
+            nxt = steps[tau][current]
             if nxt != current:
                 if synchronous:
                     moves.append((i, nxt))
@@ -396,8 +389,6 @@ class _Kernel:
             tau = target(i)
             logs.append(((i, tau),))
             if i in unsettled:
-                # `settled(i)` read this step where it left i unsettled, and
-                # neither i's state nor its total has changed since: filled
                 write(((i, steps[tau][state[i]]),))
                 visited = tuple(state)
                 for k in (i, *[k for k, _ in listeners[i]]):  # a self-loop lists i twice
@@ -411,13 +402,13 @@ class _Kernel:
     def min_margin(self, orbit: Sequence[tuple[int, ...]]) -> Fraction | float:
         """Smallest tie margin of any compiled node's aggregate over the
         `orbit` states: the smallest gap between distinct aggregate values
-        over 2*D_i.  The kernel must be at orbit[0]; it reaches each later
-        state by writes, so it ends at orbit[-1].  Each distinct (total,
-        D_i) the orbit holds has its gap computed once."""
-        totals, rows, write, gap_of = self.totals, self.rows, self.write, self.gap
-        held = {(totals[i], d) for i, (_, d) in rows.items()}
-        for before, state in zip(orbit, orbit[1:]):
-            write([(j, b) for j, (a, b) in enumerate(zip(before, state)) if a != b])
+        over 2*D_i.  The kernel reaches each state in turn by writing the
+        nodes whose ids differ, so it ends at orbit[-1].  Each distinct
+        (total, D_i) the orbit holds has its gap computed once."""
+        state, totals, rows, write, gap_of = self.state, self.totals, self.rows, self.write, self.gap
+        held = set()
+        for ids in orbit:
+            write([(j, b) for j, (a, b) in enumerate(zip(state, ids)) if a != b])
             held.update([(totals[i], d) for i, (_, d) in rows.items()])
         best: tuple[int, int] | None = None  # (gap, D_i)
         for total, d in held:
@@ -427,9 +418,9 @@ class _Kernel:
         return math.inf if best is None else Fraction(best[0], 2 * best[1])
 
     def report(self, states: Sequence[tuple[int, ...]], mu: int, logs) -> OrbitReport:
-        """The OrbitReport of visited `states` with the orbit from `mu`; the
-        kernel is at states[mu].  A state object that repeats from one visit
-        to the next (a uniform draw that moved nothing) is converted once."""
+        """The OrbitReport of visited `states` with the orbit from `mu`.  A
+        state object that repeats from one visit to the next (a uniform draw
+        that moved nothing) is converted once."""
         orders = self.graph.orders
         rows, last, row = [], None, ()
         for state in states:

@@ -13,13 +13,13 @@ The bounded step advances one edge along a shortest path toward a target
 order, breaking ties by smallest canonical id.  `MoveGraph(m)` numbers the
 orders of `enumerate_weak_orders(m)` by position, so its ids are canonical
 ids by construction.  It is the one place where orders become ids (`id_of`)
-and where the step is decided, by id (`next_id`), along with the ids that
-step leaves in place (`resting_ids`).
+and where the step is decided, by id: each target's `_StepRow` under each
+policy (`step_rows`, `next_id`), with the ids that step leaves in place
+(`resting_ids`).
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,9 +46,7 @@ class MoveGraph:
     adjacent classes, so `adjacency` derives from `cuts`, and the distance of
     two ids is the number of cuts exactly one of them has.  `id_of` is one
     lookup in the class-sequence -> canonical id dict of `weak_orders`.  The
-    step rows are the only lazy state, one set per policy (`step_rows`): by
-    target id, None until a step toward it is asked, else an array holding
-    by current id -1 until asked, else the id `next_id` steps to.
+    step rows (`step_rows`) are the only lazy state.
     """
 
     def __init__(self, m: int):
@@ -68,7 +66,8 @@ class MoveGraph:
                 rest &= rest - 1
         self.adjacency = tuple(tuple(sorted(nb)) for nb in neighbors)
         self._ids = _index_map(m)
-        self._steps: tuple[list[array | None], list[array | None]] = ([None] * len(orders), [None] * len(orders))
+        self._steps = tuple(tuple(_StepRow(self.cuts, self.adjacency, t, stay) for t in range(len(orders)))
+                            for stay in (False, True))
 
     @property
     def order_count(self) -> int:
@@ -95,29 +94,13 @@ class MoveGraph:
         """Shortest-path hop count between two ids: the cuts exactly one has."""
         return (self.cuts[a] ^ self.cuts[b]).bit_count()
 
-    def step_rows(self, stay_on_ambiguity: bool) -> list[array | None]:
-        """The step rows of one policy, by target id (see the class docstring).
-        A reader may take a filled entry, ``rows[target][current] >= 0``, as
-        the step; only `next_id` decides or fills one."""
+    def step_rows(self, stay_on_ambiguity: bool) -> tuple[_StepRow, ...]:
+        """The `_StepRow` of each target id under one policy."""
         return self._steps[stay_on_ambiguity]
 
     def next_id(self, current: int, target: int, stay_on_ambiguity: bool) -> int:
-        """Id one bounded step from `current` toward `target`: the neighbour of
-        smallest id one unit closer, or `current` under `stay_on_ambiguity`
-        when several neighbours are."""
-        if current == target:
-            return current
-        rows = self._steps[stay_on_ambiguity]
-        row = rows[target]
-        if row is None:
-            row = rows[target] = array("h", [-1]) * self.order_count
-        nxt = row[current]
-        if nxt < 0:
-            cuts, goal = self.cuts, self.cuts[target]
-            want = (cuts[current] ^ goal).bit_count() - 1
-            candidates = [v for v in self.adjacency[current] if (cuts[v] ^ goal).bit_count() == want]
-            nxt = row[current] = current if stay_on_ambiguity and len(candidates) > 1 else candidates[0]
-        return nxt
+        """Id one bounded step from `current` toward `target` (see `_StepRow`)."""
+        return self._steps[stay_on_ambiguity][target][current]
 
     def resting_ids(self, target: int, stay_on_ambiguity: bool) -> tuple[int, ...]:
         """The ids, ascending, whose step toward `target` leaves them in place:
@@ -125,7 +108,33 @@ class MoveGraph:
         several neighbours one unit closer."""
         if not stay_on_ambiguity:
             return (target,)
-        return tuple(x for x in range(self.order_count) if self.next_id(x, target, True) == x)
+        row = self._steps[True][target]
+        return tuple(x for x in range(self.order_count) if row[x] == x)
+
+
+class _StepRow(dict):
+    """The bounded steps toward one target under one policy: by current id,
+    the id one step moves to.  A step is decided the first time it is read
+    and then kept: `current` itself when it is the target, or under
+    `stay_on_ambiguity` when several neighbours are one unit closer; else
+    the neighbour of smallest id one unit closer."""
+
+    __slots__ = ("cuts", "adjacency", "target", "stay_on_ambiguity")
+
+    def __init__(self, cuts: tuple[int, ...], adjacency: tuple[tuple[int, ...], ...], target: int,
+                 stay_on_ambiguity: bool):
+        self.cuts, self.adjacency, self.target, self.stay_on_ambiguity = cuts, adjacency, target, stay_on_ambiguity
+
+    def __missing__(self, current: int) -> int:
+        if current == self.target:
+            nxt = current
+        else:
+            cuts, goal = self.cuts, self.cuts[self.target]
+            want = (cuts[current] ^ goal).bit_count() - 1
+            candidates = [v for v in self.adjacency[current] if (cuts[v] ^ goal).bit_count() == want]
+            nxt = current if self.stay_on_ambiguity and len(candidates) > 1 else candidates[0]
+        self[current] = nxt
+        return nxt
 
 
 def _cuts(order: WeakOrder) -> int:
@@ -151,7 +160,7 @@ def distance(graph: MoveGraph, order1: WeakOrder, order2: WeakOrder) -> int:
 
 
 def step(policy: StepPolicy, graph: MoveGraph, current: WeakOrder, target: WeakOrder) -> WeakOrder:
-    """One bounded step from `current` toward `target`, as `MoveGraph.next_id` decides it."""
+    """One bounded step from `current` toward `target`, as `_StepRow` decides it."""
     nxt = graph.next_id(graph.id_of(current), graph.id_of(target), policy.allow_no_move_on_ambiguity)
     return graph.orders[nxt]
 

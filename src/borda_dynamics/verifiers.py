@@ -195,7 +195,6 @@ def verify_forced_even_period(sc: ScenarioConfig) -> VerificationOutcome:
             found, reported = True, (start, mu, orbit)
             break
     witness, mu, orbit = reported
-    kernel.compile(kernel.rows, orbit[0])  # later starts may have moved the kernel on
     margin = kernel.min_margin(orbit)
 
     try:
@@ -243,12 +242,9 @@ def _class_starts(kernel: _Kernel, cls: tuple[int, ...]) -> Iterator[tuple[int, 
 
 
 def _cyclic_min_period(seq: Sequence) -> int:
-    """Least d dividing len(seq) such that rotating seq by d leaves it unchanged."""
+    """Least d dividing len(seq) such that rotating seq by d leaves it unchanged; seq is not empty."""
     n = len(seq)
-    for d in range(1, n + 1):
-        if n % d == 0 and all(seq[(j + d) % n] == seq[j] for j in range(n)):
-            return d
-    return n
+    return next(d for d in range(1, n + 1) if n % d == 0 and all(seq[(j + d) % n] == seq[j] for j in range(n)))
 
 
 def verify_even_period_lifting(sc: ScenarioConfig) -> VerificationOutcome:

@@ -383,6 +383,10 @@ MALFORMED = [
     case("simulate", gadget_with("pins", "p", value={"node": "p", "order": "x>y>z"}), "pins.p", "pin-record"),
     case("simulate", scenario(m=7), "m", "m-7"),
     case("simulate", scenario(network={"nodes": [], "edges": []}), "network", "zero-nodes"),
+    case("simulate", scenario(network={"nodes": [], "edges": [], "normalize": True}), "network",
+         "normalize-zero-nodes"),
+    case("simulate", gadget_with("pins", "p", value="x>>y"), "pins.p", "pin-order-syntax"),
+    case("simulate", gadget_with("initial", "i", value="x>y"), "initial.i", "initial-order-on-m2"),
     # 4,301 digits pass the weight pattern but not CPython's int-string limit
     case("simulate", gadget_with("network", "edges", 0, "weight", value="1" * 4301), "network.edges[0].weight",
          "weight-over-4300-digits"),
@@ -394,6 +398,7 @@ MALFORMED = [
     case("simulate", scenario(variant="seq:[]"), "variant", "seq-empty"),
     case("simulate", scenario(variant="A"), "variant", "variant-A-without-schedule"),
     case("simulate", scenario(variant="uniform:x"), "variant", "uniform-seed-not-integer"),
+    case("simulate", scenario(variant="uniform:" + "1" * 4301), "variant", "uniform-seed-over-4300-digits"),
     case("simulate", scenario(variant="uniform:1_0"), "variant", "uniform-seed-underscore"),
     case("simulate", scenario(variant="uniform:\u0663"), "variant", "uniform-seed-arabic-indic-digit"),
     case("simulate", scenario(variant="uniform: 5 "), "variant", "uniform-seed-spaces"),
@@ -412,6 +417,9 @@ MALFORMED = [
     case("verify", suite(verifier="unreachable_persistence",
                          scenario=str(SCENARIOS / "unreachable_pins.json"),
                          args={"alt_pins": {"a": "(xyz)"}}), "entries[0]", "alt-pins-free-node"),
+    case("verify", suite(verifier="unreachable_persistence",
+                         scenario=str(SCENARIOS / "unreachable_pins.json"),
+                         args={"alt_pins": {"p": "(xyz"}}), "entries[0].args.alt_pins.p", "alt-pins-order-syntax"),
     case("verify", suite(verifier="single_peaked_invariance",
                          scenario=str(SCENARIOS / "consensus_triangle.json"), args={"axis": "xy"}),
          "entries[0].args.axis", "axis-partial"),

@@ -259,6 +259,23 @@ def test_uniform_schedule_stops_at_fixed_point():
     assert (report.mu, report.period) == (0, 1)
 
 
+SCHEDULE_REFUSALS = {
+    "empty-sequence": (lambda: Schedule.sequence([]), "^empty update sequence$"),
+    "uniform-every-node-pinned": (
+        lambda: run_until_cycle(uniform_net(2), G3, POLICY, PersistentConfig({0: o("x>y>z"), 1: o("z>y>x")}),
+                                (o("x>y>z"), o("z>y>x")), Schedule.uniform(0)),
+        "^uniform schedule needs at least one free node$"),
+    "unknown-kind": (lambda: run_until_cycle(uniform_net(2), G3, POLICY, FREE, (o("x>y>z"),) * 2, Schedule("bogus")),
+                     "^unknown schedule kind 'bogus'$"),
+}
+
+
+@pytest.mark.parametrize("call, message", SCHEDULE_REFUSALS.values(), ids=SCHEDULE_REFUSALS.keys())
+def test_a_schedule_that_cannot_run_is_refused(call, message):
+    with pytest.raises(ScheduleError, match=message):
+        call()
+
+
 def test_uniform_schedule_budget_error():
     net = influence_network([["0", "1"], ["1", "0"]])
     profile = (o("x>y>z"), o("z>y>x"))
@@ -414,6 +431,15 @@ def test_enumerate_fixed_points_budget_counts_the_unpruned_levels():
     assert enumerate_fixed_points(net, G3, POLICY, pc, budget=13) == [(o("x>(yz)"), o("x>(yz)"))]
     with pytest.raises(BudgetExceededError):
         enumerate_fixed_points(net, G3, POLICY, pc, budget=12)
+
+
+def test_enumerate_fixed_points_budget_is_checked_inside_the_search():
+    # node 2 hears itself and node 0, so it is checked on its own level and
+    # the pre-check bound is 13 + 13**2 = 182; the search tries 351
+    net = influence_network([[0, 1, 0], [1, 0, 0], ["1/2", 0, "1/2"]])
+    assert len(enumerate_fixed_points(net, G3, POLICY, FREE, budget=351)) == 37
+    with pytest.raises(BudgetExceededError, match="^more than 350 partial profiles tried$"):
+        enumerate_fixed_points(net, G3, POLICY, FREE, budget=350)
 
 
 def test_enumerate_fixed_points_refuses_before_searching_past_its_budget(monkeypatch):
@@ -800,7 +826,7 @@ def test_runs_on_one_graph_under_each_policy_in_turn_match_the_reference(m):
     no-move-on-ambiguity, then the default again, equals the reference
     re-driven on a fresh graph of its own, which shares no step row."""
     graph = move_graph.MoveGraph(m)
-    assert graph.step_rows(False) == graph.step_rows(True) == [None] * graph.order_count
+    assert not any(graph.step_rows(False)) and not any(graph.step_rows(True))
     cases = policy_turn_cases(m, 30)
     lazy = StepPolicy(allow_no_move_on_ambiguity=True)
     outcomes = []
@@ -819,6 +845,39 @@ def test_runs_on_one_graph_under_each_policy_in_turn_match_the_reference(m):
     # the policies part somewhere, and the second default pass repeats the first
     first, second, third = outcomes[:len(cases)], outcomes[len(cases):-len(cases)], outcomes[-len(cases):]
     assert first != second and first == third
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["default", "no-move-on-ambiguity"])
+def test_a_run_decides_only_the_steps_it_reads(lazy):
+    # a synchronous run reads the step of every node update off its target,
+    # from the state before the step; it stores those entries and no other
+    graph = move_graph.MoveGraph(4)
+    net = seeded_random_network(6, 3)
+    initial = random_profile(random.Random(3), 6, 4)
+    report = run_until_cycle(net, graph, StepPolicy(lazy), FREE, initial, Schedule.synchronous())
+    read, off_target = set(), 0
+    for before, log in zip(report.prefix, report.target_log):
+        for i, tau in log:
+            if before[i] != tau:
+                off_target += 1
+                read.add((graph.id_of(tau), graph.id_of(before[i])))
+    stored = {(t, c) for t, row in enumerate(graph.step_rows(lazy)) for c in row}
+    assert report.mu + report.period > 2 and stored == read and len(stored) <= off_target
+    assert not any(graph.step_rows(not lazy))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_the_orbit_margin_is_read_from_any_state_the_kernel_is_in(m):
+    # after each deterministic run the kernel is written to its start's ids
+    # in reverse, pins included; the orbit margin seats it at orbit[0] itself
+    for net, pc, initial, schedule in policy_turn_cases(m, 30):
+        if schedule.kind == "uniform":
+            continue
+        kernel = dynamics._Kernel(net, move_graph.MoveGraph(m), POLICY, pc, initial)
+        states, mu, logs = kernel.run(schedule, KERNEL_MAX_STEPS)
+        margin = kernel.report(states, mu, logs).min_margin
+        kernel.write(enumerate(states[0][::-1]))  # another state of the same network
+        assert kernel.min_margin(states[mu:]) == margin and tuple(kernel.state) == states[-1]
 
 
 def assert_run_matches_reference(net, graph, policy, pc, initial, schedule, max_steps):
@@ -1198,6 +1257,9 @@ BAD_PROFILES = {
                  r"^pin at node 'a', but the network's nodes are 0\.\.1$"),
     "pin-bool": (PersistentConfig(pins={False: M3_SWAP[0]}), M3_SWAP,
                  r"^pin at node False, but the network's nodes are 0\.\.1$"),
+    # equal to node 1, the node `step-async` schedules: refused as a pin, not read as node 1 pinned
+    "pin-true": (PersistentConfig(pins={True: M3_SWAP[1]}), M3_SWAP,
+                 r"^pin at node True, but the network's nodes are 0\.\.1$"),
     "pin-mismatch": (PersistentConfig(pins={0: M3_SWAP[1]}), M3_SWAP, "^profile disagrees with pin at node 0$"),
 }
 

@@ -193,6 +193,21 @@ def test_normalize_rejects_self_loop():
         normalize_random_walk(3, [(0, 1), (1, 1), (1, 2)])
 
 
+NETWORK_REFUSALS = {
+    "name-count": (lambda: InfluenceNetwork((((0, F(1)),), ((1, F(1)),)), ("a",)), "^1 names for 2 nodes$"),
+    "repeated-names": (lambda: InfluenceNetwork((((0, F(1)),), ((1, F(1)),)), ("a", "a")),
+                       "^node names must be distinct$"),
+    "short-dense-row": (lambda: influence_network([["1"], ["0", "1"]]), "^row 0 has length 1, expected 2$"),
+    "seeded-one-node": (lambda: seeded_random_network(1, 0), "^need at least two nodes$"),
+}
+
+
+@pytest.mark.parametrize("call, message", NETWORK_REFUSALS.values(), ids=NETWORK_REFUSALS.keys())
+def test_a_network_builder_refuses_a_malformed_shape(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_a_network_needs_a_node():
     with pytest.raises(ValueError, match="at least one node"):
         influence_network([])

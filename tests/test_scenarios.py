@@ -60,6 +60,11 @@ def test_wave_builder_rejects_a_cycle_state_on_another_alternative_count():
         build_traveling_wave(4, mixed)
 
 
+def test_wave_builder_rejects_a_two_state_cycle():
+    with pytest.raises(ScenarioBuildError, match="^move-graph cycle must have at least 3 states$"):
+        build_traveling_wave(4, CYCLE4[:2])
+
+
 def test_gadget_builder_layout():
     rho = o("x>y>z")
     sc = build_gadget(3, rho, Fraction(1, 10))
@@ -80,6 +85,11 @@ def test_gadget_builder_eps_bounds():
         build_gadget(3, rho, Fraction(1))
     # eps = 1/2 builds fine; oscillation is just not promised there
     assert build_gadget(3, rho, Fraction(1, 2)).m == 3
+
+
+def test_gadget_builder_rejects_a_base_order_on_another_alternative_count():
+    with pytest.raises(ScenarioBuildError, match="^base order is over 4 alternatives, expected 3$"):
+        build_gadget(3, o("x>y>z>u", 4), Fraction(1, 10))
 
 
 def test_gadget_builder_rejects_tied_base_order():

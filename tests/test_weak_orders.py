@@ -74,6 +74,20 @@ def test_weak_order_validation():
     assert weak_order([[1, 0], [2]]).classes == ((0, 1), (2,))
 
 
+ORDER_REFUSALS = {
+    "no-classes": (lambda: WeakOrder(()), "^weak order over an empty alternative set$"),
+    "unknown-alternative": (lambda: o("x>y>z").class_index(3), "^unknown alternative 3$"),
+    "m-7": (lambda: enumerate_weak_orders(7), r"^m=7 beyond supported desk scale \(max 6\)$"),
+    "empty-class-text": (lambda: parse_order("x>()", 3), r"^empty class in 'x>\(\)'$"),
+}
+
+
+@pytest.mark.parametrize("call, message", ORDER_REFUSALS.values(), ids=ORDER_REFUSALS.keys())
+def test_a_malformed_order_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # --- Borda scores and projection ----------------------------------------------
 
 def test_borda_score_examples():
